@@ -43,6 +43,10 @@ class WindowOutOfRangeError(StatedevError):
     pass
 
 
+class ScriptOrderError(StatedevError):
+    pass
+
+
 @dataclass(frozen=True)
 class Arc:
     src: str
@@ -116,9 +120,6 @@ class CanonicalDiagram:
 
     def order(self, state: str) -> int:
         return self.states.index(state)
-
-    def out_arcs(self, state: str) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.src == state)
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def replay_script(
     last_tick = None
     for obj, arc, tick in script:
         if last_tick is not None and tick < last_tick:
-            raise ValueError(f"script ticks go backwards at tick {tick}")
+            raise ScriptOrderError(f"script ticks go backwards at tick {tick}")
         last_tick = tick
         dist, counters, event = apply_transition(dist, counters, d, obj, arc, tick)
         events.append(event)

@@ -494,13 +494,16 @@ def _scenario_report_body(rep: scenario.ScenarioReport) -> dict:
     }
 
 
+def _trajectory_report(rep: scenario.ScenarioReport, args, source: str) -> Report:
+    return Report(kind="trajectory", body=_scenario_report_body(rep), provenance=_provenance(args, inputs=[source]))
+
+
 def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seq", "tick", "kind", "subsystem", "symbol", "src", "dst", "cause", "effective"])
         for seq, event in enumerate(tr.events):
-            kind, sub, symbol, src, dst, cause, effective = scenario.event_row(event)
-            writer.writerow([seq, event.tick, kind, sub, symbol, src, dst, cause, effective])
+            writer.writerow([seq, event.tick, *scenario.event_row(event)])
 
 
 def _cmd_simulate(args) -> tuple[Report, int]:
@@ -518,29 +521,17 @@ def _cmd_simulate(args) -> tuple[Report, int]:
     tr = scenario.run_scenario(sc, args.horizon)
     rep = scenario.analyze_trajectory(tr, sc, crit)
     if args.out:
-        payload = modelfile.trajectory_file_to_dict(tr, sc, scores)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(modelfile.serialize_trajectory(tr, sc, scores))
     if args.events_out:
         _write_events_csv(args.events_out, tr)
-    report = Report(
-        kind="trajectory",
-        body=_scenario_report_body(rep),
-        provenance=_provenance(args, inputs=[args.model]),
-    )
-    return report, 0
+    return _trajectory_report(rep, args, args.model), 0
 
 
 def _cmd_analyze(args) -> tuple[Report, int]:
     sc, tr, scores = modelfile.load_trajectory_file(args.trajectory)
     crit = modelfile.criterion_from_table(scores) if scores else None
-    rep = scenario.analyze_trajectory(tr, sc, crit)
-    report = Report(
-        kind="trajectory",
-        body=_scenario_report_body(rep),
-        provenance=_provenance(args, inputs=[args.trajectory]),
-    )
-    return report, 0
+    return _trajectory_report(scenario.analyze_trajectory(tr, sc, crit), args, args.trajectory), 0
 
 
 def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
@@ -616,25 +607,16 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code or 0)
     args._argv = argv
     fmt = "machine-json" if args.format == "json" else "human-text"
+    target = getattr(args, "model", getattr(args, "trajectory", "input"))
     try:
         report, code = _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except modelfile.ModelFileError as exc:
-        report = _error_report(
-            getattr(args, "model", getattr(args, "trajectory", "input")),
-            [str(i) for i in exc.issues],
-            args,
-        )
-        sys.stdout.write(emit_report(report, fmt))
-        return 1
+        report, code = _error_report(target, [str(i) for i in exc.issues], args), 1
     except StatedevError as exc:
-        report = _error_report(
-            getattr(args, "model", getattr(args, "trajectory", "input")), [str(exc)], args
-        )
-        sys.stdout.write(emit_report(report, fmt))
-        return 1
+        report, code = _error_report(target, [str(exc)], args), 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

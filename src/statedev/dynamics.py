@@ -43,15 +43,6 @@ class DynamicsKind(Enum):
 
 VOCABULARY: tuple[str, ...] = tuple(kind.value for kind in DynamicsKind)
 
-_BY_SYMBOL = {kind.value: kind for kind in DynamicsKind}
-
-
-def kind_from_symbol(symbol: str) -> DynamicsKind:
-    try:
-        return _BY_SYMBOL[symbol]
-    except KeyError:
-        raise ValueError(f"unknown dynamics symbol {symbol!r}") from None
-
 
 @dataclass(frozen=True)
 class DynamicsState:
@@ -257,11 +248,6 @@ class ParallelProfile:
     start: int
     end: int
     rows: Mapping[str, tuple[DynamicsState, ...]]
-
-    def cell(self, parameter: str, tick: int) -> DynamicsState:
-        if not self.start <= tick <= self.end:
-            raise KeyError(f"tick {tick} outside profile interval")
-        return self.rows[parameter][tick - self.start]
 
 
 def parallel_profile(

@@ -10,25 +10,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Union, get_type_hints
 
 from .canonical import Arc, ArcKind, CanonicalDiagram
-from .composition import PrescribedEntry, PrescribedSequence
+from .composition import PrescribedEntry, PrescribedSequence, TimedDiagramSet
 from .dynamics import ParameterSeries
 from .errors import StatedevError
+from .reports import canonical_json
 from .scenario import (
+    EVENT_KINDS,
     AfterEffectScheme,
     ArcRef,
-    Backstep,
     Configuration,
-    Delivery,
     EfficiencyCriterion,
     Event,
-    Firing,
+    EventLogError,
     HierarchicalStructure,
     HypothesisDiagram,
     Scenario,
-    Skipped,
     TimeDiagramEntry,
     Trajectory,
 )
@@ -42,6 +41,9 @@ from .statespace import (
 )
 
 FORMAT_VERSION = 1
+# Version 2 stores the initial states and the event log; version 1 also
+# stored the configuration after every tick and is still read.
+TRAJECTORY_VERSION = 2
 
 SECTIONS = (
     "parameters",
@@ -480,6 +482,11 @@ def _parse_requests(
                 )
         if not ok:
             continue
+        try:
+            TimedDiagramSet(tuple(canonical[d].diagram for d in ids), intervals)
+        except ValueError as exc:
+            out.invalid(f"{where}.intervals", str(exc))
+            continue
         result[rid] = CompositionRequest(
             id=rid,
             kind=kind,
@@ -492,18 +499,19 @@ def _parse_requests(
     return result
 
 
-def _parse_arc_ref(item: Any, where: str, out: _Collector) -> Union[ArcRef, None]:
+def _strings(item: Any, keys: tuple[str, ...], what: str, where: str, out: _Collector):
+    """The named fields of one object as strings, or None after an issue."""
     item = _expect_map(item, where, out)
     try:
-        return ArcRef(
-            subsystem=str(item["subsystem"]),
-            src=str(item["from"]),
-            dst=str(item["to"]),
-            symbol=str(item["symbol"]),
-        )
+        return tuple(str(item[key]) for key in keys)
     except KeyError as exc:
-        out.invalid(where, f"arc reference needs subsystem/from/to/symbol; missing {exc}")
+        out.invalid(where, f"{what} needs {'/'.join(keys)}; missing {exc}")
         return None
+
+
+def _parse_arc_ref(item: Any, where: str, out: _Collector) -> Union[ArcRef, None]:
+    ref = _strings(item, ("subsystem", "from", "to", "symbol"), "arc reference", where, out)
+    return ArcRef(*ref) if ref is not None else None
 
 
 def _parse_scenarios(data: Any, out: _Collector) -> dict[str, Scenario]:
@@ -530,22 +538,15 @@ def _parse_scenarios(data: Any, out: _Collector) -> dict[str, Scenario]:
         for did, draw in _expect_map(raw.get("diagrams"), f"{where}.diagrams", out).items():
             dwhere = f"{where}.diagrams.{did}"
             draw = _expect_map(draw, dwhere, out)
-            arcs = []
-            for i, item in enumerate(_expect_list(draw.get("arcs"), f"{dwhere}.arcs", out)):
-                item = _expect_map(item, f"{dwhere}.arcs[{i}]", out)
-                try:
-                    arcs.append((str(item["from"]), str(item["to"]), str(item["symbol"])))
-                except KeyError as exc:
-                    out.invalid(f"{dwhere}.arcs[{i}]", f"arc needs from/to/symbol; missing {exc}")
-                    ok = False
-            backs = []
-            for i, item in enumerate(_expect_list(draw.get("back_arcs"), f"{dwhere}.back_arcs", out)):
-                item = _expect_map(item, f"{dwhere}.back_arcs[{i}]", out)
-                try:
-                    backs.append((str(item["from"]), str(item["to"])))
-                except KeyError as exc:
-                    out.invalid(f"{dwhere}.back_arcs[{i}]", f"back arc needs from/to; missing {exc}")
-                    ok = False
+            arcs = [
+                _strings(item, ("from", "to", "symbol"), "arc", f"{dwhere}.arcs[{i}]", out)
+                for i, item in enumerate(_expect_list(draw.get("arcs"), f"{dwhere}.arcs", out))
+            ]
+            backs = [
+                _strings(item, ("from", "to"), "back arc", f"{dwhere}.back_arcs[{i}]", out)
+                for i, item in enumerate(_expect_list(draw.get("back_arcs"), f"{dwhere}.back_arcs", out))
+            ]
+            ok = ok and None not in arcs and None not in backs
             try:
                 diagrams.append(
                     HypothesisDiagram(
@@ -553,8 +554,8 @@ def _parse_scenarios(data: Any, out: _Collector) -> dict[str, Scenario]:
                         states=tuple(str(s) for s in _expect_list(draw.get("states"), f"{dwhere}.states", out)),
                         initial=str(draw.get("initial")),
                         final=str(draw.get("final")),
-                        labeled_arcs=tuple(arcs),
-                        back_arcs=tuple(backs),
+                        labeled_arcs=tuple(a for a in arcs if a is not None),
+                        back_arcs=tuple(a for a in backs if a is not None),
                     )
                 )
             except ValueError as exc:
@@ -690,44 +691,46 @@ def _parse_scenarios(data: Any, out: _Collector) -> dict[str, Scenario]:
     return result
 
 
+def _parse_score_table(raw: Any, where: str, out: _Collector) -> Union[dict, None]:
+    table: dict[str, dict[str, float]] = {}
+    ok = True
+    for sub, states in _expect_map(raw, where, out).items():
+        table[str(sub)] = {}
+        for state, value in _expect_map(states, f"{where}.{sub}", out).items():
+            try:
+                table[str(sub)][str(state)] = float(value)
+            except (TypeError, ValueError):
+                out.invalid(f"{where}.{sub}", f"score for state {state!r} is not numeric")
+                ok = False
+    return table if ok else None
+
+
 def _parse_score_tables(data: Any, out: _Collector) -> dict:
-    result: dict[str, dict[str, dict[str, float]]] = {}
-    for tid, raw in _expect_map(data, "score_tables", out).items():
-        where = f"score_tables.{tid}"
-        table: dict[str, dict[str, float]] = {}
-        ok = True
-        for sub, states in _expect_map(raw, where, out).items():
-            table[str(sub)] = {}
-            for state, value in _expect_map(states, f"{where}.{sub}", out).items():
-                try:
-                    table[str(sub)][str(state)] = float(value)
-                except (TypeError, ValueError):
-                    out.invalid(f"{where}.{sub}", f"score for state {state!r} is not numeric")
-                    ok = False
-        if ok:
-            result[tid] = table
-    return result
+    tables = {tid: _parse_score_table(raw, f"score_tables.{tid}", out)
+              for tid, raw in _expect_map(data, "score_tables", out).items()}
+    return {tid: table for tid, table in tables.items() if table is not None}
+
+
+def _json_object(text: str, source: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFileError([Issue("parse-error", source, exc.msg, exc.lineno, exc.colno)]) from None
+    if not isinstance(data, dict):
+        raise ModelFileError([Issue("parse-error", source, "top level must be a JSON object")])
+    return data
 
 
 def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
     """Parse one JSON model document, collecting every issue."""
-    out = _Collector()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        out.add("parse-error", source, exc.msg, line=exc.lineno, column=exc.colno)
-        raise ModelFileError(out.issues)
-    if not isinstance(data, dict):
-        out.add("parse-error", source, "top level must be a JSON object")
-        raise ModelFileError(out.issues)
-
+    data = _json_object(text, source)
     version = data.get("format_version")
     if version != FORMAT_VERSION:
-        out.add(
+        raise ModelFileError([Issue(
             "unknown-version", source,
             f"format_version {version!r} is not supported (expected {FORMAT_VERSION})",
-        )
-        raise ModelFileError(out.issues)
+        )])
+    out = _Collector()
     for key in data:
         if key != "format_version" and key not in SECTIONS:
             out.invalid(source, f"unknown section {key!r}")
@@ -931,109 +934,130 @@ def criterion_from_table(table: Mapping[str, Mapping[str, float]]) -> Efficiency
 
 
 # ---------------------------------------------------------------------------
-# Trajectory files: self-contained runs (scenario + log) for later analysis.
+# Trajectory files: self-contained runs (scenario + event log) for later
+# analysis. The configurations after each tick are not stored; the loader
+# folds them from the initial states and the events.
 
-def _config_to_dict(config: Configuration) -> dict:
-    return {
-        "states": {sub: [state, entry] for sub, (state, entry) in config.states.items()},
-        "last_activity": dict(config.last_activity),
-    }
+# kind -> (event class, {field: type}): the JSON keys of an event are its
+# dataclass fields plus "kind".
+_EVENT_FIELDS = {kind: (cls, get_type_hints(cls)) for kind, cls in EVENT_KINDS.items()}
 
-
-def _config_from_dict(data: Mapping) -> Configuration:
-    return Configuration(
-        states={sub: (item[0], int(item[1])) for sub, item in data["states"].items()},
-        last_activity={sub: int(t) for sub, t in data["last_activity"].items()},
-    )
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
 
 
 def event_to_dict(event: Event) -> dict:
-    if isinstance(event, Delivery):
-        return {
-            "kind": "delivery", "tick": event.tick, "subsystem": event.subsystem,
-            "symbol": event.symbol, "symbol_kind": event.symbol_kind,
-            "effective": event.effective,
-        }
-    if isinstance(event, Firing):
-        return {
-            "kind": "firing", "tick": event.tick, "subsystem": event.subsystem,
-            "src": event.src, "dst": event.dst, "symbol": event.symbol, "cause": event.cause,
-        }
-    if isinstance(event, Backstep):
-        return {
-            "kind": "backstep", "tick": event.tick, "subsystem": event.subsystem,
-            "src": event.src, "dst": event.dst,
-        }
-    return {
-        "kind": "skipped", "tick": event.tick, "subsystem": event.subsystem,
-        "src": event.src, "dst": event.dst, "symbol": event.symbol,
-        "actual_state": event.actual_state,
-    }
+    return {"kind": event.kind, **{name: getattr(event, name) for name in _EVENT_FIELDS[event.kind][1]}}
 
 
-def event_from_dict(data: Mapping) -> Event:
-    kind = data["kind"]
-    if kind == "delivery":
-        return Delivery(int(data["tick"]), data["subsystem"], data["symbol"],
-                        data["symbol_kind"], bool(data["effective"]))
-    if kind == "firing":
-        return Firing(int(data["tick"]), data["subsystem"], data["src"], data["dst"],
-                      data["symbol"], data["cause"])
-    if kind == "backstep":
-        return Backstep(int(data["tick"]), data["subsystem"], data["src"], data["dst"])
-    if kind == "skipped":
-        return Skipped(int(data["tick"]), data["subsystem"], data["src"], data["dst"],
-                       data["symbol"], data["actual_state"])
-    raise ValueError(f"unknown event kind {kind!r}")
+def event_from_dict(data: Any) -> Event:
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _EVENT_FIELDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    cls, types = _EVENT_FIELDS[kind]
+    for name, typ in types.items():
+        if type(data.get(name)) is not typ:
+            raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
+    return cls(**{name: data[name] for name in types})
+
+
+def _states_to_dict(config: Configuration) -> dict:
+    return {sub: [state, entry] for sub, (state, entry) in config.states.items()}
 
 
 def trajectory_file_to_dict(
     tr: Trajectory, sc: Scenario, scores: Union[Mapping[str, Mapping[str, float]], None] = None
 ) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": TRAJECTORY_VERSION,
         "kind": "trajectory-file",
         "scenario_id": sc.id,
         "scenario": scenario_to_dict(sc),
         "trajectory": {
             "horizon": tr.horizon,
-            "initial": _config_to_dict(tr.initial),
-            "configs": [_config_to_dict(c) for c in tr.configs],
+            "initial": _states_to_dict(tr.initial),
             "events": [event_to_dict(e) for e in tr.events],
         },
         "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
     }
 
 
+def serialize_trajectory(
+    tr: Trajectory, sc: Scenario, scores: Union[Mapping[str, Mapping[str, float]], None] = None
+) -> str:
+    return canonical_json(trajectory_file_to_dict(tr, sc, scores))
+
+
+def _typed(data: dict, key: str, typ: type, where: str, out: _Collector) -> Any:
+    """data[key] when it has type typ; otherwise an issue and None."""
+    value = data.get(key)
+    if type(value) is typ:
+        return value
+    out.invalid(where, f"expected {_TYPE_NAMES[typ]}, got {type(value).__name__ if key in data else 'nothing'}")
+    return None
+
+
+def _check_stored_configs(tr: Trajectory, stored: Any, out: _Collector) -> None:
+    """A version-1 file's per-tick configurations must equal the fold."""
+    if not isinstance(stored, list) or len(stored) != tr.horizon:
+        out.invalid("trajectory.configs", f"expected a list of {tr.horizon} configurations")
+        return
+    for t, (config, item) in enumerate(zip(tr.configurations(), stored)):
+        states = _states_to_dict(config)
+        if item != {"states": states, "last_activity": {sub: entry for sub, (_, entry) in states.items()}}:
+            out.invalid(f"trajectory.configs[{t}]", "stored configuration disagrees with the event log")
+            return
+
+
 def load_trajectory_text(text: str, source: str = "<string>"):
-    """Returns (scenario, trajectory, score table or None)."""
+    """Returns (scenario, trajectory, score table or None). Reads versions
+    1 and 2, and collects every issue of a damaged file."""
+    data = _json_object(text, source)
+    if data.get("kind") != "trajectory-file":
+        raise ModelFileError([Issue("parse-error", source, "not a trajectory file")])
+    version = data.get("format_version")
+    if version not in (1, TRAJECTORY_VERSION):
+        raise ModelFileError([Issue("unknown-version", source, f"format_version {version!r} is not supported")])
     out = _Collector()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        out.add("parse-error", source, exc.msg, line=exc.lineno, column=exc.colno)
-        raise ModelFileError(out.issues)
-    if not isinstance(data, dict) or data.get("kind") != "trajectory-file":
-        out.add("parse-error", source, "not a trajectory file")
-        raise ModelFileError(out.issues)
-    if data.get("format_version") != FORMAT_VERSION:
-        out.add("unknown-version", source,
-                f"format_version {data.get('format_version')!r} is not supported")
-        raise ModelFileError(out.issues)
-    scenarios = _parse_scenarios({data["scenario_id"]: data["scenario"]}, out)
+    sid = _typed(data, "scenario_id", str, "scenario_id", out)
+    raw_sc = _typed(data, "scenario", dict, "scenario", out)
+    scenarios = _parse_scenarios({sid: raw_sc}, out) if sid is not None and raw_sc is not None else {}
+    traw = _typed(data, "trajectory", dict, "trajectory", out)
+    if traw is not None:
+        horizon = _typed(traw, "horizon", int, "trajectory.horizon", out)
+        if horizon is not None and horizon < 0:
+            out.invalid("trajectory.horizon", f"must be >= 0, got {horizon}")
+        where = "trajectory.initial"
+        initial = _typed(traw, "initial", dict, where, out)
+        if version == 1 and initial is not None:
+            where += ".states"
+            initial = _typed(initial, "states", dict, where, out)
+        states = {}
+        for sub, item in (initial or {}).items():
+            if isinstance(item, list) and len(item) == 2 and type(item[0]) is str and type(item[1]) is int:
+                states[sub] = tuple(item)
+            else:
+                out.invalid(f"{where}.{sub}", "expected [state, entry tick]")
+        events = []
+        for i, item in enumerate(_typed(traw, "events", list, "trajectory.events", out) or ()):
+            try:
+                events.append(event_from_dict(item))
+            except ValueError as exc:
+                out.invalid(f"trajectory.events[{i}]", str(exc))
+    scores = data.get("scores")
+    if scores is not None:
+        scores = _parse_score_table(scores, "scores", out)
+    if not out.issues:
+        tr = Trajectory(sid, horizon, Configuration(states), tuple(events))
+        try:
+            if version == 1:
+                _check_stored_configs(tr, traw.get("configs"), out)
+            else:
+                tr.final_configuration()
+        except EventLogError as exc:
+            out.invalid("trajectory.events", str(exc))
     if out.issues:
         raise ModelFileError(out.issues)
-    sc = scenarios[data["scenario_id"]]
-    traw = data["trajectory"]
-    tr = Trajectory(
-        scenario_id=sc.id,
-        horizon=int(traw["horizon"]),
-        initial=_config_from_dict(traw["initial"]),
-        configs=tuple(_config_from_dict(c) for c in traw["configs"]),
-        events=tuple(event_from_dict(e) for e in traw["events"]),
-    )
-    scores = data.get("scores")
-    return sc, tr, scores
+    return scenarios[sid], tr, scores
 
 
 def load_trajectory_file(path: str):

@@ -129,12 +129,16 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
+def canonical_json(payload: Any) -> str:
+    """The byte-stable JSON encoding: sorted keys, compact separators."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def emit_report(report: Report, format: str = "machine-json") -> str:
     """Serialize one report; identical reports give identical bytes."""
     check_schema(report)
     if format == "machine-json":
-        payload = {"kind": report.kind, "body": report.body, "provenance": report.provenance}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        return canonical_json({"kind": report.kind, "body": report.body, "provenance": report.provenance})
     if format == "human-text":
         lines = [f"report: {report.kind}"]
         for key in sorted(report.body):

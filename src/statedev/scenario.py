@@ -12,8 +12,8 @@ are recounts of that log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import StatedevError
 
@@ -40,6 +40,10 @@ class MissingScoreError(StatedevError):
 
 class IncomparableReportsError(StatedevError):
     pass
+
+
+class EventLogError(StatedevError):
+    """The event log does not replay over the initial configuration."""
 
 
 @dataclass(frozen=True)
@@ -153,17 +157,9 @@ class HierarchicalStructure:
                 if kid not in seen:
                     raise ValueError(f"subsystem {kid!r} is detached from the root")
         object.__setattr__(self, "_preorder", tuple(order))
-        parent_of: dict[str, str] = {}
-        for parent, kids in self.children.items():
-            for kid in kids:
-                parent_of[kid] = parent
-        object.__setattr__(self, "_parent_of", parent_of)
 
     def preorder(self) -> tuple[str, ...]:
         return self._preorder  # type: ignore[attr-defined]
-
-    def parent(self, subsystem: str) -> Union[str, None]:
-        return self._parent_of.get(subsystem)  # type: ignore[attr-defined]
 
     def children_of(self, subsystem: str) -> tuple[str, ...]:
         return self.children.get(subsystem, ())
@@ -393,25 +389,20 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Snapshot between ticks: per-subsystem (state, entry tick) and the
-    tick of the last effective activity (feeds the backstep clock)."""
+    """Snapshot between ticks: per-subsystem (state, entry tick). The entry
+    tick is the last activity, so it also runs the backstep clock."""
 
     states: Mapping[str, tuple[str, int]]
-    last_activity: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "states", {k: (v[0], v[1]) for k, v in self.states.items()}
-        )
-        object.__setattr__(self, "last_activity", dict(self.last_activity))
+        object.__setattr__(self, "states", dict(self.states))
 
     def state_of(self, subsystem: str) -> str:
         return self.states[subsystem][0]
 
 
 def initial_configuration(sc: Scenario) -> Configuration:
-    states = {sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()}
-    return Configuration(states, {sub: 0 for sub in sc.subsystems()})
+    return Configuration({sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()})
 
 
 @dataclass(frozen=True)
@@ -459,6 +450,8 @@ class Skipped:
 
 Event = Union[Delivery, Firing, Backstep, Skipped]
 
+EVENT_KINDS: Mapping[str, type] = {cls.kind: cls for cls in (Delivery, Firing, Backstep, Skipped)}
+
 
 def event_row(event: Event) -> tuple[str, str, str, str, str, str, str]:
     """Flat record (kind, subsystem, symbol, src, dst, cause, effective)."""
@@ -502,13 +495,11 @@ def step(
     """One tick: deliver symbols, propagate upward, then backstep."""
     ae = sc.after_effect
     states = dict(config.states)
-    activity = dict(config.last_activity)
     events: list[Event] = []
     fired: set[ArcRef] = set()
 
     def fire(ref: ArcRef, cause: str) -> None:
         states[ref.subsystem] = (ref.dst, tick)
-        activity[ref.subsystem] = tick
         fired.add(ref)
         events.append(Firing(tick, ref.subsystem, ref.src, ref.dst, ref.symbol, cause))
 
@@ -561,7 +552,7 @@ def step(
 
     # Phase 3: backstep on prolonged silence.
     for sub in sc.subsystems():
-        if tick - activity[sub] < sc.backstep_timeout:
+        if tick - states[sub][1] < sc.backstep_timeout:
             continue
         d = sc.diagram_of(sub)
         here = states[sub][0]
@@ -570,22 +561,44 @@ def step(
             continue
         src, dst = min(options, key=lambda arc: d.order(arc[0]) - d.order(arc[1]))
         states[sub] = (dst, tick)
-        activity[sub] = tick
         events.append(Backstep(tick, sub, src, dst))
 
-    return Configuration(states, activity), tuple(events)
+    return Configuration(states), tuple(events)
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run as its event log; the configurations are folded from it."""
+
     scenario_id: str
     horizon: int
     initial: Configuration
-    configs: tuple[Configuration, ...]  # configs[t] holds after tick t
     events: tuple[Event, ...]
 
+    def configurations(self) -> Iterator[Configuration]:
+        """The configuration after each tick 0..horizon-1: the logged
+        firings and backsteps folded over the initial configuration."""
+        states = dict(self.initial.states)
+        events = self.events
+        i = 0
+        for t in range(self.horizon):
+            while i < len(events) and events[i].tick == t:
+                event = events[i]
+                if isinstance(event, (Firing, Backstep)):
+                    if states.get(event.subsystem, (None,))[0] != event.src:
+                        raise EventLogError(f"event {i} leaves {event.src!r}, where "
+                                            f"{event.subsystem!r} is not at tick {t}")
+                    states[event.subsystem] = (event.dst, t)
+                i += 1
+            yield Configuration(states)
+        if i < len(events):
+            raise EventLogError(f"event {i} is out of tick order or past the horizon")
+
     def final_configuration(self) -> Configuration:
-        return self.configs[-1] if self.configs else self.initial
+        config = self.initial
+        for config in self.configurations():
+            pass
+        return config
 
 
 def run_scenario(sc: Scenario, horizon: Union[int, None] = None) -> Trajectory:
@@ -601,14 +614,12 @@ def run_scenario(sc: Scenario, horizon: Union[int, None] = None) -> Trajectory:
         raise HorizonExceededError(
             f"time diagram schedules tick {late[0].tick} beyond horizon {h}"
         )
-    config = initial_configuration(sc)
-    configs: list[Configuration] = []
+    initial = config = initial_configuration(sc)
     events: list[Event] = []
     for t in range(h):
         config, tick_events = step(config, due_deliveries(sc, t), sc, t)
-        configs.append(config)
         events.extend(tick_events)
-    return Trajectory(sc.id, h, initial_configuration(sc), tuple(configs), tuple(events))
+    return Trajectory(sc.id, h, initial, tuple(events))
 
 
 @dataclass(frozen=True)
@@ -639,10 +650,10 @@ def efficiency_process(tr: Trajectory, crit: EfficiencyCriterion) -> EfficiencyS
     per-tick sum across subsystems."""
     subs = tuple(sorted(tr.initial.states))
     per: dict[str, list[float]] = {sub: [] for sub in subs}
-    for config in tr.configs:
+    for config in tr.configurations():
         for sub in subs:
             per[sub].append(crit.score(sub, config.state_of(sub)))
-    agg = tuple(sum(per[sub][t] for sub in subs) for t in range(len(tr.configs)))
+    agg = tuple(sum(per[sub][t] for sub in subs) for t in range(tr.horizon))
     return EfficiencySeries(subs, {s: tuple(v) for s, v in per.items()}, agg)
 
 
@@ -773,18 +784,11 @@ def compare_scenarios(reports: Sequence[ScenarioReport]) -> ComparisonResult:
 
 
 def replay_events(tr: Trajectory, sc: Scenario) -> bool:
-    """Fold the logged state changes over the initial configuration and
-    compare against the stored per-tick configurations."""
-    states = dict(tr.initial.states)
-    by_tick: dict[int, list[Event]] = {}
-    for event in tr.events:
-        by_tick.setdefault(event.tick, []).append(event)
-    for t, config in enumerate(tr.configs):
-        for event in by_tick.get(t, ()):
-            if isinstance(event, (Firing, Backstep)):
-                if states[event.subsystem][0] != event.src:
-                    return False
-                states[event.subsystem] = (event.dst, t)
-        if {k: v for k, v in states.items()} != dict(config.states):
-            return False
-    return True
+    """Whether the log replays from the scenario's initial configuration:
+    every firing and backstep leaves the state the fold holds, in tick
+    order inside the horizon."""
+    try:
+        tr.final_configuration()
+    except EventLogError:
+        return False
+    return tr.initial == initial_configuration(sc)

@@ -234,10 +234,6 @@ class Classificator:
     def scale_by_id(self, sid: str) -> Scale:
         return self._scales_by_id[sid]
 
-    @property
-    def all_scales(self) -> tuple[Scale, ...]:
-        return tuple(self._scales_by_id.values())
-
 
 def classify_hierarchical(
     classificator: Classificator,

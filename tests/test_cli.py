@@ -272,3 +272,121 @@ def test_round_trip_serialized_model_validates_identically(tmp_path, capsys):
     assert a["body"]["violations"] == b["body"]["violations"]
     assert a["body"]["warnings"] == b["body"]["warnings"]
     assert a["body"]["passed"] == b["body"]["passed"]
+
+
+V1_TRAJECTORY = BASIC.parent / "coordinated_v1_trajectory.json"
+
+
+def _first(data, kind):
+    return next(e for e in data["trajectory"]["events"] if e["kind"] == kind)
+
+
+@pytest.mark.parametrize("mutate, where", [
+    pytest.param(lambda d: d.pop("scenario_id"), "scenario_id", id="no-scenario_id"),
+    pytest.param(lambda d: d.pop("scenario"), "scenario", id="no-scenario"),
+    pytest.param(lambda d: d.pop("trajectory"), "trajectory", id="no-trajectory"),
+    pytest.param(lambda d: d["trajectory"].pop("horizon"), "trajectory.horizon", id="no-horizon"),
+    pytest.param(lambda d: d["trajectory"].pop("initial"), "trajectory.initial", id="no-initial"),
+    pytest.param(lambda d: d["trajectory"].pop("events"), "trajectory.events", id="no-events"),
+    pytest.param(lambda d: _first(d, "delivery").pop("symbol"), "trajectory.events[0]", id="no-symbol"),
+    pytest.param(lambda d: _first(d, "firing").pop("tick"), "trajectory.events[1]", id="no-tick"),
+    pytest.param(lambda d: _first(d, "firing").update(kind="teleport"), "trajectory.events[1]",
+                 id="unknown-kind"),
+    pytest.param(lambda d: d.update(scenario_id=7), "scenario_id", id="int-scenario_id"),
+    pytest.param(lambda d: d.update(scenario=[]), "scenario", id="list-scenario"),
+    pytest.param(lambda d: d.update(trajectory="run"), "trajectory", id="str-trajectory"),
+    pytest.param(lambda d: d["trajectory"].update(horizon="3"), "trajectory.horizon", id="str-horizon"),
+    pytest.param(lambda d: d["trajectory"].update(initial=["top"]), "trajectory.initial",
+                 id="list-initial"),
+    pytest.param(lambda d: d["trajectory"].update(events={}), "trajectory.events", id="map-events"),
+    pytest.param(lambda d: _first(d, "delivery").update(effective="yes"), "trajectory.events[0]",
+                 id="str-effective"),
+])
+def test_analyze_reports_a_damaged_trajectory_file(tmp_path, capsys, mutate, where):
+    path = tmp_path / "traj.json"
+    code, _, _ = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated",
+                     "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert any(v.startswith(f"{where}:") for v in report["body"]["violations"])
+
+
+def test_analyze_rejects_an_event_log_that_does_not_replay(tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--out", str(path))
+    data = json.loads(path.read_text())
+    _first(data, "firing")["src"] = "T2"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_json(capsys, "analyze", str(path))
+    assert code == 1
+    assert report["body"]["violations"][0].startswith("trajectory.events:")
+
+
+def test_simulate_writes_a_compact_version_2_trajectory_file(tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--out", str(path))
+    text = path.read_text()
+    assert text.count("\n") == 1
+    data = json.loads(text)
+    assert data["format_version"] == 2
+    assert sorted(data["trajectory"]) == ["events", "horizon", "initial"]
+    assert data["trajectory"]["initial"] == {"left": ["L0", 0], "right": ["R0", 0], "top": ["T0", 0]}
+
+
+def test_analyze_reads_a_version_1_trajectory_file(capsys):
+    code, simulated, _ = run_json(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated",
+                                  "--scores", "default")
+    assert code == 0
+    code, analyzed, _ = run_json(capsys, "analyze", str(V1_TRAJECTORY))
+    assert code == 0
+    assert analyzed["body"] == simulated["body"]
+
+
+def test_analyze_rejects_a_version_1_file_whose_configs_disagree(tmp_path, capsys):
+    data = json.loads(V1_TRAJECTORY.read_text())
+    assert data["format_version"] == 1
+    data["trajectory"]["configs"][1]["states"]["left"] = ["L1", 0]
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["body"]["violations"] == [
+        "trajectory.configs[1]: stored configuration disagrees with the event log"
+    ]
+
+
+def test_consist_interval_beyond_the_horizon_is_a_model_issue(tmp_path, capsys):
+    raw = json.loads(BASIC.read_text())
+    raw["composition_requests"]["dev_milestones"]["intervals"] = [99]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "consist", str(path), "--request", "dev_milestones")
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert report["body"]["violations"] == [
+        "composition_requests.dev_milestones.intervals: interval 99 for 'dev3' exceeds its horizon 6"
+    ]
+
+
+def test_replay_rejects_ticks_out_of_order(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("tick,object,from,to,arc_kind\n2,b,negative,low,dev\n1,a,negative,low,dev\n")
+    code, out, err = run(capsys, "replay", BASIC_S, "--diagram", "dev3", "--events", str(events))
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert report["body"]["violations"] == ["script ticks go backwards at tick 1"]

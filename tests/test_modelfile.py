@@ -12,7 +12,7 @@ from statedev.modelfile import (
     parse_model,
     parse_model_text,
     serialize_model,
-    trajectory_file_to_dict,
+    serialize_trajectory,
 )
 from statedev.scenario import run_scenario, validate_scenario
 from tests.conftest import BASIC, TWO_LEVEL
@@ -176,11 +176,10 @@ def test_trajectory_file_round_trip(two_level_model):
     sc = two_level_model.scenarios["coordinated"]
     scores = two_level_model.score_tables["default"]
     tr = run_scenario(sc)
-    payload = trajectory_file_to_dict(tr, sc, scores)
-    text = json.dumps(payload, sort_keys=True)
+    text = serialize_trajectory(tr, sc, scores)
     sc2, tr2, scores2 = load_trajectory_text(text)
-    assert tr2.events == tr.events
-    assert tr2.final_configuration() == tr.final_configuration()
+    assert tr2 == tr
+    assert list(tr2.configurations()) == list(tr.configurations())
     assert sc2.id == sc.id
     assert scores2 == {k: dict(v) for k, v in scores.items()}
 

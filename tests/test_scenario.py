@@ -1,6 +1,7 @@
 """Hypothesis diagrams, after-effect propagation, scenario runs, and analysis."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from statedev.scenario import (
     Backstep,
     Delivery,
     EfficiencyCriterion,
+    EventLogError,
     Firing,
     HierarchicalStructure,
     HorizonExceededError,
@@ -444,3 +446,92 @@ def test_compare_breaks_ties_on_backsteps():
     assert noisy.backstep_total > 0
     result = compare_scenarios([noisy, clean])
     assert result.groups[0] == ("clean",)
+
+
+def random_scenario(seed: int) -> Scenario:
+    """A valid hierarchy of 3-6 chain diagrams: shared symbols, a random
+    individual/general split, parent links from each parent arc to one
+    coupled arc per child, and 0-2 deliveries per tick."""
+    rng = random.Random(seed)
+    subs = [f"n{i}" for i in range(rng.randint(3, 6))]
+    children: dict[str, list[str]] = {}
+    for i, sub in enumerate(subs[1:], start=1):
+        children.setdefault(subs[rng.randrange(i)], []).append(sub)
+    pool = ["a", "b", "c", "d", "e"]
+    general = {sym for sym in pool if rng.random() < 0.6}
+    diagrams, arcs = [], {}
+    for sub in subs:
+        states = tuple(f"{sub}s{j}" for j in range(rng.randint(3, 5)))
+        labeled = tuple((states[j], states[j + 1], rng.choice(pool)) for j in range(len(states) - 1))
+        backs = tuple((states[j + 1], states[j]) for j in range(len(states) - 1) if rng.random() < 0.7)
+        if len(states) > 3 and rng.random() < 0.5:
+            backs += ((states[3], states[1]),)
+        diagrams.append(HypothesisDiagram(f"D{sub}", states, states[0], states[-1], labeled, backs))
+        arcs[sub] = [ArcRef(sub, *arc) for arc in labeled]
+    coupled = {ref for refs in arcs.values() for ref in refs if ref.symbol in general}
+    links = {}
+    for parent, kids in children.items():
+        for ref in arcs[parent]:
+            if ref not in coupled or rng.random() < 0.3:
+                continue
+            link = tuple(rng.choice(c) for kid in kids if (c := [r for r in arcs[kid] if r in coupled]))
+            if link:
+                links[ref] = link
+    schedule = []
+    for tick in range(rng.randint(15, 40)):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            sub = rng.choice(subs)
+            symbol = rng.choice(arcs[sub]).symbol
+            schedule.append(TimeDiagramEntry(tick, None if rng.random() < 0.2 else sub, symbol))
+    sc = Scenario(
+        id=f"random{seed}",
+        diagrams=tuple(diagrams),
+        hierarchy=HierarchicalStructure(subs[0], {k: tuple(v) for k, v in children.items()}),
+        assignment={sub: f"D{sub}" for sub in subs},
+        time_diagram=tuple(schedule),
+        after_effect=AfterEffectScheme(
+            isolated=frozenset(ref for refs in arcs.values() for ref in refs) - coupled,
+            coupled=frozenset(coupled),
+            individual_symbols=frozenset(pool) - general,
+            general_symbols=frozenset(general),
+            parent_links=links,
+            upward_threshold=rng.choice(("all", 1)),
+        ),
+        backstep_timeout=rng.randint(1, 4),
+        horizon=(schedule[-1].tick + 1 if schedule else 0) + rng.randint(0, 5),
+    )
+    assert validate_scenario(sc).passed, validate_scenario(sc).violations
+    return sc
+
+
+def stepped_configurations(sc):
+    config = initial_configuration(sc)
+    for tick in range(sc.horizon):
+        config, _ = step(config, due_deliveries(sc, tick), sc, tick)
+        yield config
+
+
+def test_folded_configurations_equal_the_stepped_ones(two_level_model):
+    corpus = list(two_level_model.scenarios.values()) + [random_scenario(seed) for seed in range(40)]
+    seen = set()
+    for sc in corpus:
+        tr = run_scenario(sc)
+        assert list(tr.configurations()) == list(stepped_configurations(sc)), sc.id
+        assert replay_events(tr, sc)
+        seen.update((e.kind, getattr(e, "cause", "")) for e in tr.events)
+    # the corpus reaches every kind of state change the fold replays
+    assert {("firing", "direct"), ("firing", "downward-propagation"),
+            ("firing", "upward-propagation"), ("backstep", ""), ("skipped", "")} <= seen
+
+
+def test_fold_rejects_a_log_that_does_not_replay():
+    sc = scenario([(0, "top", "advance"), (2, "left", "left_fin")], timeout=2, horizon=5)
+    tr = run_scenario(sc)
+    i = next(i for i, e in enumerate(tr.events) if isinstance(e, Firing))
+    moved = dataclasses.replace(tr.events[i], src="T2")
+    broken = dataclasses.replace(tr, events=tr.events[:i] + (moved,) + tr.events[i + 1:])
+    assert not replay_events(broken, sc)
+    with pytest.raises(EventLogError):
+        broken.final_configuration()
+    late = dataclasses.replace(tr, horizon=1)
+    assert not replay_events(late, sc)
