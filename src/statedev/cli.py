@@ -570,10 +570,18 @@ def _cmd_compare(args) -> tuple[Report, int]:
     loaded = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise StatedevError(f"{path!r} is not JSON: {exc}") from exc
         if not isinstance(data, dict) or data.get("kind") != "trajectory":
             raise StatedevError(f"{path!r} is not a trajectory report")
-        loaded.append(_report_from_body(data["body"]))
+        try:
+            loaded.append(_report_from_body(data["body"]))
+        except KeyError as exc:
+            raise StatedevError(f"{path!r} is not a trajectory report: no key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise StatedevError(f"{path!r} is not a trajectory report: {exc}") from exc
     result = scenario.compare_scenarios(loaded)
     report = Report(
         kind="comparison",

@@ -354,11 +354,15 @@ def _validate_refs(dset: TimedDiagramSet, seq: PrescribedSequence) -> None:
 def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> ConsistencyVerdict:
     """Decide ordered visitation by deadlines over the joint tick grid.
 
-    Breadth-first search over (per-diagram state, per-diagram entry
-    tick, satisfied-prefix length), tick by tick; within one tick any
-    number of diagrams may fire and a diagram may chain zero-delay
-    arcs. Witnesses are earliest-firing with lowest diagram index, then
-    lowest arc order as tie-break.
+    Breadth-first search over (per-diagram state, per-diagram residence
+    clock, satisfied-prefix length), tick by tick; within one tick any
+    number of diagrams may fire and a diagram may chain zero-delay arcs.
+    A residence clock stops at the largest delay leaving its state, since
+    any larger clock enables the same arcs; two nodes whose clocks agree
+    after that cap are one node, and the one found first is kept. The
+    witness is the first satisfying path found: earliest tick first;
+    within a tick, the frontier in discovery order, then diagram index,
+    then _sorted_arcs order. It does not depend on the hash seed.
     """
     _validate_refs(dset, seq)
     entries = seq.entries
@@ -367,9 +371,19 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     horizon = entries[-1].deadline
     n = len(dset.diagrams)
     limits = [min(tau, horizon) for tau in dset.intervals]
-    arc_lists = [_sorted_arcs(d) for d in dset.diagrams]
+    arcs_from: list[dict[str, list[Arc]]] = []
+    for d in dset.diagrams:
+        by_src: dict[str, list[Arc]] = {s: [] for s in d.states}
+        for arc in _sorted_arcs(d):
+            by_src[arc.src].append(arc)
+        arcs_from.append(by_src)
+    # A clock at its state's cap enables every arc leaving that state.
+    caps = [
+        {s: max((a.delta for a in arcs), default=0) for s, arcs in by_src.items()}
+        for by_src in arcs_from
+    ]
 
-    def claim(states: tuple[str, ...], k: int, tick: int) -> int:
+    def claim(states: Sequence[str], k: int, tick: int) -> int:
         while (
             k < len(entries)
             and entries[k].deadline >= tick
@@ -378,82 +392,65 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
             k += 1
         return k
 
-    init = (
-        tuple(d.initial for d in dset.diagrams),
-        (0,) * n,
-        0,
-    )
-    start_k = claim(init[0], 0, 0)
-    init = (init[0], init[1], start_k)
+    # steps[i] is (parent index, firing) of the i-th node found; node 0 is
+    # the start. Node keys change as clocks tick, so parents go by index.
+    steps: list = [None]
 
-    def finish(node, parents) -> ConsistencyVerdict:
+    def finish(i: int) -> ConsistencyVerdict:
         firings = []
-        cur = node
-        while parents[cur] is not None:
-            prev, firing = parents[cur]
+        while steps[i] is not None:
+            i, firing = steps[i]
             firings.append(firing)
-            cur = prev
         firings.reverse()
         # Recompute claim ticks along the witness.
-        states = list(d.initial for d in dset.diagrams)
-        ticks: list[int] = []
-        k = 0
-        while k < len(entries) and entries[k].deadline >= 0 and states[entries[k].diagram] == entries[k].state:
-            ticks.append(0)
-            k += 1
+        states = [d.initial for d in dset.diagrams]
+        k = claim(states, 0, 0)
+        ticks = [0] * k
         for f in firings:
             states[f.diagram] = f.arc.dst
-            while (
-                k < len(entries)
-                and entries[k].deadline >= f.tick
-                and states[entries[k].diagram] == entries[k].state
-            ):
-                ticks.append(f.tick)
-                k += 1
+            nk = claim(states, k, f.tick)
+            ticks += [f.tick] * (nk - k)
+            k = nk
         return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
 
-    parents: dict = {init: None}
-    if start_k == len(entries):
-        return finish(init, parents)
-    frontier = [init]
-    best_k = start_k
+    start = tuple(d.initial for d in dset.diagrams)
+    best_k = claim(start, 0, 0)
+    if best_k == len(entries):
+        return finish(0)
+    frontier = {(start, (0,) * n, best_k): 0}  # node -> index in steps
     for t in range(0, horizon + 1):
-        alive = [
-            node
-            for node in frontier
-            if node[2] >= len(entries) or entries[node[2]].deadline >= t
-        ]
-        queue = list(alive)
-        carried = set(alive)
-        qi = 0
-        while qi < len(queue):
-            node = queue[qi]
-            qi += 1
-            states, entry_ticks, k = node
+        if t:
+            aged: dict = {}
+            for (states, ages, k), i in frontier.items():
+                if entries[k].deadline >= t:
+                    ages = tuple(
+                        min(a + 1, caps[di][s]) for di, (s, a) in enumerate(zip(states, ages))
+                    )
+                    aged.setdefault((states, ages, k), i)  # the node found first stays
+            frontier = aged
+        queue = list(frontier.items())
+        for node, i in queue:  # grows while it is walked
+            states, ages, k = node
             for di in range(n):
                 if t > limits[di]:
                     continue
-                here = states[di]
-                entered = entry_ticks[di]
-                for arc in arc_lists[di]:
-                    if arc.src != here or t < entered + arc.delta:
+                for arc in arcs_from[di][states[di]]:
+                    if ages[di] < arc.delta:
                         continue
                     ns = states[:di] + (arc.dst,) + states[di + 1 :]
-                    ne = entry_ticks[:di] + (t,) + entry_ticks[di + 1 :]
                     nk = claim(ns, k, t)
                     if nk > best_k:
                         best_k = nk
-                    new = (ns, ne, nk)
-                    if new in parents:
+                    new = (ns, ages[:di] + (0,) + ages[di + 1 :], nk)
+                    if new in frontier:
                         continue
-                    parents[new] = (node, ScheduledFiring(t, di, arc))
-                    if nk == len(entries):
-                        return finish(new, parents)
-                    if entries[nk].deadline < t:
+                    if nk < len(entries) and entries[nk].deadline < t:
                         continue  # dead branch: its next entry already expired
-                    queue.append(new)
-                    carried.add(new)
-        frontier = list(carried)
+                    steps.append((i, ScheduledFiring(t, di, arc)))
+                    if nk == len(entries):
+                        return finish(len(steps) - 1)
+                    frontier[new] = len(steps) - 1
+                    queue.append((new, len(steps) - 1))
     return ConsistencyVerdict(False, None, None, best_k + 1)
 
 

@@ -522,12 +522,13 @@ def _parse_scenarios(data: Any, out: _Collector) -> dict[str, Scenario]:
         ok = True
 
         hier_raw = _expect_map(raw.get("hierarchy"), f"{where}.hierarchy", out)
+        cwhere = f"{where}.hierarchy.children"
         try:
             hierarchy = HierarchicalStructure(
                 root=str(hier_raw.get("root")),
                 children={
-                    str(k): tuple(str(c) for c in v)
-                    for k, v in _expect_map(hier_raw.get("children"), f"{where}.hierarchy.children", out).items()
+                    str(k): tuple(str(c) for c in _expect_list(v, f"{cwhere}.{k}", out))
+                    for k, v in _expect_map(hier_raw.get("children"), cwhere, out).items()
                 },
             )
         except ValueError as exc:

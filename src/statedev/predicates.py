@@ -34,6 +34,7 @@ _TOKEN_RE = re.compile(
 _OP_ALIASES = {"≤": "<=", "≥": ">=", "==": "="}
 _CMP_OPS = frozenset({"<", "<=", "=", ">=", ">"})
 _KEYWORDS = frozenset({"and", "or", "not"})
+MAX_DEPTH = 100  # nested parentheses and negations; keeps recursion off the stack limit
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.length)
@@ -115,6 +117,11 @@ class _Parser:
         tok = self._peek()
         self.i += 1
         return tok
+
+    def _nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
 
     def or_expr(self) -> Node:
         items = [self.and_expr()]
@@ -139,17 +146,22 @@ class _Parser:
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def not_expr(self) -> Node:
-        kind, value, _ = self._peek()
+        kind, value, pos = self._peek()
         if (kind == "kw" and value == "not") or (kind == "punct" and value == "!"):
             self._take()
-            return Not(self.not_expr())
+            self._nest(pos)
+            node = Not(self.not_expr())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self) -> Node:
         kind, value, pos = self._peek()
         if kind == "punct" and value == "(":
             self._take()
+            self._nest(pos)
             node = self.or_expr()
+            self.depth -= 1
             kind, value, pos = self._take()
             if not (kind == "op" or kind == "punct") or value != ")":
                 raise ExpressionError("expected ')'", pos)

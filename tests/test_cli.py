@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import statedev
 from statedev.cli import main
 from tests.conftest import BASIC, DEV3_EVENTS, TWO_LEVEL, X_SERIES
 
@@ -224,6 +229,64 @@ def test_compare_single_file_is_usage_error(tmp_path, capsys):
     assert "two report files" in err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda r: r["body"].pop("complete"), "no key 'complete'"),
+    (lambda r: r["body"].update(efficiency=[1]), "list indices must be integers"),
+    (lambda r: r["body"].update(omitted_possibilities=None), "not subscriptable"),
+], ids=["no-complete", "list-efficiency", "null-omitted"])
+def test_compare_reports_a_malformed_report_body(tmp_path, capsys, damage, message):
+    code, out, _ = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(out)
+    report = json.loads(out)
+    damage(report)
+    bad.write_text(json.dumps(report))
+    code, out, err = run(capsys, "compare", str(good), str(bad))
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    (violation,) = json.loads(out)["body"]["violations"]
+    assert violation.startswith(f"{str(bad)!r} is not a trajectory report: ")
+    assert message in violation
+
+
+def test_compare_reports_a_file_that_is_not_json(tmp_path, capsys):
+    code, out, _ = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(out)
+    bad.write_text("not json")
+    code, out, err = run(capsys, "compare", str(good), str(bad))
+    assert code == 1
+    assert err == ""
+    assert json.loads(out)["body"]["violations"][0].startswith(f"{str(bad)!r} is not JSON: ")
+
+
+def test_validate_reports_hierarchy_children_that_are_not_a_list(tmp_path, capsys):
+    raw = json.loads(TWO_LEVEL.read_text())
+    raw["scenarios"]["coordinated"]["hierarchy"]["children"] = {"top": 5}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    violations = json.loads(out)["body"]["violations"]
+    assert violations[0] == "scenarios.coordinated.hierarchy.children.top: expected a list, got int"
+
+
+def test_validate_reports_a_predicate_nested_too_deep(tmp_path, capsys):
+    raw = json.loads(BASIC.read_text())
+    raw["scales"]["growth3"]["states"][0]["predicate"] = "(" * 3000 + "x < 0" + ")" * 3000
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    violations = json.loads(out)["body"]["violations"]
+    assert violations[0] == "scales.growth3.states[0]: expression nests deeper than 100 levels (at offset 100)"
+
+
 def test_machine_json_is_byte_stable(capsys):
     outputs = set()
     for _ in range(5):
@@ -390,3 +453,41 @@ def test_replay_rejects_ticks_out_of_order(tmp_path, capsys):
     report = json.loads(out)
     assert report["kind"] == "validation"
     assert report["body"]["violations"] == ["script ticks go backwards at tick 1"]
+
+
+def test_consist_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    # Two witnesses meet this sequence by tick 3: s0->s2@3 alone, and
+    # s0->s1@2, s1->s2@3. A search that walks a set of nodes picks one by
+    # string hashes (under CPython 3.11, hash seeds 0 and 1 gave the second,
+    # 2 and 3 the first); the search walks its frontier in discovery order.
+    states = ["s0", "s1", "s2", "s3"]
+    arcs = [("s0", "s1", 2), ("s0", "s2", 3), ("s1", "s2", 1), ("s2", "s3", 0)]
+    model = {
+        "format_version": 1,
+        "canonical_diagrams": {"loop": {
+            "states": states, "initial": "s0", "final": "s3", "horizon": 34,
+            "dev_arcs": [{"from": a, "to": b, "delta": t} for a, b, t in arcs],
+            "back_arcs": [{"from": "s1", "to": "s0", "delta": 0}],
+        }},
+        "composition_requests": {"visits": {
+            "kind": "consistency", "diagrams": ["loop"], "intervals": [34],
+            "sequence": [{"diagram": 0, "state": s, "deadline": t}
+                         for s, t in (("s0", 1), ("s2", 3), ("s2", 7))],
+        }},
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    src = str(Path(statedev.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "statedev.cli", "consist", str(path), "--request", "visits"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(set(outputs)) == 1
+    witness = json.loads(outputs[0])["body"]["detail"]["witness"]
+    assert len(witness) == 1

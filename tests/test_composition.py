@@ -14,12 +14,15 @@ from statedev.composition import (
     OrderCycleError,
     OrderRelationSpec,
     PrescribedEntry,
+    ScheduledFiring,
     PrescribedSequence,
     SpaceBoundExceededError,
     TimedDiagramSet,
     TupleOutOfProductError,
     UnknownDiagramError,
     UnknownStateError,
+    _sorted_arcs,
+    _validate_refs,
     check_consistency,
     compose_parallel,
     compose_sequential,
@@ -310,3 +313,176 @@ def test_witness_fires_are_legal_and_ordered():
     assert ticks == sorted(ticks)
     kinds = [f.arc.kind for f in verdict.witness]
     assert ArcKind.BACK in kinds
+
+
+def reference_check_consistency(dset, seq):
+    """The search over absolute entry ticks that check_consistency
+    replaced, kept as the reference. Its frontier was a set; here it is an
+    insertion-ordered dict, so the order it searches in no longer depends
+    on the hash seed."""
+    _validate_refs(dset, seq)
+    entries = seq.entries
+    if not entries:
+        return ConsistencyVerdict(True, (), (), None)
+    horizon = entries[-1].deadline
+    n = len(dset.diagrams)
+    limits = [min(tau, horizon) for tau in dset.intervals]
+    arc_lists = [_sorted_arcs(d) for d in dset.diagrams]
+
+    def claim(states, k, tick):
+        while (
+            k < len(entries)
+            and entries[k].deadline >= tick
+            and states[entries[k].diagram] == entries[k].state
+        ):
+            k += 1
+        return k
+
+    init = (tuple(d.initial for d in dset.diagrams), (0,) * n, 0)
+    start_k = claim(init[0], 0, 0)
+    init = (init[0], init[1], start_k)
+
+    def finish(node, parents):
+        firings = []
+        cur = node
+        while parents[cur] is not None:
+            prev, firing = parents[cur]
+            firings.append(firing)
+            cur = prev
+        firings.reverse()
+        states = list(d.initial for d in dset.diagrams)
+        ticks = []
+        k = 0
+        while k < len(entries) and entries[k].deadline >= 0 and states[entries[k].diagram] == entries[k].state:
+            ticks.append(0)
+            k += 1
+        for f in firings:
+            states[f.diagram] = f.arc.dst
+            while (
+                k < len(entries)
+                and entries[k].deadline >= f.tick
+                and states[entries[k].diagram] == entries[k].state
+            ):
+                ticks.append(f.tick)
+                k += 1
+        return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
+
+    parents = {init: None}
+    if start_k == len(entries):
+        return finish(init, parents)
+    frontier = [init]
+    best_k = start_k
+    for t in range(0, horizon + 1):
+        alive = [
+            node
+            for node in frontier
+            if node[2] >= len(entries) or entries[node[2]].deadline >= t
+        ]
+        queue = list(alive)
+        carried = dict.fromkeys(alive)
+        qi = 0
+        while qi < len(queue):
+            node = queue[qi]
+            qi += 1
+            states, entry_ticks, k = node
+            for di in range(n):
+                if t > limits[di]:
+                    continue
+                here = states[di]
+                entered = entry_ticks[di]
+                for arc in arc_lists[di]:
+                    if arc.src != here or t < entered + arc.delta:
+                        continue
+                    ns = states[:di] + (arc.dst,) + states[di + 1 :]
+                    ne = entry_ticks[:di] + (t,) + entry_ticks[di + 1 :]
+                    nk = claim(ns, k, t)
+                    if nk > best_k:
+                        best_k = nk
+                    new = (ns, ne, nk)
+                    if new in parents:
+                        continue
+                    parents[new] = (node, ScheduledFiring(t, di, arc))
+                    if nk == len(entries):
+                        return finish(new, parents)
+                    if entries[nk].deadline < t:
+                        continue
+                    queue.append(new)
+                    carried[new] = None
+        frontier = list(carried)
+    return ConsistencyVerdict(False, None, None, best_k + 1)
+
+
+def timed_diagram(rng, name, horizon):
+    """Random diagram with delays 0-4 on dev and back arcs alike, so that
+    zero-delay chains and zero-delay cycles occur, and with states that
+    no arc leaves."""
+    states = tuple(f"{name}{i}" for i in range(rng.randrange(2, 6)))
+    arcs = set()
+    for _ in range(rng.randrange(1, 2 * len(states))):
+        i, j = rng.randrange(len(states)), rng.randrange(len(states))
+        if i != j:
+            kind = ArcKind.DEV if i < j else ArcKind.BACK
+            arcs.add(Arc(states[i], states[j], rng.randrange(0, 5), kind))
+    return CanonicalDiagram(
+        id=name, states=states,
+        dev_arcs=tuple(a for a in arcs if a.kind is ArcKind.DEV),
+        back_arcs=tuple(a for a in arcs if a.kind is ArcKind.BACK),
+        initial=states[0], final=states[-1], horizon=horizon,
+    )
+
+
+def random_sequence(rng, diagrams, horizon):
+    entries, deadline = [], 0
+    for _ in range(rng.randrange(1, 5)):
+        k = rng.randrange(len(diagrams))
+        deadline = min(horizon, deadline + rng.randrange(0, 6))
+        entries.append(PrescribedEntry(k, rng.choice(diagrams[k].states), deadline))
+    return PrescribedSequence(tuple(entries))
+
+
+def test_search_equals_the_reference_on_random_diagram_sets():
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(1000):
+        horizon = rng.randrange(4, 16)
+        diagrams = tuple(timed_diagram(rng, f"d{k}", horizon) for k in range(rng.randrange(1, 4)))
+        dset = TimedDiagramSet(diagrams, tuple(rng.randrange(horizon // 2, horizon + 1) for _ in diagrams))
+        seq = random_sequence(rng, diagrams, horizon)
+        verdict = check_consistency(dset, seq)
+        assert verdict == reference_check_consistency(dset, seq), f"{seq} over {dset}"
+        outcomes.add((verdict.consistent, len(verdict.witness or ()) > 1))
+    assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+def bench_chain(rng, name, dev, horizon):
+    """A chain with a back arc under every dev arc, the back delays a
+    shuffle of the dev delays, as in the benchmark's consistency workload."""
+    states = tuple(f"{name}{i}" for i in range(len(dev) + 1))
+    back = list(dev)
+    rng.shuffle(back)
+    return CanonicalDiagram(
+        id=name, states=states,
+        dev_arcs=tuple(Arc(a, b, t, ArcKind.DEV) for a, b, t in zip(states, states[1:], dev)),
+        back_arcs=tuple(Arc(b, a, t, ArcKind.BACK) for a, b, t in zip(states, states[1:], back)),
+        initial=states[0], final=states[-1], horizon=horizon,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_equals_the_reference_on_chain_pairs(seed):
+    rng = random.Random(seed)
+    a, b = (bench_chain(rng, name, (1, 1, 2, 1, 1), 30) for name in "ab")
+    dset = TimedDiagramSet((a, b), (30, 30))
+    # a climbs, drops and climbs again, b climbs once; the quickest way
+    # back to the top of a takes 18 ticks, so a deadline of 17 fails.
+    top, bottom = a.final, a.initial
+    for last in (18, 17):
+        seq = PrescribedSequence((
+            PrescribedEntry(0, top, 17),
+            PrescribedEntry(1, b.final, 17),
+            PrescribedEntry(0, bottom, 17),
+            PrescribedEntry(0, top, last),
+        ))
+        verdict = check_consistency(dset, seq)
+        assert verdict.consistent == (last == 18)
+        assert verdict == reference_check_consistency(dset, seq)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from statedev.errors import ExpressionError, MissingParameterError
-from statedev.predicates import evaluate, parse, referenced_names
+from statedev.predicates import MAX_DEPTH, evaluate, parse, referenced_names
 
 
 def holds(text, assignment, orders=None):
@@ -56,6 +56,21 @@ def test_missing_parameter():
 def test_syntax_errors(bad):
     with pytest.raises(ExpressionError):
         parse(bad)
+
+
+@pytest.mark.parametrize("wrap", [lambda e: f"({e})", lambda e: f"not {e}", lambda e: f"!({e})"])
+def test_nesting_is_limited(wrap):
+    ok = "x < 1"
+    for _ in range(MAX_DEPTH // 2):
+        ok = wrap(ok)
+    node = parse(ok)
+    assert referenced_names(node) == {"x"}
+    assert evaluate(node, {"x": 0})  # an even number of negations
+    deep = "x < 1"
+    for _ in range(MAX_DEPTH + 1):
+        deep = wrap(deep)
+    with pytest.raises(ExpressionError, match="nests deeper than"):
+        parse(deep)
 
 
 def test_parse_is_reusable():
