@@ -5,8 +5,9 @@ A diagram is a set of states totally ordered by its scale, development
 arcs that climb the order and backstep arcs that fall, each carrying a
 minimum residence delay expressed in ticks. Objects move along arcs one
 transition at a time; the module enforces legality (right source state,
-delay respected, inside the horizon) and counts every move per arc so
-development and degradation intensity can be read back out.
+delay respected, inside the horizon) and records every move as an event,
+from which per-arc counts and development and degradation intensity are
+read back out.
 """
 
 from __future__ import annotations
@@ -198,89 +199,54 @@ class ObjectDistribution:
 
 
 @dataclass(frozen=True)
-class ArcCounters:
-    counts: Mapping[Arc, int]
-    history: tuple[tuple[int, Arc], ...]
-
-    @classmethod
-    def empty(cls) -> "ArcCounters":
-        return cls(counts={}, history=())
-
-    def record(self, arc: Arc, tick: int) -> "ArcCounters":
-        counts = dict(self.counts)
-        counts[arc] = counts.get(arc, 0) + 1
-        return ArcCounters(counts=counts, history=self.history + ((tick, arc),))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
 class TransitionEvent:
     object: str
     arc: Arc
     tick: int
 
 
-def apply_transition(
-    dist: ObjectDistribution,
-    counters: ArcCounters,
-    d: CanonicalDiagram,
-    obj: str,
-    arc: Arc,
-    tick: int,
-) -> tuple[ObjectDistribution, ArcCounters, TransitionEvent]:
-    """Move one object along one arc at one tick, functionally.
-
-    Legal when the arc belongs to the diagram, the object sits in the
-    arc's source, the residence delay has elapsed, and the tick is on
-    the grid. Returns the new distribution, counters, and the event.
-    """
-    if arc not in d.dev_arcs and arc not in d.back_arcs:
-        raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
-    if not 0 <= tick <= d.horizon:
-        raise BeyondHorizonError(f"tick {tick} outside [0, {d.horizon}]")
-    entry = dist.assignment.get(obj)
-    if entry is None or entry[0] != arc.src:
-        where = "nowhere" if entry is None else f"in {entry[0]!r}"
-        raise ObjectNotInFromStateError(
-            f"object {obj!r} is {where}, arc starts at {arc.src!r}"
-        )
-    if tick < entry[1] + arc.delta:
-        raise TooEarlyError(
-            f"object {obj!r} entered {arc.src!r} at {entry[1]}, "
-            f"arc delay {arc.delta} blocks firing before {entry[1] + arc.delta}"
-        )
-    assignment = dict(dist.assignment)
-    assignment[obj] = (arc.dst, tick)
-    return (
-        ObjectDistribution(assignment),
-        counters.record(arc, tick),
-        TransitionEvent(object=obj, arc=arc, tick=tick),
-    )
-
-
 def replay_script(
     d: CanonicalDiagram,
     initial: ObjectDistribution,
     script: Sequence[tuple[str, Arc, int]],
-) -> tuple[ObjectDistribution, ArcCounters, tuple[TransitionEvent, ...]]:
-    """Apply a scripted transition list in order, enforcing legality.
+) -> tuple[ObjectDistribution, tuple[TransitionEvent, ...]]:
+    """Move objects along a scripted transition list, one entry at a time.
 
-    Script ticks must be non-decreasing; each entry is (object, arc, tick).
+    Each entry is (object, arc, tick) and is checked in this order: its
+    tick must not fall below the previous entry's (ScriptOrderError), the
+    arc must belong to the diagram (UnknownArcError), the tick must lie in
+    [0, horizon] (BeyondHorizonError), the object must sit in the arc's
+    source (ObjectNotInFromStateError), and it must have stayed there for
+    the arc's delay (TooEarlyError). The first illegal entry raises;
+    `initial` is never modified. Returns the final distribution and one
+    event per entry; arc counts are read back from the events.
     """
-    dist = initial
-    counters = ArcCounters.empty()
+    arcs = set(d.arcs)
+    assignment = dict(initial.assignment)
     events = []
     last_tick = None
     for obj, arc, tick in script:
         if last_tick is not None and tick < last_tick:
             raise ScriptOrderError(f"script ticks go backwards at tick {tick}")
         last_tick = tick
-        dist, counters, event = apply_transition(dist, counters, d, obj, arc, tick)
-        events.append(event)
-    return dist, counters, tuple(events)
+        if arc not in arcs:
+            raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
+        if not 0 <= tick <= d.horizon:
+            raise BeyondHorizonError(f"tick {tick} outside [0, {d.horizon}]")
+        entry = assignment.get(obj)
+        if entry is None or entry[0] != arc.src:
+            where = "nowhere" if entry is None else f"in {entry[0]!r}"
+            raise ObjectNotInFromStateError(
+                f"object {obj!r} is {where}, arc starts at {arc.src!r}"
+            )
+        if tick < entry[1] + arc.delta:
+            raise TooEarlyError(
+                f"object {obj!r} entered {arc.src!r} at {entry[1]}, "
+                f"arc delay {arc.delta} blocks firing before {entry[1] + arc.delta}"
+            )
+        assignment[obj] = (arc.dst, tick)
+        events.append(TransitionEvent(object=obj, arc=arc, tick=tick))
+    return ObjectDistribution(assignment), tuple(events)
 
 
 @dataclass(frozen=True)

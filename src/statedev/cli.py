@@ -118,16 +118,16 @@ def _arc_key(arc: canonical.Arc) -> str:
     return f"{arc.src}->{arc.dst} {arc.kind.value} d{arc.delta}"
 
 
-def _error_report(target: str, messages: Sequence[str], args, warnings: Sequence[str] = ()) -> Report:
+def _error_report(inputs: Sequence[str], messages: Sequence[str], args) -> Report:
     return Report(
         kind="validation",
         body={
-            "target": target,
+            "target": ", ".join(inputs),
             "passed": False,
             "violations": list(messages),
-            "warnings": list(warnings),
+            "warnings": [],
         },
-        provenance=_provenance(args, inputs=[target]),
+        provenance=_provenance(args, inputs=inputs),
     )
 
 
@@ -150,7 +150,7 @@ def _cmd_validate(args) -> tuple[Report, int]:
     try:
         model = modelfile.parse_model(args.model)
     except modelfile.ModelFileError as exc:
-        return _error_report(args.model, [str(i) for i in exc.issues], args), 1
+        return _error_report([args.model], [str(i) for i in exc.issues], args), 1
     violations: list[str] = []
     warnings: list[str] = []
     spec = statespace.SampleSpec(samples=args.samples, seed=args.seed)
@@ -374,7 +374,7 @@ def _cmd_replay(args) -> tuple[Report, int]:
     window = _parse_interval(args.window) if args.window else (0, d.horizon)
     script = _read_event_csv(args.events, d)
     initial = canonical.ObjectDistribution.initial(entry.initial_distribution)
-    _, counters, history = canonical.replay_script(d, initial, script)
+    _, history = canonical.replay_script(d, initial, script)
     report_data = canonical.intensity_report(
         history, d, window, initial, target=entry.target_distribution
     )
@@ -615,16 +615,16 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code or 0)
     args._argv = argv
     fmt = "machine-json" if args.format == "json" else "human-text"
-    target = getattr(args, "model", getattr(args, "trajectory", "input"))
+    inputs = getattr(args, "reports", None) or [getattr(args, "model", getattr(args, "trajectory", "input"))]
     try:
         report, code = _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except modelfile.ModelFileError as exc:
-        report, code = _error_report(target, [str(i) for i in exc.issues], args), 1
+        report, code = _error_report(inputs, [str(i) for i in exc.issues], args), 1
     except StatedevError as exc:
-        report, code = _error_report(target, [str(exc)], args), 1
+        report, code = _error_report(inputs, [str(exc)], args), 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

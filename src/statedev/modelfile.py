@@ -251,14 +251,8 @@ def _parse_classificators(
             refinements[(parent_id, position)] = scales[child_id]
         if not ok:
             continue
-        window = raw.get("time_window")
         try:
-            result[cid] = Classificator(
-                id=cid,
-                root=scales[root_id],
-                refinements=refinements,
-                time_window=tuple(window) if window is not None else None,
-            )
+            result[cid] = Classificator(id=cid, root=scales[root_id], refinements=refinements)
         except ValueError as exc:
             out.invalid(where, str(exc))
     return result
@@ -855,8 +849,6 @@ def model_to_dict(model: ModelFile) -> dict:
                     {"scale": sid, "position": pos, "child": child.id}
                     for (sid, pos), child in sorted(cl.refinements.items())
                 ]
-            if cl.time_window is not None:
-                entry["time_window"] = list(cl.time_window)
             data["classificators"][cid] = entry
     if model.rule_matrices:
         data["rule_matrices"] = {

@@ -192,15 +192,9 @@ class Classificator:
     id: str
     root: Scale
     refinements: Mapping[tuple[str, int], Scale] = field(default_factory=dict)
-    time_window: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "refinements", dict(self.refinements))
-        if self.time_window is not None:
-            a, b = self.time_window
-            if a > b:
-                raise ValueError(f"classificator {self.id!r}: reversed time window")
-            object.__setattr__(self, "time_window", (int(a), int(b)))
         # Tree check: every refinement reachable from the root, each child
         # scale attached exactly once, no scale repeated along any path.
         scales = {self.root.id: self.root}

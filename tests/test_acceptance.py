@@ -17,7 +17,6 @@ import pytest
 
 from statedev.canonical import (
     Arc,
-    ArcCounters,
     ArcKind,
     BeyondHorizonError,
     CanonicalDiagram,
@@ -25,7 +24,6 @@ from statedev.canonical import (
     ObjectNotInFromStateError,
     TooEarlyError,
     UnknownArcError,
-    apply_transition,
     intensity_report,
     replay_script,
 )
@@ -159,8 +157,8 @@ def test_criterion_2_conservation_and_counters():
             position[obj] = arc.dst
 
     assert len(script) == 1000
-    final_dist, counters, events = replay_script(d, initial, script)
-    assert counters.total == 1000
+    final_dist, events = replay_script(d, initial, script)
+    assert len(events) == 1000
     assert sum(final_dist.counts().values()) == 100
 
     report = intensity_report(events, d, (0, 12), initial)
@@ -171,16 +169,15 @@ def test_criterion_2_conservation_and_counters():
     assert sum(series[-1] for series in report.arc_cumulative.values()) == 1000
 
     # illegal scripts are rejected with the dedicated errors
-    empty = ArcCounters.empty()
     dev12 = Arc("s1", "s2", 1, ArcKind.DEV)
     with pytest.raises(ObjectNotInFromStateError):
-        apply_transition(initial, empty, d, "o000", Arc("s2", "s3", 1, ArcKind.DEV), 1)
+        replay_script(d, initial, [("o000", Arc("s2", "s3", 1, ArcKind.DEV), 1)])
     with pytest.raises(TooEarlyError):
-        apply_transition(initial, empty, d, "o000", dev12, 0)
+        replay_script(d, initial, [("o000", dev12, 0)])
     with pytest.raises(UnknownArcError):
-        apply_transition(initial, empty, d, "o000", Arc("s1", "s3", 1, ArcKind.DEV), 1)
+        replay_script(d, initial, [("o000", Arc("s1", "s3", 1, ArcKind.DEV), 1)])
     with pytest.raises(BeyondHorizonError):
-        apply_transition(initial, empty, d, "o000", dev12, 13)
+        replay_script(d, initial, [("o000", dev12, 13)])
 
     elapsed = perf_counter() - started
     assert elapsed < LIMIT_CONSERVATION_S
@@ -613,15 +610,13 @@ def test_criterion_8_composition_preconditions():
                 current, entered = arc.dst, tick
 
         for index, component in enumerate((left, right)):
-            dist = ObjectDistribution.initial({"w": component.initial})
-            counters = ArcCounters.empty()
+            script = []
             for tick, arc in walk:
                 origin_index, component_arc = fragment.arc_origin[arc]
-                if origin_index != index:
-                    continue
-                dist, counters, _ = apply_transition(
-                    dist, counters, component, "w", component_arc, tick
-                )
+                if origin_index == index:
+                    script.append(("w", component_arc, tick))
+            initial = ObjectDistribution.initial({"w": component.initial})
+            dist, _ = replay_script(component, initial, script)
             assert dist.assignment["w"][0] == fragment.tuples[current][index]
 
     _passline(8, "composition preconditions", f"{PRODUCT_WALKS} product walks project legally")

@@ -1,25 +1,27 @@
 """Canonical development diagrams: validation, transitions, intensity."""
 
 import random
+from time import perf_counter
 
 import pytest
 
 from statedev.canonical import (
     Arc,
-    ArcCounters,
     ArcKind,
     BeyondHorizonError,
     CanonicalDiagram,
     ObjectDistribution,
     ObjectNotInFromStateError,
+    ScriptOrderError,
     TooEarlyError,
+    TransitionEvent,
     UnknownArcError,
     WindowOutOfRangeError,
-    apply_transition,
     intensity_report,
     replay_script,
     validate_canonical,
 )
+from statedev.errors import StatedevError
 from tests.conftest import chain
 
 
@@ -96,9 +98,10 @@ def test_apply_transition_moves_object_and_counts():
     d = chain(3, delta=3, horizon=10)
     dist = ObjectDistribution.initial({"o": "s1"})
     step = d.dev_arcs[0]
-    dist, counters, event = apply_transition(dist, ArcCounters.empty(), d, "o", step, 3)
+    dist, events = replay_script(d, dist, [("o", step, 3)])
     assert dist.assignment["o"] == ("s2", 3)
-    assert counters.counts[step] == 1
+    assert sum(1 for e in events if e.arc == step) == 1
+    (event,) = events
     assert event.tick == 3
 
 
@@ -106,60 +109,217 @@ def test_apply_transition_too_early():
     d = chain(3, delta=3, horizon=10)
     dist = ObjectDistribution.initial({"o": "s1"})
     with pytest.raises(TooEarlyError):
-        apply_transition(dist, ArcCounters.empty(), d, "o", d.dev_arcs[0], 2)
+        replay_script(d, dist, [("o", d.dev_arcs[0], 2)])
 
 
 def test_apply_transition_wrong_source():
     d = chain(3, horizon=10)
     dist = ObjectDistribution.initial({"o": "s1"})
     with pytest.raises(ObjectNotInFromStateError):
-        apply_transition(dist, ArcCounters.empty(), d, "o", d.dev_arcs[1], 4)
+        replay_script(d, dist, [("o", d.dev_arcs[1], 4)])
 
 
 def test_apply_transition_beyond_horizon():
     d = chain(3, horizon=4)
     dist = ObjectDistribution.initial({"o": "s1"})
     with pytest.raises(BeyondHorizonError):
-        apply_transition(dist, ArcCounters.empty(), d, "o", d.dev_arcs[0], 5)
+        replay_script(d, dist, [("o", d.dev_arcs[0], 5)])
 
 
 def test_apply_transition_unknown_arc():
     d = chain(3, horizon=10)
     dist = ObjectDistribution.initial({"o": "s1"})
     with pytest.raises(UnknownArcError):
-        apply_transition(dist, ArcCounters.empty(), d, "o", arc("s1", "s3", 0), 1)
+        replay_script(d, dist, [("o", arc("s1", "s3", 0), 1)])
 
 
 def test_same_arc_twice_by_different_objects():
     d = chain(2, horizon=6)
     step = d.dev_arcs[0]
     dist = ObjectDistribution.initial({"a": "s1", "b": "s1"})
-    final, counters, events = replay_script(d, dist, [("a", step, 1), ("b", step, 2)])
-    assert counters.counts[step] == 2
+    final, events = replay_script(d, dist, [("a", step, 1), ("b", step, 2)])
+    assert sum(1 for e in events if e.arc == step) == 2
     assert [e.object for e in events] == ["a", "b"]
-    assert counters.total == 2
+    assert len(events) == 2
 
 
 def test_replay_conserves_object_count():
     d = chain(4, horizon=40, back=True)
     rng = random.Random(5)
-    dist = ObjectDistribution.initial({f"o{i}": "s1" for i in range(10)})
-    counters = ArcCounters.empty()
+    initial = ObjectDistribution.initial({f"o{i}": "s1" for i in range(10)})
     by_src: dict[str, list[Arc]] = {}
     for a in d.dev_arcs + d.back_arcs:
         by_src.setdefault(a.src, []).append(a)
-    events = []
+    where = dict(initial.assignment)
+    script = []
     for tick in range(1, d.horizon + 1):
         obj = f"o{rng.randrange(10)}"
-        state, entered = dist.assignment[obj]
+        state, entered = where[obj]
         options = [a for a in by_src.get(state, []) if entered + a.delta <= tick]
         if not options:
             continue
         step = rng.choice(options)
-        dist, counters, event = apply_transition(dist, counters, d, obj, step, tick)
-        events.append(event)
+        script.append((obj, step, tick))
+        where[obj] = (step.dst, tick)
+    for k in range(1, len(script) + 1):
+        dist, _ = replay_script(d, initial, script[:k])
         assert sum(dist.counts().values()) == 10
-    assert counters.total == len(events)
+    dist, events = replay_script(d, initial, script)
+    assert dist.assignment == where
+    assert len(events) == len(script)
+
+
+def _reference_apply_transition(dist, counts, d, obj, arc, tick):
+    """The copy-per-step move that replay_script replaced, kept as an oracle."""
+    if arc not in d.dev_arcs and arc not in d.back_arcs:
+        raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
+    if not 0 <= tick <= d.horizon:
+        raise BeyondHorizonError(f"tick {tick} outside [0, {d.horizon}]")
+    entry = dist.assignment.get(obj)
+    if entry is None or entry[0] != arc.src:
+        where = "nowhere" if entry is None else f"in {entry[0]!r}"
+        raise ObjectNotInFromStateError(
+            f"object {obj!r} is {where}, arc starts at {arc.src!r}"
+        )
+    if tick < entry[1] + arc.delta:
+        raise TooEarlyError(
+            f"object {obj!r} entered {arc.src!r} at {entry[1]}, "
+            f"arc delay {arc.delta} blocks firing before {entry[1] + arc.delta}"
+        )
+    assignment = dict(dist.assignment)
+    assignment[obj] = (arc.dst, tick)
+    counts = dict(counts)
+    counts[arc] = counts.get(arc, 0) + 1
+    return ObjectDistribution(assignment), counts, TransitionEvent(object=obj, arc=arc, tick=tick)
+
+
+def _reference_replay(d, initial, script):
+    dist, counts, events = initial, {}, []
+    last_tick = None
+    for obj, a, tick in script:
+        if last_tick is not None and tick < last_tick:
+            raise ScriptOrderError(f"script ticks go backwards at tick {tick}")
+        last_tick = tick
+        dist, counts, event = _reference_apply_transition(dist, counts, d, obj, a, tick)
+        events.append(event)
+    return dist, counts, tuple(events)
+
+
+def _outcome(replay, d, initial, script):
+    try:
+        return replay(d, initial, script)
+    except StatedevError as exc:
+        return type(exc), str(exc)
+
+
+_ILLEGAL = ("unknown-arc", "horizon", "wrong-source", "unplaced", "too-early", "backwards")
+
+
+def _random_replay_case(rng):
+    """A diagram with delays 0-3, a placement, and a script whose entries are
+    legal up to one illegal entry of a randomly chosen kind (or none)."""
+    n = rng.randint(3, 6)
+    states = tuple(f"s{i}" for i in range(1, n + 1))
+    dev = tuple(arc(states[i], states[i + 1], rng.randint(0, 3)) for i in range(n - 1))
+    back = tuple(
+        arc(states[i + 1], states[i], rng.randint(0, 3), ArcKind.BACK)
+        for i in range(n - 1)
+        if rng.random() < 0.6
+    )
+    d = CanonicalDiagram(
+        id="rand", states=states, dev_arcs=dev, back_arcs=back,
+        initial=states[0], final=states[-1], horizon=rng.randint(4, 20),
+    )
+    objects = [f"o{i}" for i in range(rng.randint(1, 6))]
+    initial = ObjectDistribution(
+        {obj: (rng.choice(states), rng.randint(0, 2)) for obj in objects}
+    )
+    by_src: dict[str, list[Arc]] = {}
+    for a in d.arcs:
+        by_src.setdefault(a.src, []).append(a)
+    where = dict(initial.assignment)
+    illegal = rng.choice((None,) + _ILLEGAL)
+    at = rng.randrange(25)
+    script = []
+    tick = rng.randint(0, 2)
+    for step in range(25):
+        obj = rng.choice(objects)
+        state, entered = where[obj]
+        if step == at and illegal == "unknown-arc":
+            script.append((obj, arc(states[0], states[-1], 0), tick))
+        elif step == at and illegal == "horizon":
+            script.append((obj, rng.choice(d.arcs), d.horizon + rng.randint(1, 3)))
+        elif step == at and illegal == "wrong-source":
+            others = [a for a in d.arcs if a.src != state]
+            script.append((obj, rng.choice(others), tick))
+        elif step == at and illegal == "unplaced":
+            script.append(("ghost", rng.choice(d.arcs), tick))
+        elif step == at and illegal == "too-early":
+            early = [a for a in by_src.get(state, []) if entered + a.delta > tick]
+            if early:
+                script.append((obj, rng.choice(early), tick))
+        elif step == at and illegal == "backwards" and script:
+            script.append((obj, rng.choice(d.arcs), script[-1][2] - rng.randint(1, 2)))
+        tick += rng.choice((0, 0, 1))
+        if tick > d.horizon:
+            break
+        options = [a for a in by_src.get(state, []) if entered + a.delta <= tick]
+        if options:
+            a = rng.choice(options)
+            script.append((obj, a, tick))
+            where[obj] = (a.dst, tick)
+    return d, initial, script
+
+
+def test_replay_equals_the_copy_per_step_reference_on_random_scripts():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(1500):
+        d, initial, script = _random_replay_case(rng)
+        before = dict(initial.assignment)
+        expected = _outcome(_reference_replay, d, initial, script)
+        got = _outcome(replay_script, d, initial, script)
+        if isinstance(expected[0], type):
+            assert got == expected
+            seen.add(expected[0])
+        else:
+            reference, reference_counts, reference_events = expected
+            final, events = got
+            assert final.assignment == reference.assignment
+            assert events == reference_events
+            counts: dict[Arc, int] = {}
+            for event in events:
+                counts[event.arc] = counts.get(event.arc, 0) + 1
+            assert counts == reference_counts
+            seen.add(None)
+        assert initial.assignment == before
+    assert seen == {
+        None, UnknownArcError, BeyondHorizonError, ObjectNotInFromStateError,
+        TooEarlyError, ScriptOrderError,
+    }
+
+
+def test_replay_is_linear_in_the_script_length():
+    d = chain(7, delta=1, back=True)
+    objects = [f"o{i:04d}" for i in range(1000)]
+    initial = ObjectDistribution.initial({obj: "s1" for obj in objects})
+    arcs_from: dict[str, list[Arc]] = {}
+    for a in d.arcs:
+        arcs_from.setdefault(a.src, []).append(a)
+    rng = random.Random(7)
+    position = {obj: "s1" for obj in objects}
+    script = []
+    for tick in range(1, 9):  # 8 ticks x 1000 objects = 8000 transitions
+        for obj in objects:
+            a = rng.choice(arcs_from[position[obj]])
+            script.append((obj, a, tick))
+            position[obj] = a.dst
+    started = perf_counter()
+    final, events = replay_script(d, initial, script)
+    elapsed = perf_counter() - started
+    assert len(events) == 8000
+    assert {obj: state for obj, (state, _) in final.assignment.items()} == position
+    assert elapsed < 0.5
 
 
 def test_intensity_flat_without_events():
@@ -175,7 +335,7 @@ def test_intensity_flat_without_events():
 def test_intensity_single_event_bookkeeping():
     d = chain(2, horizon=6)
     initial = ObjectDistribution.initial({"o": "s1"})
-    _, _, events = replay_script(d, initial, [("o", d.dev_arcs[0], 3)])
+    _, events = replay_script(d, initial, [("o", d.dev_arcs[0], 3)])
     report = intensity_report(events, d, (0, 6), initial)
     assert report.occupancy["s1"] == (1, 1, 1, 0, 0, 0, 0)
     assert report.occupancy["s2"] == (0, 0, 0, 1, 1, 1, 1)
@@ -190,7 +350,7 @@ def test_intensity_development_degradation_ratio():
         ("o", f1, 1), ("o", f2, 2), ("o", f3, 3), ("o", b43, 4),
         ("o", f3, 5), ("o", b43, 6), ("o", f3, 7),
     ]
-    _, _, events = replay_script(d, initial, script)
+    _, events = replay_script(d, initial, script)
     report = intensity_report(events, d, (0, 10), initial)
     assert report.development == 5
     assert report.degradation == 2
@@ -201,7 +361,7 @@ def test_intensity_counts_only_window_events():
     d = chain(4, horizon=10)
     initial = ObjectDistribution.initial({"o": "s1"})
     script = [("o", d.dev_arcs[0], 1), ("o", d.dev_arcs[1], 2), ("o", d.dev_arcs[2], 6)]
-    _, _, events = replay_script(d, initial, script)
+    _, events = replay_script(d, initial, script)
     report = intensity_report(events, d, (0, 4), initial)
     assert report.development == 2
 
@@ -209,7 +369,7 @@ def test_intensity_counts_only_window_events():
 def test_intensity_target_delta():
     d = chain(2, horizon=5)
     initial = ObjectDistribution.initial({"a": "s1", "b": "s1"})
-    _, _, events = replay_script(d, initial, [("a", d.dev_arcs[0], 1)])
+    _, events = replay_script(d, initial, [("a", d.dev_arcs[0], 1)])
     report = intensity_report(events, d, (0, 5), initial, target={"s2": 2})
     assert report.target_delta == {"s1": 1, "s2": -1}
 

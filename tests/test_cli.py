@@ -261,6 +261,23 @@ def test_compare_reports_a_file_that_is_not_json(tmp_path, capsys):
     assert json.loads(out)["body"]["violations"][0].startswith(f"{str(bad)!r} is not JSON: ")
 
 
+def test_compare_error_report_names_the_report_files(tmp_path, capsys):
+    code, out, _ = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(out)
+    bad.write_text("{}")
+    missing = str(tmp_path / "missing.json")
+    code, report, _ = run_json(capsys, "compare", str(good), str(bad))
+    assert code == 1
+    assert report["body"]["target"] == f"{good}, {bad}"
+    assert sorted(report["provenance"]["inputs"]) == [str(bad), str(good)]
+    # a report file that cannot be opened is named but not listed as an input
+    code, report, _ = run_json(capsys, "compare", str(bad), str(good), missing)
+    assert code == 1
+    assert report["body"]["target"] == f"{bad}, {good}, {missing}"
+    assert sorted(report["provenance"]["inputs"]) == [str(bad), str(good)]
+
+
 def test_validate_reports_hierarchy_children_that_are_not_a_list(tmp_path, capsys):
     raw = json.loads(TWO_LEVEL.read_text())
     raw["scenarios"]["coordinated"]["hierarchy"]["children"] = {"top": 5}

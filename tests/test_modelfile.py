@@ -47,6 +47,12 @@ def test_round_trip_is_lossless(basic_model, two_level_model):
         assert model_to_dict(again) == model_to_dict(model)
         # canonical serialization: a second pass is byte-identical
         assert serialize_model(again) == text
+    # a classificator's time_window is not read, so it is not written back
+    raw = json.loads(BASIC.read_text())
+    raw["classificators"]["growth"]["time_window"] = [0, 5]
+    windowed = parse_model_text(json.dumps(raw))
+    assert "time_window" not in serialize_model(windowed)
+    assert model_to_dict(windowed) == model_to_dict(basic_model)
 
 
 def test_unknown_format_version_is_one_clear_issue():
