@@ -10,12 +10,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Mapping, Sequence, Union
 
 from . import canonical, composition, dynamics, modelfile, scenario, statespace
 from .errors import StatedevError
 from .reports import Report, emit_report, make_provenance
+
+
+def _finite_float(text: str) -> float:
+    try:
+        return modelfile.number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--series", required=True, help="CSV with a tick column and one column per parameter")
     p.add_argument("--interval", required=True, help="a:b tick window")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
 
     p = add("replay", "replay a transition script against a canonical diagram")
     p.add_argument("model")
@@ -102,11 +110,15 @@ def _parse_object(text: str, parameters) -> dict:
         decl = parameters.get(name)
         if decl is not None and decl.kind == "ordinal":
             assignment[name] = value
-        else:
-            try:
-                assignment[name] = float(value)
-            except ValueError:
-                assignment[name] = value
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            assignment[name] = value  # not a number: compared as text
+            continue
+        if not math.isfinite(number):
+            raise StatedevError(f"object value of {name!r}: {value!r} is not a finite number")
+        assignment[name] = number
     return assignment
 
 
@@ -280,7 +292,7 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
             out.append(dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels))
         else:
             try:
-                numeric = [float(v) for v in values[name]]
+                numeric = [modelfile.number(v) for v in values[name]]
             except ValueError as exc:
                 raise StatedevError(f"series column {name!r}: {exc}") from None
             out.append(dynamics.ParameterSeries(name, tuple(ticks[name]), tuple(numeric)))
@@ -534,20 +546,32 @@ def _cmd_analyze(args) -> tuple[Report, int]:
     return _trajectory_report(scenario.analyze_trajectory(tr, sc, crit), args, args.trajectory), 0
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _numbers(series) -> tuple[float, ...]:
+    return tuple(modelfile.number(v) for v in series)
+
+
 def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
+    """A trajectory report body read back; a missing key or a value of the
+    wrong type raises KeyError, TypeError, ValueError or OverflowError."""
     efficiency = None
     if body.get("efficiency") is not None:
         eff = body["efficiency"]
-        per = {sub: tuple(series) for sub, series in eff["per_subsystem"].items()}
+        per = {sub: _numbers(series) for sub, series in eff["per_subsystem"].items()}
         efficiency = scenario.EfficiencySeries(
             subsystems=tuple(sorted(per)),
             per_subsystem=per,
-            aggregate=tuple(eff["aggregate"]),
+            aggregate=_numbers(eff["aggregate"]),
         )
     return scenario.ScenarioReport(
-        scenario_id=body["scenario"],
+        scenario_id=_text(body["scenario"]),
         horizon=int(body["horizon"]),
-        subsystems=tuple(body["subsystems"]),
+        subsystems=tuple(map(_text, body["subsystems"])),
         complete=bool(body["complete"]),
         non_final=tuple(body["non_final"]),
         redundancy_incidents=tuple(
@@ -555,10 +579,10 @@ def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
         ),
         backstep_counts=dict(body["omitted_possibilities"]["per_subsystem"]),
         backstep_total=int(body["omitted_possibilities"]["total"]),
-        backstep_frequency=float(body["omitted_possibilities"]["frequency"]),
+        backstep_frequency=modelfile.number(body["omitted_possibilities"]["frequency"]),
         coupled_counts=dict(body["complexness"]["per_subsystem"]),
         coupled_total=int(body["complexness"]["total"]),
-        coupled_frequency=float(body["complexness"]["frequency"]),
+        coupled_frequency=modelfile.number(body["complexness"]["frequency"]),
         propagation_counts=dict(body["propagation"]["per_subsystem"]),
         efficiency=efficiency,
     )
@@ -572,7 +596,7 @@ def _cmd_compare(args) -> tuple[Report, int]:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise StatedevError(f"{path!r} is not JSON: {exc}") from exc
         if not isinstance(data, dict) or data.get("kind") != "trajectory":
             raise StatedevError(f"{path!r} is not a trajectory report")
@@ -580,7 +604,7 @@ def _cmd_compare(args) -> tuple[Report, int]:
             loaded.append(_report_from_body(data["body"]))
         except KeyError as exc:
             raise StatedevError(f"{path!r} is not a trajectory report: no key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise StatedevError(f"{path!r} is not a trajectory report: {exc}") from exc
     result = scenario.compare_scenarios(loaded)
     report = Report(

@@ -15,6 +15,7 @@ a missing parameter.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -183,15 +184,22 @@ class _Parser:
             raise ExpressionError("expected comparison operator", pos)
         return Comparison(tuple(operands), tuple(ops))
 
+    @staticmethod
+    def _number(text: str, pos: int) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExpressionError(f"number {text} is out of range", pos)
+        return value
+
     def operand(self) -> Operand:
         kind, value, pos = self._take()
         if kind == "punct" and value == "-":
             kind2, value2, pos2 = self._take()
             if kind2 != "number":
                 raise ExpressionError("expected number after '-'", pos2)
-            return Number(-float(value2))
+            return Number(-self._number(value2, pos2))
         if kind == "number":
-            return Number(float(value))
+            return Number(self._number(value, pos))
         if kind == "string":
             return Text(value)
         if kind == "ident":

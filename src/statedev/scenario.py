@@ -781,14 +781,3 @@ def compare_scenarios(reports: Sequence[ScenarioReport]) -> ComparisonResult:
             groups.append([r.scenario_id])
             last_key = k
     return ComparisonResult(tuple(tuple(g) for g in groups))
-
-
-def replay_events(tr: Trajectory, sc: Scenario) -> bool:
-    """Whether the log replays from the scenario's initial configuration:
-    every firing and backstep leaves the state the fold holds, in tick
-    order inside the horizon."""
-    try:
-        tr.final_configuration()
-    except EventLogError:
-        return False
-    return tr.initial == initial_configuration(sc)

@@ -16,7 +16,6 @@ from statedev.composition import (
     PrescribedEntry,
     ScheduledFiring,
     PrescribedSequence,
-    SpaceBoundExceededError,
     TimedDiagramSet,
     TupleOutOfProductError,
     UnknownDiagramError,
@@ -26,11 +25,10 @@ from statedev.composition import (
     check_consistency,
     compose_parallel,
     compose_sequential,
-    enumerate_attainable_sequences,
-    execution_satisfies,
     generalize,
 )
 from tests.conftest import chain
+from tests.oracles import SpaceBoundExceededError, enumerate_attainable_sequences, execution_satisfies
 
 
 def two_chain(name, delta=1, horizon=6):

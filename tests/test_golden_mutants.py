@@ -22,3 +22,9 @@ def test_mutants_keep_their_recorded_outcome(fixture):
     ]
     assert not mismatches, f"{len(mismatches)} mutants changed; first: {mismatches[0]}"
 
+
+
+@pytest.mark.parametrize("fixture", sorted(SEEDS))
+def test_no_mutant_crashes_the_parser(fixture):
+    crashes = [(applied, got) for text, applied in mutants(fixture) if "crash" in (got := outcome(text))]
+    assert not crashes, f"{len(crashes)} mutants crash; first: {crashes[0]}"

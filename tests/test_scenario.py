@@ -26,11 +26,11 @@ from statedev.scenario import (
     due_deliveries,
     efficiency_process,
     initial_configuration,
-    replay_events,
     run_scenario,
     step,
     validate_scenario,
 )
+from tests.oracles import replay_events
 
 D_TOP = HypothesisDiagram(
     id="D_top",
