@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Union, get_type_hints
 
@@ -180,24 +181,28 @@ class _Flat:
     """A flat JSON object read into one record and written back from it.
 
     Each field is (JSON key, attribute, reader[, default]); a field with a
-    default may be absent. Fields are read in table order, so the first bad
-    field names the issue; `error` formats its message from the exception.
-    A record that is a plain tuple is written back by position.
+    default may be absent, and a None value of a field whose default is None
+    is not written. Fields are read in table order, so the first bad field
+    names the issue; `error` formats its message from the exception. A
+    record that is a plain tuple is written back by position.
     """
 
     def __init__(self, make: Callable, error: str, *fields: tuple):
         self.make = make
         self.error = error
         self.fields = tuple(f if len(f) == 4 else (*f, _REQUIRED) for f in fields)
+        self.keys = tuple(f[0] for f in self.fields)
+        self.values = operator.attrgetter(*(f[1] for f in self.fields))
+        self.omitted_if_none = tuple(f[0] for f in self.fields if f[3] is None)
 
     def read(self, item: Any, where: str, out: _Collector, **extra) -> Any:
         """The record, or None after an invalid-value issue at where."""
         item = _expect_map(item, where, out)
+        values = []
         try:
-            return self.make(*(
-                read(item[key] if default is _REQUIRED else item.get(key, default))
-                for key, _, read, default in self.fields
-            ), **extra)
+            for key, _, read, default in self.fields:
+                values.append(read(item[key]) if default is _REQUIRED else read(item.get(key, default)))
+            return self.make(*values, **extra)
         except (KeyError, TypeError, ValueError) as exc:
             out.invalid(where, self.error.format(exc))
             return None
@@ -207,8 +212,11 @@ class _Flat:
         return [self.read(item, f"{where}[{i}]", out, **extra) for i, item in enumerate(_expect_list(items, where, out))]
 
     def dump(self, record: Any) -> dict:
-        values = record if isinstance(record, tuple) else [getattr(record, f[1]) for f in self.fields]
-        return {f[0]: value for f, value in zip(self.fields, values) if value is not None}
+        data = dict(zip(self.keys, record if isinstance(record, tuple) else self.values(record)))
+        for key in self.omitted_if_none:
+            if data[key] is None:
+                del data[key]
+        return data
 
 
 _ARC = _Flat(Arc, "bad arc: {}", ("from", "src", str), ("to", "dst", str), ("delta", "delta", int, 0))
@@ -421,10 +429,8 @@ def _parse_canonical(did, raw, where, out, done) -> Union[CanonicalEntry, None]:
         scale_id=scale_id,
         labels=_expect_map(raw.get("labels"), f"{where}.labels", out),
     )
-    placement = {
-        str(k): str(v)
-        for k, v in _expect_map(raw.get("initial_distribution"), f"{where}.initial_distribution", out).items()
-    }
+    placed = _expect_map(raw.get("initial_distribution"), f"{where}.initial_distribution", out)
+    placement = {str(k): str(v) for k, v in placed.items()}
     for obj, state in sorted(placement.items()):
         if state not in diagram.states:
             out.unresolved(f"{where}.initial_distribution", f"object {obj!r} placed on unknown state {state!r}")
@@ -583,10 +589,8 @@ def _parse_scenario(sid, raw, where, out, done) -> Union[Scenario, None]:
             ok = False
 
     by_id = {d.id: d for d in diagrams}
-    assignment = {
-        str(k): str(v)
-        for k, v in _expect_map(raw.get("assignment"), f"{where}.assignment", out).items()
-    }
+    assigned = _expect_map(raw.get("assignment"), f"{where}.assignment", out)
+    assignment = {str(k): str(v) for k, v in assigned.items()}
     for sub, did in sorted(assignment.items()):
         if did not in by_id:
             out.unresolved(f"{where}.assignment", f"diagram {did!r} is not declared")
@@ -754,20 +758,17 @@ class _NonFiniteNumber(Exception):
     pass
 
 
-def _finite_float(token: str) -> float:
+def _finite(token: str) -> float:
+    """The JSON float and constant hook: NaN and the infinities are refused."""
     value = float(token)
     if not math.isfinite(value):
         raise _NonFiniteNumber(token)
     return value
 
 
-def _no_constant(token: str):
-    raise _NonFiniteNumber(token)
-
-
 def _json_object(text: str, source: str) -> dict:
     try:
-        data = json.loads(text, parse_float=_finite_float, parse_constant=_no_constant)
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ModelFileError([Issue("parse-error", source, exc.msg, exc.lineno, exc.colno)]) from None
     except _NonFiniteNumber as exc:
