@@ -292,10 +292,10 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
             out.append(dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels))
         else:
             try:
-                numeric = [modelfile.number(v) for v in values[name]]
+                numeric = modelfile.numbers(values[name])
             except ValueError as exc:
                 raise StatedevError(f"series column {name!r}: {exc}") from None
-            out.append(dynamics.ParameterSeries(name, tuple(ticks[name]), tuple(numeric)))
+            out.append(dynamics.ParameterSeries(name, tuple(ticks[name]), numeric))
     return out
 
 
@@ -552,21 +552,17 @@ def _text(value) -> str:
     return value
 
 
-def _numbers(series) -> tuple[float, ...]:
-    return tuple(modelfile.number(v) for v in series)
-
-
 def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
     """A trajectory report body read back; a missing key or a value of the
     wrong type raises KeyError, TypeError, ValueError or OverflowError."""
     efficiency = None
     if body.get("efficiency") is not None:
         eff = body["efficiency"]
-        per = {sub: _numbers(series) for sub, series in eff["per_subsystem"].items()}
+        per = {sub: modelfile.numbers(series) for sub, series in eff["per_subsystem"].items()}
         efficiency = scenario.EfficiencySeries(
             subsystems=tuple(sorted(per)),
             per_subsystem=per,
-            aggregate=_numbers(eff["aggregate"]),
+            aggregate=modelfile.numbers(eff["aggregate"]),
         )
     return scenario.ScenarioReport(
         scenario_id=_text(body["scenario"]),

@@ -147,6 +147,12 @@ def number(value: Any) -> float:
     return result
 
 
+def numbers(values: Any) -> tuple[float, ...]:
+    """Each value as a finite float; raises as `number` does."""
+    result = tuple(map(float, values))
+    return result if all(map(math.isfinite, result)) else tuple(map(number, values))
+
+
 def _declared(ref: Any, table: Mapping[str, Any]) -> bool:
     """Whether ref names an entry of table; a list or object names none."""
     return isinstance(ref, str) and ref in table
@@ -251,8 +257,8 @@ def _entities(data: Any, section: str, out: _Collector, parse_one: Callable, don
 
 # ---------------------------------------------------------------------------
 # One parse and one dump function per section; `done` holds the sections
-# parsed so far plus the raw parameter names ("names") and every name a
-# predicate may reference ("values").
+# parsed so far, the parameter names ("names") and every name a predicate
+# may reference ("values").
 
 def _parse_parameter(name, raw, where, out, done) -> ParameterDecl:
     decl = ParameterDecl(
@@ -269,18 +275,6 @@ def _parse_parameter(name, raw, where, out, done) -> ParameterDecl:
 def _dump_parameter(decl: ParameterDecl, model) -> dict:
     optional = {"levels": decl.levels, "bounds": decl.bounds}
     return {"kind": decl.kind, **{key: list(value) for key, value in optional.items() if value is not None}}
-
-
-def _known_value_names(raw_params: Any) -> set[str]:
-    """Names a predicate may reference: raw parameter names plus every
-    declared ordinal level, taken from the raw JSON so that one broken
-    declaration does not hide the names it introduced."""
-    if not isinstance(raw_params, dict):
-        return set()
-    return set(raw_params) | {
-        str(level) for raw in raw_params.values()
-        if isinstance(raw, dict) and isinstance(raw.get("levels"), list) for level in raw["levels"]
-    }
 
 
 def _parse_scale(sid, raw, where, out, done) -> Union[Scale, None]:
@@ -398,7 +392,7 @@ def _parse_series(sid, raw, where, out, done) -> Union[ParameterSeries, None]:
     decl = done["parameters"].get(name)
     if decl is not None and decl.kind == "ordinal":
         return ParameterSeries.from_ordinal(name, ticks, values, decl.levels)
-    return ParameterSeries(name, tuple(ticks), tuple(number(v) for v in values))
+    return ParameterSeries(name, tuple(ticks), numbers(values))
 
 
 def _dump_series(s: ParameterSeries, model: ModelFile) -> dict:
@@ -794,10 +788,13 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
     for key in data:
         if key != "format_version" and key not in keys:
             out.invalid(source, f"unknown section {key!r}")
-    raw_params = data.get("parameters")
-    done: dict[str, Any] = {
-        "names": set(raw_params) if isinstance(raw_params, dict) else set(),
-        "values": _known_value_names(raw_params),
+    # A predicate may name any parameter and any ordinal level declared in
+    # the raw JSON, so that one broken declaration hides no names.
+    raw_params = data["parameters"] if isinstance(data.get("parameters"), dict) else {}
+    done: dict[str, Any] = {"names": set(raw_params)}
+    done["values"] = done["names"] | {
+        str(level) for raw in raw_params.values()
+        if isinstance(raw, dict) and isinstance(raw.get("levels"), list) for level in raw["levels"]
     }
     for section in _SECTIONS:
         done[section.field] = _entities(data.get(section.key), section.key, out, section.parse, done)
