@@ -133,15 +133,6 @@ class DiagramReport:
     unreachable: tuple[str, ...]  # no dev-arc path from the initial state
     final_reachable: bool
 
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.order_violations
-            and not self.delta_violations
-            and not self.unreachable
-            and self.final_reachable
-        )
-
 
 def validate_canonical(d: CanonicalDiagram) -> DiagramReport:
     """Check the order discipline, delta ranges, and dev-arc reachability."""
@@ -193,9 +184,6 @@ class ObjectDistribution:
         for state, _ in self.assignment.values():
             out[state] = out.get(state, 0) + 1
         return out
-
-    def __len__(self) -> int:
-        return len(self.assignment)
 
 
 @dataclass(frozen=True)

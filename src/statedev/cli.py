@@ -325,7 +325,7 @@ def _cmd_profile(args) -> tuple[Report, int]:
                 "bounds": list(trend.bounds),
                 "cyclic_period": trend.cyclic_period,
                 "forecast": trend.forecast.value,
-                "current_symbol": dynamics.current_symbol(s, args.epsilon).value,
+                "current_symbol": dynamics.current_symbol(trend).value,
             }
         except dynamics.SeriesTooShortError:
             trends[s.parameter] = None

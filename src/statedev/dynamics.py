@@ -231,10 +231,9 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
     )
 
 
-def current_symbol(series: ParameterSeries, epsilon: float = 0.0) -> DynamicsKind:
+def current_symbol(trend: TrendClass) -> DynamicsKind:
     """Current dynamics symbol for rule matrices: CycleSuspect when the
-    window reads as cyclic, else the latest estimator state."""
-    trend = classify_series(series, epsilon)
+    classified window reads as cyclic, else the latest estimator state."""
     if trend.cyclic_period is not None:
         return DynamicsKind.CYCLE_SUSPECT
     return trend.forecast

@@ -29,7 +29,6 @@ from .scenario import (
     EVENT_KINDS,
     AfterEffectScheme,
     ArcRef,
-    Configuration,
     EfficiencyCriterion,
     Event,
     EventLogError,
@@ -854,8 +853,8 @@ def event_from_dict(data: Any) -> Event:
     return cls(**{name: data[name] for name in types})
 
 
-def _states_to_dict(config: Configuration) -> dict:
-    return {sub: [state, entry] for sub, (state, entry) in config.states.items()}
+def _states_to_dict(config: Mapping[str, tuple[str, int]]) -> dict:
+    return {sub: [state, entry] for sub, (state, entry) in config.items()}
 
 
 def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> dict:
@@ -937,7 +936,7 @@ def load_trajectory_text(text: str, source: str = "<string>"):
     if scores is not None:
         scores = _parse_score_table(scores, "scores", out)
     if not out.issues:
-        tr = Trajectory(sid, horizon, Configuration(states), tuple(events))
+        tr = Trajectory(sid, horizon, states, tuple(events))
         try:
             if version == 1:
                 _check_stored_configs(tr, traw.get("configs"), out)

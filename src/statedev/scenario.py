@@ -12,7 +12,7 @@ are recounts of that log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import StatedevError
@@ -56,6 +56,7 @@ class HypothesisDiagram:
     final: str
     labeled_arcs: tuple[tuple[str, str, str], ...]  # (src, dst, symbol)
     back_arcs: tuple[tuple[str, str], ...] = ()
+    alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -63,6 +64,7 @@ class HypothesisDiagram:
             self, "labeled_arcs", tuple(tuple(a) for a in self.labeled_arcs)
         )
         object.__setattr__(self, "back_arcs", tuple(tuple(a) for a in self.back_arcs))
+        object.__setattr__(self, "alphabet", frozenset(sym for _, _, sym in self.labeled_arcs))
         if not self.states:
             raise ValueError(f"diagram {self.id!r} has no states")
         if len(set(self.states)) != len(self.states):
@@ -76,10 +78,6 @@ class HypothesisDiagram:
         for src, dst in self.back_arcs:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"back arc ({src},{dst}) leaves the states of {self.id!r}")
-
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(sym for _, _, sym in self.labeled_arcs)
 
     def order(self, state: str) -> int:
         return self.states.index(state)
@@ -387,22 +385,10 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
     return ScenarioValidationReport(sc.id, tuple(bad), tuple(warn))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Snapshot between ticks: per-subsystem (state, entry tick). The entry
+def initial_configuration(sc: Scenario) -> dict[str, tuple[str, int]]:
+    """A configuration maps each subsystem to (state, entry tick). The entry
     tick is the last activity, so it also runs the backstep clock."""
-
-    states: Mapping[str, tuple[str, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", dict(self.states))
-
-    def state_of(self, subsystem: str) -> str:
-        return self.states[subsystem][0]
-
-
-def initial_configuration(sc: Scenario) -> Configuration:
-    return Configuration({sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()})
+    return {sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()}
 
 
 @dataclass(frozen=True)
@@ -467,34 +453,32 @@ def event_row(event: Event) -> tuple[str, str, str, str, str, str, str]:
             "downward-propagation", "false")
 
 
-def due_deliveries(sc: Scenario, tick: int) -> list[tuple[str, str]]:
-    """Expanded (target, symbol) list for one tick: broadcasts fan out to
-    every subsystem knowing the symbol; order is hierarchy preorder of the
-    target, then declaration order."""
+def due_deliveries(sc: Scenario) -> dict[int, list[tuple[str, str]]]:
+    """The whole schedule, tick -> expanded (target, symbol) list:
+    broadcasts fan out to every subsystem knowing the symbol; each tick's
+    order is hierarchy preorder of the target, then declaration order."""
     pre = {sub: i for i, sub in enumerate(sc.subsystems())}
-    out: list[tuple[int, int, str, str]] = []
+    due: dict[int, list[tuple[int, int, str, str]]] = {}
     for idx, entry in enumerate(sc.time_diagram):
-        if entry.tick != tick:
-            continue
         if entry.target is not None:
-            out.append((pre[entry.target], idx, entry.target, entry.symbol))
+            targets: Sequence[str] = (entry.target,)
         else:
-            for sub in sc.subsystems():
-                if entry.symbol in sc.diagram_of(sub).alphabet:
-                    out.append((pre[sub], idx, sub, entry.symbol))
-    out.sort(key=lambda item: (item[0], item[1]))
-    return [(sub, sym) for _, _, sub, sym in out]
+            targets = [sub for sub in sc.subsystems()
+                       if entry.symbol in sc.diagram_of(sub).alphabet]
+        for sub in targets:
+            due.setdefault(entry.tick, []).append((pre[sub], idx, sub, entry.symbol))
+    return {tick: [(sub, sym) for _, _, sub, sym in sorted(items)] for tick, items in due.items()}
 
 
 def step(
-    config: Configuration,
+    states: dict[str, tuple[str, int]],
     deliveries: Sequence[tuple[str, str]],
     sc: Scenario,
     tick: int,
-) -> tuple[Configuration, tuple[Event, ...]]:
-    """One tick: deliver symbols, propagate upward, then backstep."""
+) -> list[Event]:
+    """One tick in place on the configuration `states`: deliver symbols,
+    propagate upward, then backstep. Returns the tick's events."""
     ae = sc.after_effect
-    states = dict(config.states)
     events: list[Event] = []
     fired: set[ArcRef] = set()
 
@@ -563,7 +547,7 @@ def step(
         states[sub] = (dst, tick)
         events.append(Backstep(tick, sub, src, dst))
 
-    return Configuration(states), tuple(events)
+    return events
 
 
 @dataclass(frozen=True)
@@ -572,13 +556,13 @@ class Trajectory:
 
     scenario_id: str
     horizon: int
-    initial: Configuration
+    initial: Mapping[str, tuple[str, int]]
     events: tuple[Event, ...]
 
-    def configurations(self) -> Iterator[Configuration]:
+    def configurations(self) -> Iterator[dict[str, tuple[str, int]]]:
         """The configuration after each tick 0..horizon-1: the logged
         firings and backsteps folded over the initial configuration."""
-        states = dict(self.initial.states)
+        states = dict(self.initial)
         events = self.events
         i = 0
         for t in range(self.horizon):
@@ -590,11 +574,11 @@ class Trajectory:
                                             f"{event.subsystem!r} is not at tick {t}")
                     states[event.subsystem] = (event.dst, t)
                 i += 1
-            yield Configuration(states)
+            yield dict(states)
         if i < len(events):
             raise EventLogError(f"event {i} is out of tick order or past the horizon")
 
-    def final_configuration(self) -> Configuration:
+    def final_configuration(self) -> Mapping[str, tuple[str, int]]:
         config = self.initial
         for config in self.configurations():
             pass
@@ -614,11 +598,12 @@ def run_scenario(sc: Scenario, horizon: Union[int, None] = None) -> Trajectory:
         raise HorizonExceededError(
             f"time diagram schedules tick {late[0].tick} beyond horizon {h}"
         )
-    initial = config = initial_configuration(sc)
+    initial = initial_configuration(sc)
+    states = dict(initial)
+    due = due_deliveries(sc)
     events: list[Event] = []
     for t in range(h):
-        config, tick_events = step(config, due_deliveries(sc, t), sc, t)
-        events.extend(tick_events)
+        events.extend(step(states, due.get(t, ()), sc, t))
     return Trajectory(sc.id, h, initial, tuple(events))
 
 
@@ -643,18 +628,6 @@ class EfficiencySeries:
     subsystems: tuple[str, ...]
     per_subsystem: Mapping[str, tuple[float, ...]]
     aggregate: tuple[float, ...]
-
-
-def efficiency_process(tr: Trajectory, crit: EfficiencyCriterion) -> EfficiencySeries:
-    """w(t) per subsystem (score of the state held after tick t) and the
-    per-tick sum across subsystems."""
-    subs = tuple(sorted(tr.initial.states))
-    per: dict[str, list[float]] = {sub: [] for sub in subs}
-    for config in tr.configurations():
-        for sub in subs:
-            per[sub].append(crit.score(sub, config.state_of(sub)))
-    agg = tuple(sum(per[sub][t] for sub in subs) for t in range(tr.horizon))
-    return EfficiencySeries(subs, {s: tuple(v) for s, v in per.items()}, agg)
 
 
 @dataclass(frozen=True)
@@ -684,7 +657,7 @@ def analyze_trajectory(
             f"trajectory belongs to {tr.scenario_id!r}, not {sc.id!r}"
         )
     subs = sc.subsystems()
-    if set(tr.initial.states) != set(subs):
+    if set(tr.initial) != set(subs):
         raise TrajectoryScenarioMismatchError("trajectory subsystems differ from the scenario's")
     if crit is not None:
         for sub in subs:
@@ -692,9 +665,17 @@ def analyze_trajectory(
                 if (sub, state) not in crit.scores:
                     raise MissingScoreError(f"no score for state {state!r} of {sub!r}")
 
-    final = tr.final_configuration()
+    # One fold gives the final configuration and the efficiency series:
+    # w(t) per subsystem (score of the state held after tick t) and the
+    # per-tick sum across subsystems in sorted order.
+    scored = tuple(sorted(subs))
+    rows: list[list[float]] = []
+    final = tr.initial
+    for final in tr.configurations():
+        if crit is not None:
+            rows.append([crit.score(sub, final[sub][0]) for sub in scored])
     non_final = tuple(
-        sub for sub in subs if final.state_of(sub) != sc.diagram_of(sub).final
+        sub for sub in subs if final[sub][0] != sc.diagram_of(sub).final
     )
 
     delivered: dict[str, dict[str, list[int]]] = {}
@@ -722,6 +703,11 @@ def analyze_trajectory(
             ticks = sorted(set(kinds["individual"]) | set(kinds["general"]))
             incidents.append((sub, tuple(ticks)))
 
+    efficiency = None
+    if crit is not None:
+        per = {sub: tuple(row[i] for row in rows) for i, sub in enumerate(scored)}
+        efficiency = EfficiencySeries(scored, per, tuple(sum(row) for row in rows))
+
     back_total = sum(backsteps.values())
     coupled_total = sum(coupled.values())
     h = max(tr.horizon, 1)
@@ -739,7 +725,7 @@ def analyze_trajectory(
         coupled_total=coupled_total,
         coupled_frequency=coupled_total / h,
         propagation_counts=propagated,
-        efficiency=efficiency_process(tr, crit) if crit is not None else None,
+        efficiency=efficiency,
     )
 
 

@@ -14,8 +14,6 @@ checked by seeded sampling over declared parameter ranges.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -262,13 +260,10 @@ class SampleSpec:
     ranges: Mapping[str, object] = field(default_factory=dict)
     samples: int = 1000
     seed: int = 0
-    mode: str = "random"  # "random" | "grid"
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.mode not in ("random", "grid"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
         object.__setattr__(self, "ranges", dict(self.ranges))
 
 
@@ -308,28 +303,15 @@ def sample_assignments(
     if not names:
         return
     domains = _domains(spec, names, parameters)
-    if spec.mode == "random":
-        rng = random.Random(spec.seed)
-        for _ in range(spec.samples):
-            out = {}
-            for name, kind, dom in domains:
-                if kind == "numeric":
-                    out[name] = rng.uniform(dom[0], dom[1])
-                else:
-                    out[name] = rng.choice(dom)
-            yield out
-    else:
-        per_axis = max(2, math.ceil(spec.samples ** (1.0 / len(domains))))
-        axes = []
+    rng = random.Random(spec.seed)
+    for _ in range(spec.samples):
+        out = {}
         for name, kind, dom in domains:
             if kind == "numeric":
-                lo, hi = dom
-                step = (hi - lo) / (per_axis - 1) if per_axis > 1 else 0.0
-                axes.append([(name, lo + i * step) for i in range(per_axis)])
+                out[name] = rng.uniform(dom[0], dom[1])
             else:
-                axes.append([(name, level) for level in dom])
-        for combo in itertools.product(*axes):
-            yield dict(combo)
+                out[name] = rng.choice(dom)
+        yield out
 
 
 @dataclass(frozen=True)

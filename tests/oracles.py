@@ -5,7 +5,8 @@ timed diagram set outright, and `execution_satisfies` decides whether one
 of them visits a prescribed sequence in time: together the deliberately
 dumb reference for `composition.check_consistency` on small instances.
 `replay_events` checks that a scenario run's event log replays from the
-scenario's initial configuration.
+scenario's initial configuration, and `reference_run` is the copy-per-step
+stepper that `scenario.run_scenario` must agree with event for event.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ from typing import Iterable
 from statedev.canonical import Arc, CanonicalDiagram
 from statedev.composition import PrescribedSequence, TimedDiagramSet, _sorted_arcs
 from statedev.errors import StatedevError
-from statedev.scenario import EventLogError, Scenario, Trajectory, initial_configuration
+from statedev.scenario import (
+    ArcRef,
+    Backstep,
+    Delivery,
+    Event,
+    EventLogError,
+    Firing,
+    Scenario,
+    Skipped,
+    Trajectory,
+    initial_configuration,
+)
 
 
 class SpaceBoundExceededError(StatedevError):
@@ -162,3 +174,111 @@ def replay_events(tr: Trajectory, sc: Scenario) -> bool:
     except EventLogError:
         return False
     return tr.initial == initial_configuration(sc)
+
+
+def reference_due(sc: Scenario, tick: int) -> list[tuple[str, str]]:
+    """Expanded (target, symbol) list for one tick, by a scan of the whole
+    time diagram: broadcasts fan out to every subsystem knowing the
+    symbol; order is hierarchy preorder of the target, then declaration
+    order."""
+    pre = {sub: i for i, sub in enumerate(sc.subsystems())}
+    out: list[tuple[int, int, str, str]] = []
+    for idx, entry in enumerate(sc.time_diagram):
+        if entry.tick != tick:
+            continue
+        if entry.target is not None:
+            out.append((pre[entry.target], idx, entry.target, entry.symbol))
+        else:
+            for sub in sc.subsystems():
+                if entry.symbol in sc.diagram_of(sub).alphabet:
+                    out.append((pre[sub], idx, sub, entry.symbol))
+    out.sort(key=lambda item: (item[0], item[1]))
+    return [(sub, sym) for _, _, sub, sym in out]
+
+
+def reference_step(
+    config: dict, deliveries: list[tuple[str, str]], sc: Scenario, tick: int
+) -> tuple[dict, tuple[Event, ...]]:
+    """One tick on a copy of the configuration: deliver symbols, propagate
+    upward, then backstep."""
+    ae = sc.after_effect
+    states = dict(config)
+    events: list[Event] = []
+    fired: set[ArcRef] = set()
+
+    def fire(ref: ArcRef, cause: str) -> None:
+        states[ref.subsystem] = (ref.dst, tick)
+        fired.add(ref)
+        events.append(Firing(tick, ref.subsystem, ref.src, ref.dst, ref.symbol, cause))
+
+    def cascade_down(parent_ref: ArcRef) -> None:
+        for child in ae.parent_links.get(parent_ref, ()):
+            if states[child.subsystem][0] == child.src:
+                fire(child, "downward-propagation")
+                cascade_down(child)
+            else:
+                events.append(
+                    Skipped(tick, child.subsystem, child.src, child.dst, child.symbol,
+                            states[child.subsystem][0])
+                )
+
+    for target, symbol in deliveries:
+        d = sc.diagram_of(target)
+        here = states[target][0]
+        pool = ae.isolated if symbol in ae.individual_symbols else ae.coupled
+        kind = "individual" if symbol in ae.individual_symbols else "general"
+        enabled = [
+            ArcRef(target, src, dst, sym)
+            for src, dst, sym in d.labeled_arcs
+            if sym == symbol and src == here and ArcRef(target, src, dst, sym) in pool
+        ]
+        if len(enabled) != 1:
+            events.append(Delivery(tick, target, symbol, kind, False))
+            continue
+        events.append(Delivery(tick, target, symbol, kind, True))
+        fire(enabled[0], "direct")
+        if kind == "general":
+            cascade_down(enabled[0])
+
+    parent_refs = sorted(ae.parent_links, key=lambda r: r.sort_key)
+    changed = True
+    while changed:
+        changed = False
+        for parent_ref in parent_refs:
+            if parent_ref in fired:
+                continue
+            link = ae.parent_links[parent_ref]
+            done = sum(1 for child in link if child in fired)
+            if done < ae.required_count(link):
+                continue
+            if states[parent_ref.subsystem][0] != parent_ref.src:
+                continue
+            fire(parent_ref, "upward-propagation")
+            changed = True
+
+    for sub in sc.subsystems():
+        if tick - states[sub][1] < sc.backstep_timeout:
+            continue
+        d = sc.diagram_of(sub)
+        here = states[sub][0]
+        options = [(src, dst) for src, dst in d.back_arcs if src == here]
+        if not options:
+            continue
+        src, dst = min(options, key=lambda arc: d.order(arc[0]) - d.order(arc[1]))
+        states[sub] = (dst, tick)
+        events.append(Backstep(tick, sub, src, dst))
+
+    return states, tuple(events)
+
+
+def reference_run(sc: Scenario) -> tuple[list[dict], tuple[Event, ...]]:
+    """The configuration after each tick 0..horizon-1 and the event log,
+    one reference_step per tick."""
+    config = initial_configuration(sc)
+    configs: list[dict] = []
+    events: list[Event] = []
+    for tick in range(sc.horizon):
+        config, new = reference_step(config, reference_due(sc, tick), sc, tick)
+        configs.append(config)
+        events.extend(new)
+    return configs, tuple(events)

@@ -115,11 +115,11 @@ def test_criterion_1_determinism_and_replay(tmp_path):
 
         sc, tr, _scores = modelfile.load_trajectory_file(str(out))
         # manual fold over the tick grid must retrace the stored trajectory
-        config = tr.initial
+        config = dict(tr.initial)
+        due = scenario.due_deliveries(sc)
         folded = []
         for tick in range(tr.horizon):
-            config, evs = scenario.step(config, scenario.due_deliveries(sc, tick), sc, tick)
-            folded.extend(evs)
+            folded.extend(scenario.step(config, due.get(tick, ()), sc, tick))
         assert tuple(folded) == tr.events
         assert config == tr.final_configuration()
         assert replay_events(tr, sc)

@@ -101,8 +101,8 @@ def test_series_too_short():
 
 
 def test_current_symbol_tracks_last_step():
-    assert current_symbol(series(1, 2, 3, 2, 1)) is DynamicsKind.DECLINE
-    assert current_symbol(series(1, 2)) is DynamicsKind.GROWTH
+    assert current_symbol(classify_series(series(1, 2, 3, 2, 1))) is DynamicsKind.DECLINE
+    assert current_symbol(classify_series(series(1, 2))) is DynamicsKind.GROWTH
 
 
 def test_agreement_between_fold_and_trend_on_monotone_series():

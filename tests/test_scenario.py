@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from time import perf_counter
 
 import pytest
 
@@ -24,13 +25,12 @@ from statedev.scenario import (
     analyze_trajectory,
     compare_scenarios,
     due_deliveries,
-    efficiency_process,
     initial_configuration,
     run_scenario,
     step,
     validate_scenario,
 )
-from tests.oracles import replay_events
+from tests.oracles import reference_run, replay_events
 
 D_TOP = HypothesisDiagram(
     id="D_top",
@@ -204,9 +204,9 @@ def test_general_symbol_cascades_down_in_one_tick():
         (1, "right", "downward-propagation"),
     ]
     final = tr.final_configuration()
-    assert final.state_of("top") == "T1"
-    assert final.state_of("left") == "L1"
-    assert final.state_of("right") == "R1"
+    assert final["top"][0] == "T1"
+    assert final["left"][0] == "L1"
+    assert final["right"][0] == "R1"
 
 
 def test_downward_mismatch_is_skipped_not_fired():
@@ -229,7 +229,7 @@ def test_individual_symbols_complete_a_tuple_and_propagate_up():
         (1, "right", "direct"),
         (1, "top", "upward-propagation"),
     ]
-    assert tr.final_configuration().state_of("top") == "T2"
+    assert tr.final_configuration()["top"][0] == "T2"
 
 
 def test_upward_threshold_counts_distinct_tuple_members():
@@ -244,7 +244,7 @@ def test_partial_tuple_does_not_propagate_up_at_threshold_all():
     sc = scenario([(0, "top", "advance"), (1, "left", "left_fin")], horizon=2)
     tr = run_scenario(sc)
     assert (1, "top", "upward-propagation") not in firings(tr)
-    assert tr.final_configuration().state_of("top") == "T1"
+    assert tr.final_configuration()["top"][0] == "T1"
 
 
 def test_ineffective_individual_delivery_is_logged():
@@ -258,7 +258,7 @@ def test_ineffective_individual_delivery_is_logged():
 
 def test_broadcast_reaches_every_subsystem_knowing_the_symbol():
     sc = scenario([(0, None, "left_polish")], horizon=1)
-    assert due_deliveries(sc, 0) == [("left", "left_polish")]
+    assert due_deliveries(sc)[0] == [("left", "left_polish")]
 
 
 def test_backstep_fires_after_timeout():
@@ -291,10 +291,10 @@ def test_run_scenario_equals_folding_step():
     )
     tr = run_scenario(sc)
     config = initial_configuration(sc)
+    due = due_deliveries(sc)
     events = []
     for tick in range(sc.horizon):
-        config, new = step(config, due_deliveries(sc, tick), sc, tick)
-        events.extend(new)
+        events.extend(step(config, due.get(tick, ()), sc, tick))
     assert config == tr.final_configuration()
     assert tuple(events) == tr.events
 
@@ -402,7 +402,7 @@ def test_efficiency_series_matches_hand_fold():
         ("left", "L0"): 0.0, ("left", "L1"): 1.0, ("left", "L2"): 3.0, ("left", "L3"): 4.0,
         ("right", "R0"): 0.0, ("right", "R1"): 1.0, ("right", "R2"): 3.0,
     })
-    series = efficiency_process(tr, crit)
+    series = analyze_trajectory(tr, sc, crit).efficiency
     assert series.aggregate == (4.0, 11.0, 11.0)
     assert series.per_subsystem["top"] == (2.0, 5.0, 5.0)
 
@@ -411,7 +411,7 @@ def test_efficiency_requires_total_score_table():
     sc = done_scenario()
     tr = run_scenario(sc)
     with pytest.raises(MissingScoreError):
-        efficiency_process(tr, EfficiencyCriterion(scores={("top", "T0"): 0.0}))
+        analyze_trajectory(tr, sc, EfficiencyCriterion(scores={("top", "T0"): 0.0}))
 
 
 def test_compare_prefers_completeness_then_efficiency():
@@ -506,22 +506,40 @@ def random_scenario(seed: int) -> Scenario:
 
 def stepped_configurations(sc):
     config = initial_configuration(sc)
+    due = due_deliveries(sc)
     for tick in range(sc.horizon):
-        config, _ = step(config, due_deliveries(sc, tick), sc, tick)
-        yield config
+        step(config, due.get(tick, ()), sc, tick)
+        yield dict(config)
 
 
 def test_folded_configurations_equal_the_stepped_ones(two_level_model):
-    corpus = list(two_level_model.scenarios.values()) + [random_scenario(seed) for seed in range(40)]
+    corpus = list(two_level_model.scenarios.values()) + [random_scenario(seed) for seed in range(200)]
     seen = set()
     for sc in corpus:
         tr = run_scenario(sc)
-        assert list(tr.configurations()) == list(stepped_configurations(sc)), sc.id
+        configs, events = reference_run(sc)
+        assert tr.events == events, sc.id
+        assert list(stepped_configurations(sc)) == configs, sc.id
+        assert list(tr.configurations()) == configs, sc.id
         assert replay_events(tr, sc)
         seen.update((e.kind, getattr(e, "cause", "")) for e in tr.events)
     # the corpus reaches every kind of state change the fold replays
     assert {("firing", "direct"), ("firing", "downward-propagation"),
             ("firing", "upward-propagation"), ("backstep", ""), ("skipped", "")} <= seen
+
+
+def test_run_scenario_is_linear_in_the_horizon():
+    # one broadcast per tick for 16000 ticks: a stepper that rescans the
+    # time diagram every tick takes tens of seconds here
+    symbols = ("advance", "left_go", "right_go", "left_fin", "right_fin", "finish", "left_polish")
+    horizon = 16000
+    sc = scenario([(t, None, symbols[t % len(symbols)]) for t in range(horizon)],
+                  timeout=2, horizon=horizon)
+    started = perf_counter()
+    tr = run_scenario(sc)
+    elapsed = perf_counter() - started
+    assert tr.horizon == horizon and len(tr.events) > horizon
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_fold_rejects_a_log_that_does_not_replay():
