@@ -361,6 +361,27 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     witness is the first satisfying path found: earliest tick first;
     within a tick, the frontier in discovery order, then diagram index,
     then _sorted_arcs order. It does not depend on the hash seed.
+
+    An entry carries only a deadline, an interval only forbids later
+    firings, and a waiting node's clocks only grow. So a node covers any
+    node with the same states and prefix whose clocks are no larger in
+    every component: whatever the latter can fire, at any later tick, the
+    former can fire at the same tick into a node that covers the result.
+    Three rules skip work whose result is covered, and none of them
+    changes the verdict or the witness:
+
+    - A new node covered by a frontier node is dropped. The covering node
+      comes first in the frontier, so any satisfying path through the
+      dropped one has a copy through it that is found earlier.
+    - A node carried over from the previous tick fires only the arcs its
+      clocks newly enabled: delta above the clock it was expanded with
+      and at most its clock now. An arc it fired before led to a node
+      whose aged copy covers what the arc gives now, or claimed an entry
+      that has since expired, which leaves a dead branch.
+    - A tick in which no frontier node's clock moves fires nothing, and
+      the same holds at every later tick, since all clocks stay capped
+      and nodes only leave the frontier as their entries expire. The
+      search stops there.
     """
     _validate_refs(dset, seq)
     entries = seq.entries
@@ -415,38 +436,46 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     best_k = claim(start, 0, 0)
     if best_k == len(entries):
         return finish(0)
-    frontier = {(start, (0,) * n, best_k): 0}  # node -> index in steps
+    # (states, clocks, k, index in steps, clocks at the last expansion);
+    # None marks a node found in this tick, which fires every enabled arc.
+    frontier = [(start, (0,) * n, best_k, 0, None)]
+    passed = {(start, best_k): [(0,) * n]}  # (states, k) -> clocks of frontier nodes
     for t in range(0, horizon + 1):
         if t:
-            aged: dict = {}
-            for (states, ages, k), i in frontier.items():
+            passed, aged = {}, []
+            for states, ages, k, i, _ in frontier:
                 if entries[k].deadline >= t:
-                    ages = tuple(
+                    now = tuple(
                         min(a + 1, caps[di][s]) for di, (s, a) in enumerate(zip(states, ages))
                     )
-                    aged.setdefault((states, ages, k), i)  # the node found first stays
+                    seen = passed.setdefault((states, k), [])
+                    if now not in seen:  # the node found first stays
+                        seen.append(now)
+                        aged.append((states, now, k, i, ages))
+            if all(now == before for _, now, _, _, before in aged):
+                break  # every clock is capped: nothing fires again
             frontier = aged
-        queue = list(frontier.items())
-        for node, i in queue:  # grows while it is walked
-            states, ages, k = node
+        for states, ages, k, i, before in frontier:  # grows while it is walked
             for di in range(n):
-                if t > limits[di]:
+                lo = -1 if before is None else before[di]
+                if t > limits[di] or lo == ages[di]:
                     continue
                 for arc in arcs_from[di][states[di]]:
-                    if ages[di] < arc.delta:
+                    if not lo < arc.delta <= ages[di]:
                         continue
                     ns = states[:di] + (arc.dst,) + states[di + 1 :]
                     nk = claim(ns, k, t)
                     if nk > best_k:
                         best_k = nk
-                    new = (ns, ages[:di] + (0,) + ages[di + 1 :], nk)
-                    if new in frontier:
-                        continue
                     if nk < len(entries) and entries[nk].deadline < t:
                         continue  # dead branch: its next entry already expired
+                    na = ages[:di] + (0,) + ages[di + 1 :]
+                    seen = passed.setdefault((ns, nk), [])
+                    if any(all(x >= y for x, y in zip(v, na)) for v in seen):
+                        continue  # covered: that node may wait and fire as this one
                     steps.append((i, ScheduledFiring(t, di, arc)))
                     if nk == len(entries):
                         return finish(len(steps) - 1)
-                    frontier[new] = len(steps) - 1
-                    queue.append((new, len(steps) - 1))
+                    seen.append(na)
+                    frontier.append((ns, na, nk, len(steps) - 1, None))
     return ConsistencyVerdict(False, None, None, best_k + 1)

@@ -266,14 +266,16 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
                 )
             seen_pair[key] = arc
 
+    symbols = set()
+    for sub in assigned:
+        symbols |= sc.diagram_of(sub).alphabet
+
     # Time diagram entries.
     for i, entry in enumerate(sc.time_diagram):
         if entry.tick < 0:
             bad.append(f"time diagram entry {i} has negative tick {entry.tick}")
         if entry.target is None:
-            if not any(
-                entry.symbol in sc.diagram_of(s).alphabet for s in assigned
-            ):
+            if entry.symbol not in symbols:
                 bad.append(
                     f"time diagram entry {i} broadcasts {entry.symbol!r}, known to no subsystem"
                 )
@@ -297,9 +299,6 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
         bad.append(f"labeled arc {ref} is in both the isolated and the coupled set")
     for ref in sorted((ae.isolated | ae.coupled) - all_arcs, key=lambda r: r.sort_key):
         bad.append(f"after-effect scheme references unknown arc {ref}")
-    symbols = set()
-    for sub in assigned:
-        symbols |= sc.diagram_of(sub).alphabet
     for sym in sorted(symbols - ae.individual_symbols - ae.general_symbols):
         bad.append(f"symbol {sym!r} is neither individual nor general")
     for sym in sorted(ae.individual_symbols & ae.general_symbols):
@@ -360,22 +359,19 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
 
     # Double role: a general symbol scheduled directly at a subsystem whose
     # matching arcs also sit inside some parent-link tuple.
-    linked_children = {ref for link in ae.parent_links.values() for ref in link}
+    linked = {
+        (ref.subsystem, ref.symbol)
+        for link in ae.parent_links.values()
+        for ref in link
+        if ref in all_arcs
+    }
     flagged: set[tuple[str, str]] = set()
     for entry in sc.time_diagram:
         if entry.symbol not in ae.general_symbols:
             continue
-        targets = [entry.target] if entry.target is not None else list(assigned)
+        targets = [entry.target] if entry.target is not None else assigned
         for sub in targets:
-            if sub not in assigned or (sub, entry.symbol) in flagged:
-                continue
-            d = sc.diagram_of(sub)
-            hit = any(
-                ArcRef(sub, src, dst, sym) in linked_children
-                for src, dst, sym in d.labeled_arcs
-                if sym == entry.symbol
-            )
-            if hit:
+            if (sub, entry.symbol) in linked and (sub, entry.symbol) not in flagged:
                 flagged.add((sub, entry.symbol))
                 warn.append(
                     f"general symbol {entry.symbol!r} is delivered directly to {sub!r} "

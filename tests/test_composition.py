@@ -1,7 +1,9 @@
 """Composition operators and consistency checking against the exhaustive oracle."""
 
+import dataclasses
 import itertools
 import random
+from time import perf_counter
 
 import pytest
 
@@ -429,11 +431,12 @@ def timed_diagram(rng, name, horizon):
     )
 
 
-def random_sequence(rng, diagrams, horizon):
+def random_sequence(rng, diagrams, horizon, most=4, step=5):
+    """1 to most entries whose deadlines step by 0 to step ticks."""
     entries, deadline = [], 0
-    for _ in range(rng.randrange(1, 5)):
+    for _ in range(rng.randrange(1, most + 1)):
         k = rng.randrange(len(diagrams))
-        deadline = min(horizon, deadline + rng.randrange(0, 6))
+        deadline = min(horizon, deadline + rng.randrange(0, step + 1))
         entries.append(PrescribedEntry(k, rng.choice(diagrams[k].states), deadline))
     return PrescribedSequence(tuple(entries))
 
@@ -450,6 +453,54 @@ def test_search_equals_the_reference_on_random_diagram_sets():
         assert verdict == reference_check_consistency(dset, seq), f"{seq} over {dset}"
         outcomes.add((verdict.consistent, len(verdict.witness or ()) > 1))
     assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+def test_search_equals_the_reference_on_long_deadlines():
+    # Deadlines far apart leave frontiers that wait with capped clocks,
+    # where the search drops covered nodes and stops early. The
+    # reference's nodes carry absolute entry ticks, so its cost has a
+    # heavy tail in H. On a 2-CPU machine seed 10 keeps it near ten
+    # seconds, while the other seeds of 1-12 took 12-124 s; all agree.
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(1500):
+        horizon = rng.randrange(10, 60)
+        diagrams = tuple(timed_diagram(rng, f"d{k}", horizon) for k in range(rng.randrange(1, 4)))
+        dset = TimedDiagramSet(diagrams, tuple(rng.randrange(horizon // 2, horizon + 1) for _ in diagrams))
+        seq = random_sequence(rng, diagrams, horizon, most=6, step=horizon // 3)
+        verdict = check_consistency(dset, seq)
+        assert verdict == reference_check_consistency(dset, seq), f"{seq} over {dset}"
+        outcomes.add((verdict.consistent, len(verdict.witness or ()) > 1))
+    assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+def test_settled_search_is_flat_in_the_horizon():
+    def found_case(horizon):
+        a, b = (
+            dataclasses.replace(chain(6, delta=2, horizon=horizon, back=True), id=name)
+            for name in "ab"
+        )
+        stuck = CanonicalDiagram(
+            id="c", states=("c0", "c1"), dev_arcs=(), back_arcs=(),
+            initial="c0", final="c1", horizon=horizon,
+        )
+        dset = TimedDiagramSet((a, b, stuck), (horizon,) * 3)
+        # c never reaches c1, so the search runs until its frontier settles.
+        seq = PrescribedSequence((
+            PrescribedEntry(0, "s6", horizon),
+            PrescribedEntry(2, "c1", horizon),
+            PrescribedEntry(1, "s6", horizon),
+        ))
+        return dset, seq
+
+    dset, seq = found_case(30)
+    short = check_consistency(dset, seq)
+    assert short.failed_prefix == 2
+    assert short == reference_check_consistency(dset, seq)
+    dset, seq = found_case(480)
+    began = perf_counter()
+    assert check_consistency(dset, seq) == short
+    assert perf_counter() - began < 0.25
 
 
 def bench_chain(rng, name, dev, horizon):

@@ -193,6 +193,13 @@ def test_validate_warns_on_double_role_deliveries():
     report = validate_scenario(sc)
     assert report.passed
     assert any("left_fin" in w for w in report.warnings)
+    # A parent link naming an arc that left's diagram lacks drives no arc
+    # of left, so the direct delivery plays one role only.
+    stray = ArcRef("left", "L0", "L2", "left_fin")
+    links = {ADVANCE: (LEFT_GO, RIGHT_GO), FINISH: (stray, RIGHT_FIN)}
+    scheme = dataclasses.replace(SCHEME, parent_links=links)
+    report = validate_scenario(scenario([(0, "left", "left_fin")], scheme=scheme))
+    assert report.warnings == ()
 
 
 def test_general_symbol_cascades_down_in_one_tick():
