@@ -176,8 +176,8 @@ class ObjectDistribution:
         )
 
     @classmethod
-    def initial(cls, placement: Mapping[str, str], tick: int = 0) -> "ObjectDistribution":
-        return cls({obj: (state, tick) for obj, state in placement.items()})
+    def initial(cls, placement: Mapping[str, str]) -> "ObjectDistribution":
+        return cls({obj: (state, 0) for obj, state in placement.items()})
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

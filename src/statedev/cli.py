@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statedev",
@@ -523,15 +525,13 @@ def _cmd_simulate(args) -> tuple[Report, int]:
     if args.scenario not in model.scenarios:
         raise StatedevError(f"scenario {args.scenario!r} is not declared")
     sc = model.scenarios[args.scenario]
-    crit = None
     scores = None
     if args.scores is not None:
         if args.scores not in model.score_tables:
             raise StatedevError(f"score table {args.scores!r} is not declared")
         scores = model.score_tables[args.scores]
-        crit = modelfile.criterion_from_table(scores)
     tr = scenario.run_scenario(sc, args.horizon)
-    rep = scenario.analyze_trajectory(tr, sc, crit)
+    rep = scenario.analyze_trajectory(tr, sc, scores)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(modelfile.serialize_trajectory(tr, sc, scores))
@@ -542,8 +542,7 @@ def _cmd_simulate(args) -> tuple[Report, int]:
 
 def _cmd_analyze(args) -> tuple[Report, int]:
     sc, tr, scores = modelfile.load_trajectory_file(args.trajectory)
-    crit = modelfile.criterion_from_table(scores) if scores else None
-    return _trajectory_report(scenario.analyze_trajectory(tr, sc, crit), args, args.trajectory), 0
+    return _trajectory_report(scenario.analyze_trajectory(tr, sc, scores or None), args, args.trajectory), 0
 
 
 def _text(value) -> str:
@@ -560,7 +559,6 @@ def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
         eff = body["efficiency"]
         per = {sub: modelfile.numbers(series) for sub, series in eff["per_subsystem"].items()}
         efficiency = scenario.EfficiencySeries(
-            subsystems=tuple(sorted(per)),
             per_subsystem=per,
             aggregate=modelfile.numbers(eff["aggregate"]),
         )

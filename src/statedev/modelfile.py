@@ -29,12 +29,12 @@ from .scenario import (
     EVENT_KINDS,
     AfterEffectScheme,
     ArcRef,
-    EfficiencyCriterion,
     Event,
     EventLogError,
     HierarchicalStructure,
     HypothesisDiagram,
     Scenario,
+    ScoreTable,
     TimeDiagramEntry,
     Trajectory,
 )
@@ -51,8 +51,6 @@ FORMAT_VERSION = 1
 # Version 2 stores the initial states and the event log; version 1 also
 # stored the configuration after every tick and is still read.
 TRAJECTORY_VERSION = 2
-
-ScoreTable = Mapping[str, Mapping[str, float]]  # subsystem -> state -> score
 
 
 @dataclass(frozen=True)
@@ -673,7 +671,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     ae = sc.after_effect
 
     def refs(found) -> list:
-        return [_ARC_REF.dump(r) for r in sorted(found, key=lambda r: r.sort_key)]
+        return [_ARC_REF.dump(r) for r in sorted(found)]
 
     return {
         "hierarchy": {
@@ -699,7 +697,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "coupled": refs(ae.coupled),
             "parent_links": [
                 {"parent": _ARC_REF.dump(parent), "children": [_ARC_REF.dump(c) for c in children]}
-                for parent, children in sorted(ae.parent_links.items(), key=lambda kv: kv[0].sort_key)
+                for parent, children in ae.parent_links.items()
             ],
             "upward_threshold": ae.upward_threshold,
         },
@@ -818,12 +816,6 @@ def model_to_dict(model: ModelFile) -> dict:
 
 def serialize_model(model: ModelFile) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
-
-
-def criterion_from_table(table: ScoreTable) -> EfficiencyCriterion:
-    return EfficiencyCriterion(
-        {(sub, state): value for sub, states in table.items() for state, value in states.items()}
-    )
 
 
 # ---------------------------------------------------------------------------

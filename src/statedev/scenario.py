@@ -13,7 +13,7 @@ are recounts of that log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import StatedevError
 
@@ -83,25 +83,20 @@ class HypothesisDiagram:
         return self.states.index(state)
 
 
-@dataclass(frozen=True)
-class ArcRef:
-    """One labeled arc instance, pinned to its subsystem."""
+class ArcRef(NamedTuple):
+    """One labeled arc instance, pinned to its subsystem; refs sort as tuples."""
 
     subsystem: str
     src: str
     dst: str
     symbol: str
 
-    @property
-    def sort_key(self) -> tuple[str, str, str, str]:
-        return (self.subsystem, self.src, self.dst, self.symbol)
-
 
 @dataclass(frozen=True)
 class AfterEffectScheme:
     """Partition of labeled arcs into isolated and coupled, of symbols
     into individual and general, plus the parent-link tuples driving
-    downward and upward propagation."""
+    downward and upward propagation, stored in parent order."""
 
     isolated: frozenset[ArcRef]
     coupled: frozenset[ArcRef]
@@ -118,7 +113,7 @@ class AfterEffectScheme:
         object.__setattr__(
             self,
             "parent_links",
-            {k: tuple(v) for k, v in self.parent_links.items()},
+            {k: tuple(v) for k, v in sorted(self.parent_links.items())},
         )
 
     def required_count(self, link: tuple[ArcRef, ...]) -> int:
@@ -293,25 +288,24 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
         for sub in assigned
         for (src, dst, sym) in sc.diagram_of(sub).labeled_arcs
     }
-    for ref in sorted(all_arcs - ae.isolated - ae.coupled, key=lambda r: r.sort_key):
+    for ref in sorted(all_arcs - ae.isolated - ae.coupled):
         bad.append(f"labeled arc {ref} is in neither the isolated nor the coupled set")
-    for ref in sorted(ae.isolated & ae.coupled, key=lambda r: r.sort_key):
+    for ref in sorted(ae.isolated & ae.coupled):
         bad.append(f"labeled arc {ref} is in both the isolated and the coupled set")
-    for ref in sorted((ae.isolated | ae.coupled) - all_arcs, key=lambda r: r.sort_key):
+    for ref in sorted((ae.isolated | ae.coupled) - all_arcs):
         bad.append(f"after-effect scheme references unknown arc {ref}")
     for sym in sorted(symbols - ae.individual_symbols - ae.general_symbols):
         bad.append(f"symbol {sym!r} is neither individual nor general")
     for sym in sorted(ae.individual_symbols & ae.general_symbols):
         bad.append(f"symbol {sym!r} is both individual and general")
-    for ref in sorted(all_arcs, key=lambda r: r.sort_key):
+    for ref in sorted(all_arcs):
         if ref.symbol in ae.individual_symbols and ref not in ae.isolated:
             bad.append(f"arc {ref} carries individual symbol {ref.symbol!r} but is not isolated")
         if ref.symbol in ae.general_symbols and ref not in ae.coupled:
             bad.append(f"arc {ref} carries general symbol {ref.symbol!r} but is not coupled")
 
     # Parent links.
-    for parent_ref in sorted(ae.parent_links, key=lambda r: r.sort_key):
-        link = ae.parent_links[parent_ref]
+    for parent_ref, link in ae.parent_links.items():
         if parent_ref not in ae.coupled:
             bad.append(f"parent link key {parent_ref} is not a coupled arc")
         kids = set(sc.hierarchy.children_of(parent_ref.subsystem))
@@ -345,7 +339,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
                     seen.add(nxt)
                     stack.append(nxt)
         reach[sub] = seen
-    for ref in sorted(ae.coupled & all_arcs, key=lambda r: r.sort_key):
+    for ref in sorted(ae.coupled & all_arcs):
         if ref.src not in reach[ref.subsystem]:
             bad.append(f"coupled arc {ref} starts in a state unreachable from the initial state")
 
@@ -514,14 +508,12 @@ def step(
             cascade_down(enabled[0])
 
     # Phase 2: upward propagation to fixpoint.
-    parent_refs = sorted(ae.parent_links, key=lambda r: r.sort_key)
     changed = True
     while changed:
         changed = False
-        for parent_ref in parent_refs:
+        for parent_ref, link in ae.parent_links.items():
             if parent_ref in fired:
                 continue
-            link = ae.parent_links[parent_ref]
             done = sum(1 for child in link if child in fired)
             if done < ae.required_count(link):
                 continue
@@ -603,25 +595,11 @@ def run_scenario(sc: Scenario, horizon: Union[int, None] = None) -> Trajectory:
     return Trajectory(sc.id, h, initial, tuple(events))
 
 
-@dataclass(frozen=True)
-class EfficiencyCriterion:
-    scores: Mapping[tuple[str, str], float]  # (subsystem, state) -> value
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "scores", {tuple(k): float(v) for k, v in self.scores.items()}
-        )
-
-    def score(self, subsystem: str, state: str) -> float:
-        try:
-            return self.scores[(subsystem, state)]
-        except KeyError:
-            raise MissingScoreError(f"no score for state {state!r} of {subsystem!r}") from None
+ScoreTable = Mapping[str, Mapping[str, float]]  # subsystem -> state -> score
 
 
 @dataclass(frozen=True)
 class EfficiencySeries:
-    subsystems: tuple[str, ...]
     per_subsystem: Mapping[str, tuple[float, ...]]
     aggregate: tuple[float, ...]
 
@@ -645,7 +623,7 @@ class ScenarioReport:
 
 
 def analyze_trajectory(
-    tr: Trajectory, sc: Scenario, crit: Union[EfficiencyCriterion, None] = None
+    tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None
 ) -> ScenarioReport:
     """Recount the event log into the scenario quality figures."""
     if tr.scenario_id != sc.id:
@@ -655,10 +633,10 @@ def analyze_trajectory(
     subs = sc.subsystems()
     if set(tr.initial) != set(subs):
         raise TrajectoryScenarioMismatchError("trajectory subsystems differ from the scenario's")
-    if crit is not None:
+    if scores is not None:
         for sub in subs:
             for state in sc.diagram_of(sub).states:
-                if (sub, state) not in crit.scores:
+                if state not in scores.get(sub, ()):
                     raise MissingScoreError(f"no score for state {state!r} of {sub!r}")
 
     # One fold gives the final configuration and the efficiency series:
@@ -668,8 +646,12 @@ def analyze_trajectory(
     rows: list[list[float]] = []
     final = tr.initial
     for final in tr.configurations():
-        if crit is not None:
-            rows.append([crit.score(sub, final[sub][0]) for sub in scored])
+        if scores is not None:
+            try:
+                rows.append([scores[sub][final[sub][0]] for sub in scored])
+            except KeyError:  # a logged state outside the diagram
+                sub = next(sub for sub in scored if final[sub][0] not in scores[sub])
+                raise MissingScoreError(f"no score for state {final[sub][0]!r} of {sub!r}") from None
     non_final = tuple(
         sub for sub in subs if final[sub][0] != sc.diagram_of(sub).final
     )
@@ -700,9 +682,9 @@ def analyze_trajectory(
             incidents.append((sub, tuple(ticks)))
 
     efficiency = None
-    if crit is not None:
+    if scores is not None:
         per = {sub: tuple(row[i] for row in rows) for i, sub in enumerate(scored)}
-        efficiency = EfficiencySeries(scored, per, tuple(sum(row) for row in rows))
+        efficiency = EfficiencySeries(per, tuple(sum(row) for row in rows))
 
     back_total = sum(backsteps.values())
     coupled_total = sum(coupled.values())

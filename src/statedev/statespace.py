@@ -162,13 +162,11 @@ def evaluate_scale(
     scale: Scale,
     assignment: Mapping[str, object],
     parameters: Parameters | None = None,
-    lenient: bool = False,
 ) -> State:
     """Classify one assignment on one scale.
 
     Exactly one predicate is expected to hold. Zero matches raise
-    NoMatchError; several raise MultipleMatchError unless lenient is
-    set, in which case the first match wins.
+    NoMatchError; several raise MultipleMatchError.
     """
     orders = _orders(parameters)
     _check_missing(scale.references, assignment, orders)
@@ -177,7 +175,7 @@ def evaluate_scale(
     ]
     if not hits:
         raise NoMatchError(scale.id)
-    if len(hits) > 1 and not lenient:
+    if len(hits) > 1:
         raise MultipleMatchError(scale.id, [i + 1 for i in hits])
     return scale.states[hits[0]]
 
@@ -231,7 +229,6 @@ def classify_hierarchical(
     classificator: Classificator,
     assignment: Mapping[str, object],
     parameters: Parameters | None = None,
-    lenient: bool = False,
 ) -> tuple[State, ...]:
     """Full classification path, root state first, deepest last.
 
@@ -240,7 +237,7 @@ def classify_hierarchical(
     path: list[State] = []
     scale = classificator.root
     while True:
-        state = evaluate_scale(scale, assignment, parameters, lenient)
+        state = evaluate_scale(scale, assignment, parameters)
         path.append(state)
         child = classificator.refinements.get((scale.id, state.scale_position))
         if child is None:
@@ -250,68 +247,38 @@ def classify_hierarchical(
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """How to sample assignments for the statistical soundness checks.
+    """How many assignments the statistical soundness checks sample, and
+    the seed; each parameter's domain comes from its declaration."""
 
-    ranges maps a parameter either to a numeric (low, high) pair or to
-    an explicit level sequence; parameters absent here fall back to
-    their declaration's bounds or levels.
-    """
-
-    ranges: Mapping[str, object] = field(default_factory=dict)
     samples: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "ranges", dict(self.ranges))
-
-
-def _domains(spec: SampleSpec, names: Sequence[str], parameters: Parameters | None):
-    parameters = parameters or {}
-    domains = []
-    unresolved = []
-    for name in names:
-        source = spec.ranges.get(name)
-        if source is None:
-            decl = parameters.get(name)
-            if decl is not None and decl.levels is not None:
-                source = decl.levels
-            elif decl is not None and decl.bounds is not None:
-                source = decl.bounds
-        if source is None:
-            unresolved.append(name)
-            continue
-        if (
-            isinstance(source, Sequence)
-            and len(source) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in source)
-        ):
-            domains.append((name, "numeric", (float(source[0]), float(source[1]))))
-        else:
-            domains.append((name, "levels", tuple(source)))
-    if unresolved:
-        raise MissingParameterRangeError(unresolved)
-    return domains
 
 
 def sample_assignments(
     spec: SampleSpec, names: Sequence[str], parameters: Parameters | None = None
 ):
-    """Deterministic stream of assignments over the named parameters."""
+    """Deterministic stream of assignments over the named parameters: an
+    ordinal draws one of its levels, a numeric a value within its bounds."""
     names = sorted(names)
     if not names:
         return
-    domains = _domains(spec, names, parameters)
+    decls = [(parameters or {}).get(name) for name in names]
+    unresolved = [
+        name for name, decl in zip(names, decls)
+        if decl is None or (decl.levels is None and decl.bounds is None)
+    ]
+    if unresolved:
+        raise MissingParameterRangeError(unresolved)
     rng = random.Random(spec.seed)
     for _ in range(spec.samples):
-        out = {}
-        for name, kind, dom in domains:
-            if kind == "numeric":
-                out[name] = rng.uniform(dom[0], dom[1])
-            else:
-                out[name] = rng.choice(dom)
-        yield out
+        yield {
+            name: rng.choice(decl.levels) if decl.levels is not None else rng.uniform(*decl.bounds)
+            for name, decl in zip(names, decls)
+        }
 
 
 @dataclass(frozen=True)

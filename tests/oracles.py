@@ -240,7 +240,7 @@ def reference_step(
         if kind == "general":
             cascade_down(enabled[0])
 
-    parent_refs = sorted(ae.parent_links, key=lambda r: r.sort_key)
+    parent_refs = sorted(ae.parent_links)
     changed = True
     while changed:
         changed = False

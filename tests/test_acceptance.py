@@ -57,6 +57,7 @@ from statedev.scenario import (
 )
 from statedev.statespace import (
     MultipleMatchError,
+    ParameterDecl,
     Predicate,
     SampleSpec,
     Scale,
@@ -316,18 +317,20 @@ def _scale(sid: str, exprs: list[str], names: list[str]) -> Scale:
 
 def test_criterion_5_classification(basic_model):
     partition = basic_model.scales["growth3"]
-    spec = SampleSpec(ranges={"x": (-10.0, 20.0)}, samples=CLASSIFY_SAMPLES, seed=11)
+    spec = SampleSpec(samples=CLASSIFY_SAMPLES, seed=11)
+    x_wide = {"x": ParameterDecl("x", bounds=(-10.0, 20.0))}
     classified = 0
-    for assignment in sample_assignments(spec, ("x",)):
+    for assignment in sample_assignments(spec, ("x",), x_wide):
         state = evaluate_scale(partition, assignment)
         assert state in partition.states
         classified += 1
     assert classified == CLASSIFY_SAMPLES
 
     overlapping = _scale("ov", ["x < 10", "x >= 5"], ["lowish", "highish"])
-    overlap_spec = SampleSpec(ranges={"x": (5.0, 9.99)}, samples=CLASSIFY_SAMPLES, seed=12)
+    overlap_spec = SampleSpec(samples=CLASSIFY_SAMPLES, seed=12)
+    x_overlap = {"x": ParameterDecl("x", bounds=(5.0, 9.99))}
     rejected = 0
-    for assignment in sample_assignments(overlap_spec, ("x",)):
+    for assignment in sample_assignments(overlap_spec, ("x",), x_overlap):
         with pytest.raises(MultipleMatchError) as info:
             evaluate_scale(overlapping, assignment)
         assert info.value.positions == (1, 2)
@@ -337,8 +340,8 @@ def test_criterion_5_classification(basic_model):
     classificator = basic_model.classificators["growth"]
     walked = 0
     deepened = 0
-    path_spec = SampleSpec(ranges={"x": (-10.0, 20.0)}, samples=CLASSIFY_SAMPLES, seed=13)
-    for assignment in sample_assignments(path_spec, ("x",)):
+    path_spec = SampleSpec(samples=CLASSIFY_SAMPLES, seed=13)
+    for assignment in sample_assignments(path_spec, ("x",), x_wide):
         path = classify_hierarchical(classificator, assignment)
         scale = classificator.root
         for depth, state in enumerate(path):
@@ -462,13 +465,13 @@ def _random_scenario(rng: random.Random, sid: str, individual_only: bool) -> Sce
             if ref.subsystem != "root":
                 per_child.setdefault(ref.subsystem, []).append(ref)
         for refs in per_child.values():
-            refs.sort(key=lambda r: r.sort_key)
-        root_refs = sorted((r for r in coupled if r.subsystem == "root"), key=lambda r: r.sort_key)
+            refs.sort()
+        root_refs = sorted(r for r in coupled if r.subsystem == "root")
         for ref in root_refs:
             if per_child and rng.random() < 0.7:
                 chosen = rng.sample(sorted(per_child), rng.randint(1, len(per_child)))
                 parent_links[ref] = tuple(
-                    sorted((rng.choice(per_child[c]) for c in chosen), key=lambda r: r.sort_key)
+                    sorted(rng.choice(per_child[c]) for c in chosen)
                 )
 
     scheme = AfterEffectScheme(

@@ -517,6 +517,21 @@ def test_consist_witness_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(witness) == 1
 
 
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    # main builds its parser once per process and reuses it.
+    usage = run(capsys, "consist", BASIC_S)  # --request is missing
+    valid = run(capsys, "consist", BASIC_S, "--request", "dev_milestones")
+    assert run(capsys, "consist", BASIC_S) == usage
+    assert usage[0] == 2 and "--request" in usage[2]
+    src = str(Path(statedev.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "statedev.cli", "consist", BASIC_S, "--request", "dev_milestones"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (valid[0], valid[1]) == (fresh.returncode, fresh.stdout)
+
+
 def _failure(capsys, *argv) -> list:
     """The violations of the one report a failing command prints."""
     code, out, err = run(capsys, *argv)
@@ -589,6 +604,16 @@ def test_analyze_rejects_a_non_finite_score(tmp_path, capsys):
     run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--scores", "default", "--out", str(traj))
     traj.write_text(traj.read_text().replace('"T2":5', '"T2":1e999'))
     assert _failure(capsys, "analyze", str(traj)) == [f"{traj}: number 1e999 is not finite"]
+
+
+def test_analyze_reports_a_logged_state_without_a_score(tmp_path, capsys):
+    traj = tmp_path / "t.json"
+    run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--scores", "default", "--out", str(traj))
+    data = json.loads(traj.read_text())
+    data["trajectory"]["initial"]["left"][0] = "L9"
+    data["trajectory"]["events"] = []
+    traj.write_text(json.dumps(data))
+    assert _failure(capsys, "analyze", str(traj)) == ["no score for state 'L9' of 'left'"]
 
 
 def test_profile_epsilon_must_be_finite(capsys):

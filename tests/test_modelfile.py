@@ -6,7 +6,6 @@ import pytest
 
 from statedev.modelfile import (
     ModelFileError,
-    criterion_from_table,
     load_trajectory_text,
     model_to_dict,
     parse_model,
@@ -188,8 +187,3 @@ def test_trajectory_file_round_trip(two_level_model):
     assert list(tr2.configurations()) == list(tr.configurations())
     assert sc2.id == sc.id
     assert scores2 == {k: dict(v) for k, v in scores.items()}
-
-
-def test_criterion_from_table_scores_pairs():
-    crit = criterion_from_table({"a": {"s1": 2.5}})
-    assert crit.score("a", "s1") == 2.5

@@ -11,7 +11,6 @@ from statedev.scenario import (
     ArcRef,
     Backstep,
     Delivery,
-    EfficiencyCriterion,
     EventLogError,
     Firing,
     HierarchicalStructure,
@@ -306,6 +305,35 @@ def test_run_scenario_equals_folding_step():
     assert tuple(events) == tr.events
 
 
+def test_parent_links_fire_in_parent_order_however_declared():
+    # Two independent parents complete in one tick, so the upward pass
+    # fires them in the order it walks the links: ArcRef order, whatever
+    # order the scheme declares them in.
+    symbols = {"top": "top_go", "a": "a_go", "b": "b_go", "a1": "a1_go", "b1": "b1_go"}
+    refs = {sub: ArcRef(sub, "s0", "s1", sym) for sub, sym in symbols.items()}
+    links = [(refs["a"], (refs["a1"],)), (refs["b"], (refs["b1"],))]
+
+    def declared(links):
+        return Scenario(
+            id="s",
+            diagrams=tuple(HypothesisDiagram(f"D{sub}", ("s0", "s1"), "s0", "s1", (("s0", "s1", sym),))
+                           for sub, sym in symbols.items()),
+            hierarchy=HierarchicalStructure("top", {"top": ("a", "b"), "a": ("a1",), "b": ("b1",)}),
+            assignment={sub: f"D{sub}" for sub in symbols},
+            time_diagram=(TimeDiagramEntry(0, "b1", "b1_go"), TimeDiagramEntry(0, "a1", "a1_go")),
+            after_effect=AfterEffectScheme(frozenset(), frozenset(refs.values()), frozenset(),
+                                           frozenset(symbols.values()), dict(links)),
+            horizon=1,
+        )
+
+    in_order, reversed_order = declared(links), declared(links[::-1])
+    events = run_scenario(in_order).events
+    assert run_scenario(reversed_order).events == events
+    assert reference_run(in_order)[1] == events == reference_run(reversed_order)[1]
+    upward = [e.subsystem for e in events if isinstance(e, Firing) and e.cause == "upward-propagation"]
+    assert upward == ["a", "b"]
+
+
 def test_replay_events_reproduces_the_run():
     sc = scenario([(0, "top", "advance"), (2, "left", "left_fin")], timeout=2, horizon=5)
     tr = run_scenario(sc)
@@ -404,12 +432,12 @@ def test_redundancy_incident_needs_both_symbol_kinds():
 def test_efficiency_series_matches_hand_fold():
     sc = done_scenario()
     tr = run_scenario(sc)
-    crit = EfficiencyCriterion(scores={
-        ("top", "T0"): 0.0, ("top", "T1"): 2.0, ("top", "T2"): 5.0,
-        ("left", "L0"): 0.0, ("left", "L1"): 1.0, ("left", "L2"): 3.0, ("left", "L3"): 4.0,
-        ("right", "R0"): 0.0, ("right", "R1"): 1.0, ("right", "R2"): 3.0,
-    })
-    series = analyze_trajectory(tr, sc, crit).efficiency
+    scores = {
+        "top": {"T0": 0.0, "T1": 2.0, "T2": 5.0},
+        "left": {"L0": 0.0, "L1": 1.0, "L2": 3.0, "L3": 4.0},
+        "right": {"R0": 0.0, "R1": 1.0, "R2": 3.0},
+    }
+    series = analyze_trajectory(tr, sc, scores).efficiency
     assert series.aggregate == (4.0, 11.0, 11.0)
     assert series.per_subsystem["top"] == (2.0, 5.0, 5.0)
 
@@ -418,7 +446,7 @@ def test_efficiency_requires_total_score_table():
     sc = done_scenario()
     tr = run_scenario(sc)
     with pytest.raises(MissingScoreError):
-        analyze_trajectory(tr, sc, EfficiencyCriterion(scores={("top", "T0"): 0.0}))
+        analyze_trajectory(tr, sc, {"top": {"T0": 0.0}})
 
 
 def test_compare_prefers_completeness_then_efficiency():

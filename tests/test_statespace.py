@@ -10,6 +10,7 @@ from statedev.statespace import (
     MissingParameterRangeError,
     MultipleMatchError,
     NoMatchError,
+    ParameterDecl,
     Predicate,
     RuleMatrix,
     SampleSpec,
@@ -33,6 +34,11 @@ def scale(sid, *exprs, ids=None):
     )
 
 
+def bounds(**ranges):
+    """Numeric parameter declarations sampled over the given (low, high) ranges."""
+    return {name: ParameterDecl(name, bounds=r) for name, r in ranges.items()}
+
+
 X3 = scale("x3", "x < 0", "0 <= x < 10", "x >= 10", ids=["neg", "low", "high"])
 
 
@@ -47,11 +53,6 @@ def test_evaluate_scale_overlap_reports_positions():
     with pytest.raises(MultipleMatchError) as err:
         evaluate_scale(overlapping, {"x": 2})
     assert err.value.positions == (1, 2)
-
-
-def test_evaluate_scale_lenient_first_match():
-    overlapping = scale("ov", "x < 5", "x < 10")
-    assert evaluate_scale(overlapping, {"x": 2}, lenient=True).scale_position == 1
 
 
 def test_evaluate_scale_gap_raises_no_match():
@@ -96,16 +97,16 @@ def test_refinement_position_must_exist():
 
 
 def test_disjointness_pass_on_partition():
-    spec = SampleSpec(ranges={"x": (-20.0, 20.0)}, samples=10_000, seed=7)
-    report = validate_scale_disjointness(X3, spec)
+    spec = SampleSpec(samples=10_000, seed=7)
+    report = validate_scale_disjointness(X3, spec, bounds(x=(-20.0, 20.0)))
     assert report.passed
     assert report.samples == 10_000
 
 
 def test_disjointness_finds_overlap_point():
     overlapping = scale("ov", "x < 5", "x < 10")
-    spec = SampleSpec(ranges={"x": (0.0, 4.0)}, samples=50, seed=1)
-    report = validate_scale_disjointness(overlapping, spec)
+    spec = SampleSpec(samples=50, seed=1)
+    report = validate_scale_disjointness(overlapping, spec, bounds(x=(0.0, 4.0)))
     assert not report.passed
     for assignment, positions in report.overlaps:
         assert assignment["x"] < 5
@@ -115,8 +116,8 @@ def test_disjointness_finds_overlap_point():
 def test_disjointness_vacuous_without_predicate_pairs():
     # A single predicate has no pair to overlap with.
     single = scale("one", "x < 0")
-    spec = SampleSpec(ranges={"x": (-1.0, 1.0)}, samples=10)
-    assert validate_scale_disjointness(single, spec).passed
+    spec = SampleSpec(samples=10)
+    assert validate_scale_disjointness(single, spec, bounds(x=(-1.0, 1.0))).passed
 
 
 def test_scale_must_declare_at_least_one_state():
@@ -130,29 +131,48 @@ def test_disjointness_requires_ranges():
     assert err.value.names == ("x",)
 
 
+@pytest.mark.xfail(strict=True, raises=MissingParameterRangeError,
+                   reason="the sampled names include the level literals Seed, Sprout and Plant")
+def test_disjointness_samples_an_ordinal_scale(basic_model):
+    # phase3 compares the declared ordinal `phase` with bare level names.
+    report = validate_scale_disjointness(basic_model.scales["phase3"], SampleSpec(samples=50), basic_model.parameters)
+    assert report.passed
+    assert report.samples == 50
+
+
 def test_sub_predicate_check_passes_on_true_refinement():
-    spec = SampleSpec(ranges={"x": (-5.0, 5.0), "y": (-5.0, 5.0)}, samples=2000, seed=3)
-    assert validate_classificator(two_level_classificator(), spec).passed
+    spec = SampleSpec(samples=2000, seed=3)
+    assert validate_classificator(
+        two_level_classificator(), spec, bounds(x=(-5.0, 5.0), y=(-5.0, 5.0))
+    ).passed
 
 
 def test_sub_predicate_check_catches_leaky_child():
     root = scale("sign", "x < 0", "x >= 0")
     leaky = scale("leak", "x > -5", "x <= -5")  # covers points the parent state excludes
     c = Classificator(id="c", root=root, refinements={("sign", 2): leaky})
-    spec = SampleSpec(ranges={"x": (-4.0, 4.0)}, samples=500, seed=3)
-    report = validate_classificator(c, spec)
+    spec = SampleSpec(samples=500, seed=3)
+    report = validate_classificator(c, spec, bounds(x=(-4.0, 4.0)))
     assert not report.passed
     scale_ids = {v[0] for v in report.violations}
     assert scale_ids == {"sign"}
 
 
 def test_sampling_is_seed_deterministic():
-    spec = SampleSpec(ranges={"x": (0.0, 1.0)}, samples=25, seed=11)
-    a = list(sample_assignments(spec, ["x"]))
-    b = list(sample_assignments(spec, ["x"]))
+    spec = SampleSpec(samples=25, seed=11)
+    a = list(sample_assignments(spec, ["x"], bounds(x=(0.0, 1.0))))
+    b = list(sample_assignments(spec, ["x"], bounds(x=(0.0, 1.0))))
     assert a == b
-    c = list(sample_assignments(SampleSpec(ranges={"x": (0.0, 1.0)}, samples=25, seed=12), ["x"]))
+    c = list(sample_assignments(SampleSpec(samples=25, seed=12), ["x"], bounds(x=(0.0, 1.0))))
     assert a != c
+
+
+def test_ordinal_with_numeric_levels_draws_only_its_levels():
+    # Two numeric levels are still levels, not a (low, high) range.
+    ordinal = {"g": ParameterDecl("g", "ordinal", levels=(1, 2))}
+    draws = [a["g"] for a in sample_assignments(SampleSpec(samples=200, seed=5), ["g"], ordinal)]
+    assert all(type(g) is int for g in draws)
+    assert set(draws) == {1, 2}
 
 
 def test_rule_matrix_single_cell():
