@@ -351,6 +351,9 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip() for c in rows[0]] != ["tick", "object", "from", "to", "arc_kind"]:
         raise StatedevError("event CSV must have the header tick,object,from,to,arc_kind")
+    arcs: dict[tuple[str, str, str], list[canonical.Arc]] = {}
+    for arc in d.arcs:
+        arcs.setdefault((arc.src, arc.dst, arc.kind.value), []).append(arc)
     script = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
@@ -360,10 +363,7 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
             tick = int(tick_text)
         except ValueError:
             raise StatedevError(f"{path}:{line_no}: bad tick {tick_text!r}") from None
-        matches = [
-            arc for arc in d.arcs
-            if arc.src == src and arc.dst == dst and arc.kind.value == kind_text
-        ]
+        matches = arcs.get((src, dst, kind_text))
         if not matches:
             raise canonical.UnknownArcError(
                 f"{path}:{line_no}: no {kind_text} arc {src}->{dst} in diagram {d.id!r}"

@@ -10,6 +10,7 @@ classification rules can read a full system snapshot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
@@ -108,13 +109,59 @@ def estimate_state(
     return DynamicsState(DynamicsKind.DECLINE, 1)
 
 
+def _signs(values: Sequence, epsilon: float) -> list[int]:
+    """The direction of every consecutive pair, as _direction gives it."""
+    if len(values) < 2:
+        return []
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    try:
+        if epsilon == 0:
+            return [(b > a) - (b < a) for a, b in zip(values, values[1:])]
+        return [(d > epsilon) - (d < -epsilon) for d in map(operator.sub, values[1:], values)]
+    except TypeError:
+        # Name the first pair that does not compare.
+        return [_direction(a, b, epsilon) for a, b in zip(values, values[1:])]
+
+
+# The estimator's kind from the direction before and the direction now. A
+# rise before left Growth or TurnMin, a fall Decline or TurnMax, and no
+# movement Steady or the initial Unknown; that is all estimate_state reads.
+_NEXT_KIND = {
+    (-1, -1): DynamicsKind.DECLINE,
+    (0, -1): DynamicsKind.DECLINE,
+    (1, -1): DynamicsKind.TURN_MAX,
+    (-1, 0): DynamicsKind.STEADY,
+    (0, 0): DynamicsKind.STEADY,
+    (1, 0): DynamicsKind.STEADY,
+    (-1, 1): DynamicsKind.TURN_MIN,
+    (0, 1): DynamicsKind.GROWTH,
+    (1, 1): DynamicsKind.GROWTH,
+}
+
+
 def fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, ...]:
-    """States after each observation; the first is always the initial Unknown."""
+    """States after each observation; the first is always the initial Unknown.
+
+    Equal to chaining estimate_state over the values: a state's streak
+    grows while its kind repeats, and a turn never follows itself. Every
+    state is legal by construction, so none goes through the checks of
+    DynamicsState.__post_init__.
+    """
     if not values:
         return ()
     out = [DynamicsState.INITIAL]
-    for i in range(1, len(values)):
-        out.append(estimate_state(out[-1], values[i - 1], values[i], epsilon))
+    kind, streak, prev = DynamicsKind.UNKNOWN, 0, 0
+    new = object.__new__
+    for sign in _signs(values, epsilon):
+        next_kind = _NEXT_KIND[prev, sign]
+        streak = streak + 1 if next_kind is kind else 1
+        kind, prev = next_kind, sign
+        state = new(DynamicsState)
+        fields = state.__dict__
+        fields["kind"] = kind
+        fields["streak"] = streak
+        out.append(state)
     return tuple(out)
 
 
@@ -162,10 +209,32 @@ class TrendClass:
     forecast: DynamicsKind  # one-step-ahead qualitative forecast
 
 
-def _within(a, b, epsilon: float) -> bool:
+def _cycle_period(values: Sequence, epsilon: float) -> int | None:
+    """The least p in [2, n//2] with every value epsilon-equal to its
+    p-back counterpart, or None.
+
+    For epsilon == 0 this is linear: the least period of the whole
+    sequence is n minus its longest proper border, read off the
+    Knuth-Morris-Pratt failure function, and every period is at least
+    that. Epsilon-equality is not transitive, so for epsilon > 0 every
+    candidate period is checked directly, O(n^2) in the worst case.
+    """
+    n = len(values)
     if epsilon == 0:
-        return a == b
-    return abs(a - b) <= epsilon
+        border = [0] * n
+        k = 0
+        for i in range(1, n):
+            while k and values[i] != values[k]:
+                k = border[k - 1]
+            if values[i] == values[k]:
+                k += 1
+            border[i] = k
+        p = max(n - border[-1], 2)
+        return p if p <= n // 2 else None
+    for p in range(2, n // 2 + 1):
+        if all(abs(values[t] - values[t - p]) <= epsilon for t in range(p, n)):
+            return p
+    return None
 
 
 def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass:
@@ -174,13 +243,15 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
     Needs at least 2 observations; inflexion and cycle search engage
     from 3. Cycle search looks for the minimal period p in [2, n//2]
     with every value epsilon-equal to its p-back counterpart; a series
-    with no strict movement is reported as not cyclic.
+    with no strict movement is reported as not cyclic. The forecast is
+    the estimator's kind after the last observation, which the last two
+    directions decide.
     """
     values = series.values
     n = len(values)
     if n < 2:
         raise SeriesTooShortError("classification needs at least 2 observations")
-    signs = [_direction(values[i], values[i + 1], epsilon) for i in range(n - 1)]
+    signs = _signs(values, epsilon)
 
     nonzero = [(i, s) for i, s in enumerate(signs) if s != 0]
     if not nonzero:
@@ -216,10 +287,7 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
 
     cyclic_period = None
     if nonzero and n >= 3:
-        for p in range(2, n // 2 + 1):
-            if all(_within(values[t], values[t - p], epsilon) for t in range(p, n)):
-                cyclic_period = p
-                break
+        cyclic_period = _cycle_period(values, epsilon)
 
     return TrendClass(
         monotone=monotone,
@@ -227,7 +295,7 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
         inflexions=tuple(inflexions),
         bounds=(min(values), max(values)),
         cyclic_period=cyclic_period,
-        forecast=fold_states(values, epsilon)[-1].kind,
+        forecast=_NEXT_KIND[signs[-2] if n > 2 else 0, signs[-1]],
     )
 
 

@@ -11,14 +11,20 @@ bare identifier that is not bound in the assignment resolves as a level
 of another parameter in the same comparison (so ``state = Growth`` works
 against an ordinal ``state``); anything still unresolved is reported as
 a missing parameter.
+
+``compile`` turns a parsed expression and the declared orders into one
+closure over an assignment. The rank maps, the constants and the level
+each bare name stands for are fixed when it is built, so evaluation only
+reads the assignment's values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExpressionError, IncomparableValuesError, MissingParameterError
 
@@ -222,131 +228,227 @@ def parse(text: str) -> Node:
 
 def referenced_names(node: Node) -> frozenset[str]:
     """All identifiers appearing in the expression (parameters or bare levels)."""
+    return frozenset(
+        op.ident for comp in _comparisons(node) for op in comp.operands if isinstance(op, Name)
+    )
+
+
+def _comparisons(node: Node):
+    if isinstance(node, Comparison):
+        yield node
+    elif isinstance(node, Not):
+        yield from _comparisons(node.item)
+    else:
+        for item in node.items:
+            yield from _comparisons(item)
+
+
+# Compiled evaluation. Each operand of a chain resolves to a (domain, key)
+# pair: the domain is _NUM for a number, _TEXT for a string, or the rank
+# map of a declared level order, whose key is the level's rank. Equal level
+# lists share one rank map, so identity tells whether two ranks compare.
+_NUM = "num"
+_TEXT = "text"
+_ABSENT = object()  # the assignment does not bind the name
+_SLOW = object()  # a fast-path operand that only the full resolution decides
+
+_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def _rank_maps(orders: Mapping[str, Sequence] | None) -> dict[str, dict]:
+    """Each order as a {level: rank} map; a repeated level keeps its first rank."""
+    shared: dict[tuple, dict] = {}
+    out = {}
+    for name, levels in (orders or {}).items():
+        levels = tuple(levels)
+        if levels not in shared:
+            shared[levels] = {}
+            for rank, level in enumerate(levels):
+                shared[levels].setdefault(level, rank)
+        out[name] = shared[levels]
+    return out
+
+
+def _chain_literals(comp: Comparison, ranks: Mapping[str, dict]) -> dict[str, tuple]:
+    """What each name of the chain stands for when unbound: the (rank map,
+    rank) of the first order in the chain that has it as a level."""
+    chain = [ranks[op.ident] for op in comp.operands if isinstance(op, Name) and op.ident in ranks]
+    out: dict[str, tuple] = {}
+    for op in comp.operands:
+        if isinstance(op, Name):
+            hit = next(((order, order[op.ident]) for order in chain if op.ident in order), None)
+            if hit is not None:
+                out[op.ident] = hit
+    return out
+
+
+def required_names(node: Node, orders: Mapping[str, Sequence] | None = None) -> frozenset[str]:
+    """The names an assignment must bind: every referenced name but those
+    that each of their chains reads as a level of a declared order."""
+    ranks = _rank_maps(orders)
     out: set[str] = set()
-    _collect(node, out)
+    for comp in _comparisons(node):
+        literals = _chain_literals(comp, ranks)
+        out.update(op.ident for op in comp.operands if isinstance(op, Name) and op.ident not in literals)
     return frozenset(out)
 
 
-def _collect(node: Node, out: set) -> None:
+def compile(
+    node: Node, orders: Mapping[str, Sequence] | None = None
+) -> Callable[[Mapping[str, object]], bool]:
+    """The expression as one closure over a parameter assignment.
+
+    orders maps ordinal parameter names to their level list, lowest
+    first; it is read once, here. The closure raises
+    MissingParameterError / IncomparableValuesError.
+    """
+    return _compile(node, _rank_maps(orders))
+
+
+def _compile(node: Node, ranks: Mapping[str, dict]):
     if isinstance(node, Comparison):
-        for op in node.operands:
-            if isinstance(op, Name):
-                out.add(op.ident)
-    elif isinstance(node, Not):
-        _collect(node.item, out)
-    else:
-        for item in node.items:
-            _collect(item, out)
+        return _chain(node, ranks)
+    if isinstance(node, Not):
+        item = _compile(node.item, ranks)
+        return lambda assignment: not item(assignment)
+    items = tuple(_compile(item, ranks) for item in node.items)
+    if isinstance(node, And):
+        return lambda assignment: all(item(assignment) for item in items)
+    return lambda assignment: any(item(assignment) for item in items)
 
 
-# Resolved operand forms: ("num", float), ("text", str),
-# ("rank", index, levels) for values placed in a declared order.
-def _resolve_chain(comp: Comparison, assignment, orders):
-    orders = orders or {}
-    resolved: list = [None] * len(comp.operands)
-    chain_orders: list[tuple[str, ...]] = []
-    for idx, op in enumerate(comp.operands):
+def _rank(order: dict, value):
+    """The rank of value in order, or None when it is not a level."""
+    try:
+        return order.get(value)
+    except TypeError:  # unhashable, so equal to no declared level
+        return None
+
+
+def _chain(comp: Comparison, ranks: Mapping[str, dict]):
+    """A comparison chain: the full resolution, behind a fast path."""
+    literals = _chain_literals(comp, ranks)
+    # Per operand: (name or None, its declared order, the constant pair or
+    # the level it stands for when unbound).
+    specs = []
+    for op in comp.operands:
         if isinstance(op, Number):
-            resolved[idx] = ("num", op.value)
+            specs.append((None, None, (_NUM, op.value)))
         elif isinstance(op, Text):
-            resolved[idx] = ("text", op.value)
-        elif op.ident in assignment:
-            value = assignment[op.ident]
-            levels = orders.get(op.ident)
-            if levels is not None:
-                levels = tuple(levels)
-                if value not in levels:
+            specs.append((None, None, (_TEXT, op.value)))
+        else:
+            specs.append((op.ident, ranks.get(op.ident), literals.get(op.ident)))
+    ops = tuple((op, _OPS[op]) for op in comp.ops)
+
+    def resolve(assignment):
+        resolved = []
+        missing = []
+        for ident, order, static in specs:
+            value = _ABSENT if ident is None else assignment.get(ident, _ABSENT)
+            if value is _ABSENT:
+                if static is None:
+                    missing.append(ident)
+                resolved.append(static)
+            elif order is not None:
+                rank = _rank(order, value)
+                if rank is None:
                     raise IncomparableValuesError(
-                        f"value {value!r} is not a level of parameter {op.ident!r}"
+                        f"value {value!r} is not a level of parameter {ident!r}"
                     )
-                resolved[idx] = ("rank", levels.index(value), levels)
-                chain_orders.append(levels)
+                resolved.append((order, rank))
             elif isinstance(value, str):
-                resolved[idx] = ("text", value)
+                resolved.append((_TEXT, value))
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise IncomparableValuesError(
-                    f"parameter {op.ident!r} has non-comparable value {value!r}"
+                    f"parameter {ident!r} has non-comparable value {value!r}"
                 )
             else:
-                resolved[idx] = ("num", float(value))
-        else:
-            levels = orders.get(op.ident)
-            if levels is not None:
-                chain_orders.append(tuple(levels))
-    missing = []
-    for idx, op in enumerate(comp.operands):
-        if resolved[idx] is not None:
-            continue
-        # Unbound name: try it as a level of an ordered parameter in this chain.
-        hit = None
-        for levels in chain_orders:
-            if op.ident in levels:
-                hit = ("rank", levels.index(op.ident), levels)
-                break
-        if hit is None:
-            missing.append(op.ident)
-        else:
-            resolved[idx] = hit
-    if missing:
-        raise MissingParameterError(missing)
-    return resolved
+                resolved.append((_NUM, float(value)))
+        if missing:
+            raise MissingParameterError(missing)
+        for i, (op, fn) in enumerate(ops):
+            if not _compare(op, fn, resolved[i], resolved[i + 1]):
+                return False
+        return True
+
+    return _fast_chain(specs, [fn for _, fn in ops], resolve)
 
 
-_NUM_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
-
-
-def _compare(op: str, left, right) -> bool:
-    lk, rk = left[0], right[0]
-    if lk == "num" and rk == "num":
-        return _NUM_CMP[op](left[1], right[1])
-    if lk == "rank" and rk == "text":
-        right = _text_to_rank(right[1], left[2])
-        rk = "rank"
-    elif lk == "text" and rk == "rank":
-        left = _text_to_rank(left[1], right[2])
-        lk = "rank"
-    if lk == "rank" and rk == "rank":
-        if left[2] != right[2]:
+def _compare(op: str, fn, left, right) -> bool:
+    (ld, lk), (rd, rk) = left, right
+    if ld is _NUM and rd is _NUM:
+        return fn(lk, rk)
+    if rd is _TEXT and isinstance(ld, dict):
+        rd, rk = ld, _text_rank(rk, ld)
+    elif ld is _TEXT and isinstance(rd, dict):
+        ld, lk = rd, _text_rank(lk, rd)
+    if isinstance(ld, dict) and isinstance(rd, dict):
+        if ld is not rd:
             raise IncomparableValuesError("values belong to different level orders")
-        return _NUM_CMP[op](left[1], right[1])
-    if lk == "text" and rk == "text":
+        return fn(lk, rk)
+    if ld is _TEXT and rd is _TEXT:
         if op == "=":
-            return left[1] == right[1]
+            return lk == rk
         raise IncomparableValuesError(
             f"operator {op!r} needs a declared level order for string values"
         )
     raise IncomparableValuesError("cannot compare a number with a categorical value")
 
 
-def _text_to_rank(text: str, levels: tuple[str, ...]):
-    if text not in levels:
+def _text_rank(text: str, order: dict) -> int:
+    rank = order.get(text)
+    if rank is None:
         raise IncomparableValuesError(f"{text!r} is not a level of the declared order")
-    return ("rank", levels.index(text), levels)
+    return rank
 
 
-def evaluate(
-    node: Node,
-    assignment: Mapping[str, object],
-    orders: Mapping[str, Sequence[str]] | None = None,
-) -> bool:
-    """Evaluate against a parameter assignment.
+def _fast_chain(specs, fns, resolve):
+    """resolve, behind a fast path for one name between constants of its
+    domain: a float-valued name against numbers, or a declared ordinal's
+    level against unbound level literals of its order. The fast path
+    reads that name's key, and resolve decides whenever it cannot."""
+    named = [i for i, (ident, order, static) in enumerate(specs)
+             if ident is not None and (order is not None or static is None)]
+    if len(named) != 1:
+        return resolve
+    at = named[0]
+    ident, order, _ = specs[at]
+    domain = _NUM if order is None else order
+    keys = [static[1] if i != at else None for i, (_, _, static) in enumerate(specs)]
+    if any(static[0] is not domain for i, (_, _, static) in enumerate(specs) if i != at):
+        return resolve
+    if order is None:
+        def get(assignment):
+            value = assignment.get(ident, _ABSENT)
+            return value if type(value) is float else _SLOW
+    else:
+        literals = tuple(name for name, _, _ in specs if name is not None and name != ident)
 
-    orders maps ordinal parameter names to their level list, lowest
-    first. Raises MissingParameterError / IncomparableValuesError.
-    """
-    if isinstance(node, Comparison):
-        resolved = _resolve_chain(node, assignment, orders)
-        return all(
-            _compare(op, resolved[i], resolved[i + 1]) for i, op in enumerate(node.ops)
-        )
-    if isinstance(node, Not):
-        return not evaluate(node.item, assignment, orders)
-    if isinstance(node, And):
-        return all(evaluate(item, assignment, orders) for item in node.items)
-    return any(evaluate(item, assignment, orders) for item in node.items)
+        def get(assignment):
+            for literal in literals:  # a bound name is a parameter, not a level
+                if literal in assignment:
+                    return _SLOW
+            try:
+                return order.get(assignment.get(ident, _ABSENT), _SLOW)
+            except TypeError:
+                return _SLOW
+
+    if len(specs) == 2:
+        f0, key = fns[0], keys[1 - at]
+
+        def run(assignment):
+            x = get(assignment)
+            if x is _SLOW:
+                return resolve(assignment)
+            return f0(x, key) if at == 0 else f0(key, x)
+        return run
+    if len(specs) == 3 and at == 1:
+        (f0, f1), (k0, _, k2) = fns, keys
+
+        def run(assignment):
+            x = get(assignment)
+            if x is _SLOW:
+                return resolve(assignment)
+            return f0(k0, x) and f1(x, k2)
+        return run
+    return resolve

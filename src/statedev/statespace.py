@@ -82,6 +82,23 @@ class ParameterDecl:
 Parameters = Mapping[str, ParameterDecl]
 
 
+class _KeepsCompiled:
+    """Keeps its last compiled form, keyed by the level orders of the names
+    it references; a model's orders stay the same from call to call."""
+
+    def _compile_once(self, orders, build):
+        orders = orders or {}
+        key = tuple([orders.get(name) for name in self.references])
+        last = self._last[0]
+        if last is None or last[0] != key:
+            last = self._last[0] = (key, build(orders))
+        return last[1]
+
+    def __getstate__(self):
+        # Closures do not pickle; a loaded copy compiles again.
+        return {**self.__dict__, "_last": [None]}
+
+
 def _orders(parameters: Parameters | None) -> dict[str, tuple[str, ...]]:
     if not parameters:
         return {}
@@ -91,22 +108,28 @@ def _orders(parameters: Parameters | None) -> dict[str, tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class Predicate:
-    """Named predicate; the expression is parsed once at construction."""
+class Predicate(_KeepsCompiled):
+    """Named predicate; the expression is parsed once at construction and
+    compiled once per set of level orders it reads."""
 
     name: str
     expression: str
     ast: pred.Node = field(init=False, repr=False, compare=False)
+    references: frozenset[str] = field(init=False, repr=False, compare=False)
+    _last: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ast", pred.parse(self.expression))
+        ast = pred.parse(self.expression)
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "references", pred.referenced_names(ast))
+        object.__setattr__(self, "_last", [None])
 
-    @property
-    def references(self) -> frozenset[str]:
-        return pred.referenced_names(self.ast)
+    def compiled(self, orders: Mapping[str, Sequence] | None = None):
+        """The expression compiled under these level orders."""
+        return self._compile_once(orders, lambda orders: pred.compile(self.ast, orders))
 
     def holds(self, assignment, orders=None) -> bool:
-        return pred.evaluate(self.ast, assignment, orders)
+        return self.compiled(orders)(assignment)
 
 
 @dataclass(frozen=True)
@@ -117,12 +140,14 @@ class State:
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_KeepsCompiled):
     """Ordered predicates paired one-to-one with ordered states."""
 
     id: str
     predicates: tuple[Predicate, ...]
     states: tuple[State, ...]
+    references: frozenset[str] = field(init=False, repr=False, compare=False)
+    _last: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "predicates", tuple(self.predicates))
@@ -140,22 +165,24 @@ class Scale:
                     f"scale {self.id!r}: state {state.id!r} at position "
                     f"{state.scale_position}, expected {i + 1}"
                 )
+        object.__setattr__(
+            self, "references", frozenset().union(*(p.references for p in self.predicates))
+        )
+        object.__setattr__(self, "_last", [None])
 
-    @property
-    def references(self) -> frozenset[str]:
-        out: set[str] = set()
-        for p in self.predicates:
-            out |= p.references
-        return frozenset(out)
+    def compiled(self, orders: Mapping[str, Sequence] | None = None) -> tuple:
+        """Each predicate compiled under these level orders, in scale order."""
+        return self._compile_once(orders, lambda orders: tuple(p.compiled(orders) for p in self.predicates))
 
 
 def _check_missing(references, assignment, orders) -> None:
-    level_pool: set[str] = set()
-    for levels in orders.values():
-        level_pool.update(levels)
-    missing = [n for n in references if n not in assignment and n not in level_pool]
-    if missing:
-        raise MissingParameterError(missing)
+    """Raise for the names that are neither bound nor a level of any order."""
+    unbound = [n for n in references if n not in assignment]
+    if unbound:
+        level_pool = frozenset().union(*orders.values())
+        missing = [n for n in unbound if n not in level_pool]
+        if missing:
+            raise MissingParameterError(missing)
 
 
 def evaluate_scale(
@@ -168,11 +195,12 @@ def evaluate_scale(
     Exactly one predicate is expected to hold. Zero matches raise
     NoMatchError; several raise MultipleMatchError.
     """
-    orders = _orders(parameters)
+    return _evaluate_scale(scale, assignment, _orders(parameters))
+
+
+def _evaluate_scale(scale: Scale, assignment, orders) -> State:
     _check_missing(scale.references, assignment, orders)
-    hits = [
-        i for i, p in enumerate(scale.predicates) if p.holds(assignment, orders)
-    ]
+    hits = [i for i, holds in enumerate(scale.compiled(orders)) if holds(assignment)]
     if not hits:
         raise NoMatchError(scale.id)
     if len(hits) > 1:
@@ -234,10 +262,11 @@ def classify_hierarchical(
 
     Scale errors propagate with the failing scale's id attached.
     """
+    orders = _orders(parameters)
     path: list[State] = []
     scale = classificator.root
     while True:
-        state = evaluate_scale(scale, assignment, parameters)
+        state = _evaluate_scale(scale, assignment, orders)
         path.append(state)
         child = classificator.refinements.get((scale.id, state.scale_position))
         if child is None:
@@ -281,6 +310,17 @@ def sample_assignments(
         }
 
 
+def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[str]:
+    """The names to sample: every declared parameter the predicates read,
+    and every other name not read as a level literal, which has no domain."""
+    declared = parameters or {}
+    names: set[str] = set()
+    for p in predicates:
+        names.update(name for name in p.references if name in declared)
+        names |= pred.required_names(p.ast, orders)
+    return sorted(names)
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     scale_id: str
@@ -300,13 +340,13 @@ def validate_scale_disjointness(
     """Sample the parameter space and report every point where two or
     more predicates hold at once. Statistical, not a proof."""
     orders = _orders(parameters)
+    tests = scale.compiled(orders)
+    names = _sampled_names(scale.predicates, parameters, orders)
     count = 0
     overlaps = []
-    for assignment in sample_assignments(spec, sorted(scale.references), parameters):
+    for assignment in sample_assignments(spec, names, parameters):
         count += 1
-        hits = [
-            i + 1 for i, p in enumerate(scale.predicates) if p.holds(assignment, orders)
-        ]
+        hits = [i + 1 for i, holds in enumerate(tests) if holds(assignment)]
         if len(hits) > 1:
             overlaps.append((assignment, tuple(hits)))
     return DisjointnessReport(scale_id=scale.id, samples=count, overlaps=tuple(overlaps))
@@ -335,12 +375,14 @@ def validate_classificator(
     violations = []
     for (sid, pos), child in sorted(classificator.refinements.items()):
         parent_pred = classificator.scale_by_id(sid).predicates[pos - 1]
-        names = sorted(child.references | parent_pred.references)
+        parent_holds = parent_pred.compiled(orders)
+        tests = child.compiled(orders)
+        names = _sampled_names((parent_pred, *child.predicates), parameters, orders)
         for assignment in sample_assignments(spec, names, parameters):
             total += 1
-            parent_ok = parent_pred.holds(assignment, orders)
-            for j, cp in enumerate(child.predicates):
-                if cp.holds(assignment, orders) and not parent_ok:
+            parent_ok = parent_holds(assignment)
+            for j, holds in enumerate(tests):
+                if holds(assignment) and not parent_ok:
                     violations.append((sid, pos, j + 1, assignment))
     return RefinementReport(
         classificator_id=classificator.id, samples=total, violations=tuple(violations)

@@ -7,16 +7,31 @@ dumb reference for `composition.check_consistency` on small instances.
 `replay_events` checks that a scenario run's event log replays from the
 scenario's initial configuration, and `reference_run` is the copy-per-step
 stepper that `scenario.run_scenario` must agree with event for event.
+`evaluate` is the tree-walking predicate evaluator that every compiled
+predicate must agree with, and `reference_classify_series` and
+`reference_parallel_profile` are the trend classifier and the profile that
+fold every series twice and search every cycle period directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from statedev.canonical import Arc, CanonicalDiagram
 from statedev.composition import PrescribedSequence, TimedDiagramSet, _sorted_arcs
-from statedev.errors import StatedevError
+from statedev.dynamics import (
+    DynamicsState,
+    EmptyOverlapError,
+    ParallelProfile,
+    ParameterSeries,
+    SeriesTooShortError,
+    TrendClass,
+    _direction,
+    estimate_state,
+)
+from statedev.errors import IncomparableValuesError, MissingParameterError, StatedevError
+from statedev.predicates import And, Comparison, Node, Not, Number, Text
 from statedev.scenario import (
     ArcRef,
     Backstep,
@@ -282,3 +297,217 @@ def reference_run(sc: Scenario) -> tuple[list[dict], tuple[Event, ...]]:
         configs.append(config)
         events.extend(new)
     return configs, tuple(events)
+
+
+# Resolved operand forms: ("num", float), ("text", str),
+# ("rank", index, levels) for values placed in a declared order.
+def _resolve_chain(comp: Comparison, assignment, orders):
+    orders = orders or {}
+    resolved: list = [None] * len(comp.operands)
+    chain_orders: list[tuple[str, ...]] = []
+    for idx, op in enumerate(comp.operands):
+        if isinstance(op, Number):
+            resolved[idx] = ("num", op.value)
+        elif isinstance(op, Text):
+            resolved[idx] = ("text", op.value)
+        elif op.ident in assignment:
+            value = assignment[op.ident]
+            levels = orders.get(op.ident)
+            if levels is not None:
+                levels = tuple(levels)
+                if value not in levels:
+                    raise IncomparableValuesError(
+                        f"value {value!r} is not a level of parameter {op.ident!r}"
+                    )
+                resolved[idx] = ("rank", levels.index(value), levels)
+                chain_orders.append(levels)
+            elif isinstance(value, str):
+                resolved[idx] = ("text", value)
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise IncomparableValuesError(
+                    f"parameter {op.ident!r} has non-comparable value {value!r}"
+                )
+            else:
+                resolved[idx] = ("num", float(value))
+        else:
+            levels = orders.get(op.ident)
+            if levels is not None:
+                chain_orders.append(tuple(levels))
+    missing = []
+    for idx, op in enumerate(comp.operands):
+        if resolved[idx] is not None:
+            continue
+        # Unbound name: try it as a level of an ordered parameter in this chain.
+        hit = None
+        for levels in chain_orders:
+            if op.ident in levels:
+                hit = ("rank", levels.index(op.ident), levels)
+                break
+        if hit is None:
+            missing.append(op.ident)
+        else:
+            resolved[idx] = hit
+    if missing:
+        raise MissingParameterError(missing)
+    return resolved
+
+
+_NUM_CMP = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    "=": lambda a, b: a == b,
+    ">=": lambda a, b: a >= b,
+    ">": lambda a, b: a > b,
+}
+
+
+def _compare(op: str, left, right) -> bool:
+    lk, rk = left[0], right[0]
+    if lk == "num" and rk == "num":
+        return _NUM_CMP[op](left[1], right[1])
+    if lk == "rank" and rk == "text":
+        right = _text_to_rank(right[1], left[2])
+        rk = "rank"
+    elif lk == "text" and rk == "rank":
+        left = _text_to_rank(left[1], right[2])
+        lk = "rank"
+    if lk == "rank" and rk == "rank":
+        if left[2] != right[2]:
+            raise IncomparableValuesError("values belong to different level orders")
+        return _NUM_CMP[op](left[1], right[1])
+    if lk == "text" and rk == "text":
+        if op == "=":
+            return left[1] == right[1]
+        raise IncomparableValuesError(
+            f"operator {op!r} needs a declared level order for string values"
+        )
+    raise IncomparableValuesError("cannot compare a number with a categorical value")
+
+
+def _text_to_rank(text: str, levels: tuple[str, ...]):
+    if text not in levels:
+        raise IncomparableValuesError(f"{text!r} is not a level of the declared order")
+    return ("rank", levels.index(text), levels)
+
+
+def evaluate(
+    node: Node,
+    assignment: Mapping[str, object],
+    orders: Mapping[str, Sequence[str]] | None = None,
+) -> bool:
+    """Evaluate against a parameter assignment.
+
+    orders maps ordinal parameter names to their level list, lowest
+    first. Raises MissingParameterError / IncomparableValuesError.
+    """
+    if isinstance(node, Comparison):
+        resolved = _resolve_chain(node, assignment, orders)
+        return all(
+            _compare(op, resolved[i], resolved[i + 1]) for i, op in enumerate(node.ops)
+        )
+    if isinstance(node, Not):
+        return not evaluate(node.item, assignment, orders)
+    if isinstance(node, And):
+        return all(evaluate(item, assignment, orders) for item in node.items)
+    return any(evaluate(item, assignment, orders) for item in node.items)
+
+
+def reference_fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, ...]:
+    """States after each observation, one estimate_state per step."""
+    if not values:
+        return ()
+    out = [DynamicsState.INITIAL]
+    for i in range(1, len(values)):
+        out.append(estimate_state(out[-1], values[i - 1], values[i], epsilon))
+    return tuple(out)
+
+
+def _within(a, b, epsilon: float) -> bool:
+    if epsilon == 0:
+        return a == b
+    return abs(a - b) <= epsilon
+
+
+def reference_cycle_period(values: Sequence, epsilon: float):
+    """The least p in [2, n//2] with every value epsilon-equal to its p-back
+    counterpart, tried one period at a time."""
+    n = len(values)
+    for p in range(2, n // 2 + 1):
+        if all(_within(values[t], values[t - p], epsilon) for t in range(p, n)):
+            return p
+    return None
+
+
+def reference_classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass:
+    """Trend classification with the forecast read off a second fold."""
+    values = series.values
+    n = len(values)
+    if n < 2:
+        raise SeriesTooShortError("classification needs at least 2 observations")
+    signs = [_direction(values[i], values[i + 1], epsilon) for i in range(n - 1)]
+
+    nonzero = [(i, s) for i, s in enumerate(signs) if s != 0]
+    if not nonzero:
+        monotone = "none"
+    elif all(s >= 0 for s in signs):
+        monotone = "increasing"
+    elif all(s <= 0 for s in signs):
+        monotone = "decreasing"
+    else:
+        monotone = "none"
+
+    criticals = []
+    for (_, prev_sign), (j, sign) in zip(nonzero, nonzero[1:]):
+        if sign != prev_sign:
+            criticals.append(j)
+
+    inflexions: list[int] = []
+    if n >= 3:
+        try:
+            second = [values[i + 2] - 2 * values[i + 1] + values[i] for i in range(n - 2)]
+        except TypeError:
+            second = None
+        if second is not None:
+            curve = []
+            for i, dd in enumerate(second):
+                if dd > epsilon:
+                    curve.append((i, 1))
+                elif dd < -epsilon:
+                    curve.append((i, -1))
+            for (_, prev_sign), (j, sign) in zip(curve, curve[1:]):
+                if sign != prev_sign:
+                    inflexions.append(j + 1)
+
+    cyclic_period = None
+    if nonzero and n >= 3:
+        cyclic_period = reference_cycle_period(values, epsilon)
+
+    return TrendClass(
+        monotone=monotone,
+        critical_points=tuple(criticals),
+        inflexions=tuple(inflexions),
+        bounds=(min(values), max(values)),
+        cyclic_period=cyclic_period,
+        forecast=reference_fold_states(values, epsilon)[-1].kind,
+    )
+
+
+def reference_parallel_profile(
+    series_set: Sequence[ParameterSeries], interval: tuple[int, int], epsilon: float = 0.0
+) -> ParallelProfile:
+    """The parallel profile, one reference fold per series."""
+    a, b = int(interval[0]), int(interval[1])
+    if a > b:
+        raise ValueError("interval start exceeds its end")
+    names = [s.parameter for s in series_set]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate parameter in series set")
+    rows: dict[str, tuple[DynamicsState, ...]] = {}
+    for series in series_set:
+        if not any(a <= t <= b for t in series.ticks):
+            raise EmptyOverlapError(series.parameter)
+        by_tick = dict(zip(series.ticks, reference_fold_states(series.values, epsilon)))
+        rows[series.parameter] = tuple(
+            by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
+        )
+    return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows)

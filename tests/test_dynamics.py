@@ -1,5 +1,8 @@
 """Per-tick estimation, trend classification, and parallel profiles."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from statedev.dynamics import (
     parallel_profile,
 )
 from statedev.errors import IncomparableValuesError
+from tests.oracles import reference_classify_series, reference_parallel_profile
 
 
 def series(*values, start=0):
@@ -171,3 +175,74 @@ def test_ordinal_series_classifies_through_level_order():
         "phase", (0, 1, 2), ("Seed", "Sprout", "Plant"), ("Seed", "Sprout", "Plant")
     )
     assert classify_series(s).monotone == "increasing"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return (type(exc), str(exc))
+
+
+def _random_values(rng, n):
+    alphabet = rng.sample(range(-3, 4), rng.randint(1, 4))
+    return tuple(float(rng.choice(alphabet)) for _ in range(n))
+
+
+def _random_series(rng, name):
+    n = rng.randint(1, 40)
+    start = rng.randint(0, 6)
+    ticks = sorted(rng.sample(range(start, start + 2 * n + 2), n))
+    if rng.random() < 0.3:
+        order = ("Seed", "Sprout", "Plant", "Tree")
+        return ParameterSeries.from_ordinal(name, ticks, [rng.choice(order) for _ in range(n)], order)
+    return ParameterSeries(name, tuple(ticks), _random_values(rng, n))
+
+
+def test_classify_and_profile_equal_the_two_fold_reference():
+    # Errors first: a negative epsilon, values that do not compare or subtract.
+    for values, epsilon in [((1.0, 2.0), -1.0), ((1.0,), -1.0), ((1.0, "a", 2.0), 0.0),
+                            ((1.0, "a"), 0.5), (("a", "b", "a", "b"), 0.0)]:
+        s = ParameterSeries("p", tuple(range(len(values))), values)
+        assert _outcome(classify_series, s, epsilon) == _outcome(reference_classify_series, s, epsilon)
+        got = _outcome(parallel_profile, [s], (0, 3), epsilon)
+        assert got == _outcome(reference_parallel_profile, [s], (0, 3), epsilon)
+    rng = random.Random(30)
+    for _ in range(1500):
+        epsilon = rng.choice((0.0, 0.0, 0.5, 1.0, 2.5))
+        series_set = [_random_series(rng, name) for name in ("a", "b", "c")[:rng.randint(1, 3)]]
+        for s in series_set:
+            assert _outcome(classify_series, s, epsilon) == _outcome(reference_classify_series, s, epsilon)
+        a = rng.randint(0, 20)
+        interval = (a, a + rng.randint(0, 60))
+        got = _outcome(parallel_profile, series_set, interval, epsilon)
+        assert got == _outcome(reference_parallel_profile, series_set, interval, epsilon)
+
+
+def test_cycle_search_equals_the_direct_search():
+    rng = random.Random(31)
+    periods = set()
+    for _ in range(3000):
+        p, n = rng.randint(1, 9), rng.randint(3, 60)
+        pattern = _random_values(rng, p)
+        values = [pattern[t % p] for t in range(n)]
+        if rng.random() < 0.5:  # one outlier breaks the period
+            values[rng.randrange(n)] += rng.choice((1.0, -1.0, 0.25))
+        s = ParameterSeries("p", tuple(range(n)), tuple(values))
+        epsilon = rng.choice((0.0, 0.0, 0.0, 0.5))
+        got = classify_series(s, epsilon)
+        assert got == reference_classify_series(s, epsilon), (values, epsilon)
+        periods.add(got.cyclic_period)
+    assert None in periods and len(periods) > 8
+
+
+def test_cycle_search_is_linear_for_exact_equality():
+    # A 0/1 alternation ending in one outlier has no period: the direct
+    # search tries all n/2 candidates, each until the outlier.
+    n = 8000
+    values = tuple(float(t % 2) for t in range(n - 1)) + (5.0,)
+    series = ParameterSeries("p", tuple(range(n)), values)
+    start = time.perf_counter()
+    trend = classify_series(series)
+    assert time.perf_counter() - start < 0.25
+    assert trend.cyclic_period is None

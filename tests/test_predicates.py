@@ -1,15 +1,18 @@
 """Expression grammar: parsing, evaluation, name resolution, and errors."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from statedev.errors import ExpressionError, MissingParameterError
-from statedev.predicates import MAX_DEPTH, evaluate, parse, referenced_names
+from statedev.errors import ExpressionError, IncomparableValuesError, MissingParameterError
+from statedev.predicates import MAX_DEPTH, compile, parse, referenced_names
+from tests.oracles import evaluate
 
 
 def holds(text, assignment, orders=None):
-    return evaluate(parse(text), assignment, orders)
+    return compile(parse(text), orders)(assignment)
 
 
 def test_chained_comparison():
@@ -65,7 +68,7 @@ def test_nesting_is_limited(wrap):
         ok = wrap(ok)
     node = parse(ok)
     assert referenced_names(node) == {"x"}
-    assert evaluate(node, {"x": 0})  # an even number of negations
+    assert compile(node)({"x": 0})  # an even number of negations
     deep = "x < 1"
     for _ in range(MAX_DEPTH + 1):
         deep = wrap(deep)
@@ -74,9 +77,9 @@ def test_nesting_is_limited(wrap):
 
 
 def test_parse_is_reusable():
-    node = parse("0 <= x < 10")
-    assert evaluate(node, {"x": 5})
-    assert not evaluate(node, {"x": 50})
+    holds_for = compile(parse("0 <= x < 10"))
+    assert holds_for({"x": 5})
+    assert not holds_for({"x": 50})
 
 
 @given(st.integers(-50, 50))
@@ -88,3 +91,88 @@ def test_interval_predicate_matches_python_semantics(x):
 def test_conjunction_matches_python_semantics(x, y):
     got = holds("x < y and not (x = y)", {"x": x, "y": y})
     assert got == (x < y)
+
+
+# Differential check of the compiled closures against the tree-walking
+# oracle: the same bool, or the same exception type and message.
+
+_ORDERS = {
+    "phase": ("Seed", "Sprout", "Plant"),
+    "twin": ("Seed", "Sprout", "Plant"),  # equal levels: one order
+    "stage": ("L0", "L1", "Seed"),  # shares the level name Seed
+}
+_NAMES = ("x", "y", "phase", "twin", "stage", "z", "Seed", "Sprout", "Plant", "L1", "L2")
+_VALUES = (0.0, 2.5, -1.0, 3, 7, True, None, "Seed", "Plant", "L1", "mud", "a", (1,))
+
+
+def _random_operand(rng):
+    pick = rng.random()
+    if pick < 0.25:
+        return repr(rng.choice((0, 1, 2.5, -3, 10)))
+    if pick < 0.35:
+        return repr(rng.choice(("Seed", "Plant", "L0", "a", "b")))
+    return rng.choice(_NAMES)
+
+
+def _random_expression(rng, depth=0):
+    pick = rng.random()
+    if depth >= 3 or pick < 0.5:
+        operands = [_random_operand(rng) for _ in range(rng.choice((2, 2, 3)))]
+        text = operands[0]
+        for operand in operands[1:]:
+            text += f" {rng.choice(('<', '<=', '=', '>=', '>'))} {operand}"
+        return text
+    if pick < 0.65:
+        return f"not ({_random_expression(rng, depth + 1)})"
+    joiner = " and " if pick < 0.85 else " or "
+    return joiner.join(f"({_random_expression(rng, depth + 1)})" for _ in range(rng.choice((2, 3))))
+
+
+def _random_assignment(rng):
+    names = rng.sample(_NAMES, rng.randrange(len(_NAMES) + 1))
+    return {name: rng.choice(_VALUES + _ORDERS.get(name, ())) for name in names}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return (type(exc), str(exc))
+
+
+def test_compiled_predicates_equal_the_tree_walking_oracle():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(3000):
+        text = _random_expression(rng)
+        node = parse(text)
+        orders = rng.choice((_ORDERS, {"phase": _ORDERS["phase"]}, None))
+        compiled = compile(node, orders)
+        for _ in range(6):
+            assignment = _random_assignment(rng)
+            want = _outcome(evaluate, node, assignment, orders)
+            assert _outcome(compiled, assignment) == want, (text, assignment, orders)
+            seen.add(want if isinstance(want, bool) else want[0])
+    # Every outcome occurs: both bools and each error type.
+    assert seen == {True, False, MissingParameterError, IncomparableValuesError}
+
+
+def test_compiled_fast_paths_fall_back_on_unusual_values():
+    orders = {"phase": ("Seed", "Sprout", "Plant")}
+    interval = compile(parse("0 <= x < 10"))
+    assert interval({"x": 5}) and not interval({"x": 10})  # ints take the full resolution
+    with pytest.raises(MissingParameterError):
+        interval({})
+    literal = compile(parse("phase <= Sprout"), orders)
+    assert literal({"phase": "Seed"}) and not literal({"phase": "Plant"})
+    # A bound name is a parameter, even when it is also a level.
+    with pytest.raises(IncomparableValuesError, match="cannot compare a number"):
+        literal({"phase": "Seed", "Sprout": 1.0})
+
+
+def test_a_level_literal_takes_the_first_order_of_its_chain():
+    # Seed is a level of both orders: here it is read in stage's, as rank 2.
+    orders = {"stage": ("L0", "L1", "Seed"), "phase": ("Seed", "Sprout", "Plant")}
+    node = parse("stage > Seed < phase")
+    assert compile(node, orders)({"stage": "L1", "phase": "Plant"}) is False
+    assert evaluate(node, {"stage": "L1", "phase": "Plant"}, orders) is False

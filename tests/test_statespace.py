@@ -131,13 +131,23 @@ def test_disjointness_requires_ranges():
     assert err.value.names == ("x",)
 
 
-@pytest.mark.xfail(strict=True, raises=MissingParameterRangeError,
-                   reason="the sampled names include the level literals Seed, Sprout and Plant")
 def test_disjointness_samples_an_ordinal_scale(basic_model):
     # phase3 compares the declared ordinal `phase` with bare level names.
     report = validate_scale_disjointness(basic_model.scales["phase3"], SampleSpec(samples=50), basic_model.parameters)
     assert report.passed
     assert report.samples == 50
+
+
+def test_only_declared_parameters_are_sampled():
+    # Seed is a literal where its chain holds phase, and a missing name
+    # where it does not; z is declared nowhere.
+    phase = {"phase": ParameterDecl("phase", "ordinal", levels=("Seed", "Sprout", "Plant"))}
+    literal = scale("lit", "phase = Seed", "phase > Seed")
+    assert validate_scale_disjointness(literal, SampleSpec(samples=20), phase).samples == 20
+    for exprs, missing in ((("phase = Seed", "Seed < 3"), ("Seed",)), (("phase = Seed", "z < 1"), ("z",))):
+        with pytest.raises(MissingParameterRangeError) as err:
+            validate_scale_disjointness(scale("s", *exprs), SampleSpec(samples=5), phase)
+        assert err.value.names == missing
 
 
 def test_sub_predicate_check_passes_on_true_refinement():
