@@ -516,8 +516,7 @@ def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seq", "tick", "kind", "subsystem", "symbol", "src", "dst", "cause", "effective"])
-        for seq, event in enumerate(tr.events):
-            writer.writerow([seq, event.tick, *scenario.event_row(event)])
+        writer.writerows((seq, event.tick, *scenario.event_row(event)) for seq, event in enumerate(tr.events))
 
 
 def _cmd_simulate(args) -> tuple[Report, int]:
@@ -542,7 +541,12 @@ def _cmd_simulate(args) -> tuple[Report, int]:
 
 def _cmd_analyze(args) -> tuple[Report, int]:
     sc, tr, scores = modelfile.load_trajectory_file(args.trajectory)
-    return _trajectory_report(scenario.analyze_trajectory(tr, sc, scores or None), args, args.trajectory), 0
+    try:
+        rep = scenario.analyze_trajectory(tr, sc, scores or None)
+    except scenario.EventLogError as exc:
+        # The log is read from the file, so a log that does not replay is an issue of the file.
+        raise modelfile.ModelFileError([modelfile.Issue("invalid-value", "trajectory.events", str(exc))]) from None
+    return _trajectory_report(rep, args, args.trajectory), 0
 
 
 def _text(value) -> str:

@@ -820,29 +820,43 @@ def serialize_model(model: ModelFile) -> str:
 
 # ---------------------------------------------------------------------------
 # Trajectory files: self-contained runs (scenario + event log) for later
-# analysis. The configurations after each tick are not stored; the loader
-# folds them from the initial states and the events.
+# analysis. The configurations after each tick are not stored;
+# `analyze_trajectory` folds them from the initial states and the events.
 
-# kind -> (event class, {field: type}): the JSON keys of an event are its
-# dataclass fields plus "kind".
-_EVENT_FIELDS = {kind: (cls, get_type_hints(cls)) for kind, cls in EVENT_KINDS.items()}
+class _EventCodec(NamedTuple):
+    fields: tuple[str, ...]  # the JSON keys besides "kind"
+    types: tuple[type, ...]  # the exact type of each value
+    values: Callable  # a JSON object holding every key -> its values in field order
+    make: Callable  # the values -> the event, whose kind is its class's own string
+
+
+# The JSON keys of an event are its fields, "kind" last.
+_EVENT_CODECS = {
+    kind: _EventCodec(cls._fields[:-1], tuple(get_type_hints(cls)[name] for name in cls._fields[:-1]),
+                      operator.itemgetter(*cls._fields[:-1]), cls)
+    for kind, cls in EVENT_KINDS.items()
+}
 
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
 
 
 def event_to_dict(event: Event) -> dict:
-    return {"kind": event.kind, **{name: getattr(event, name) for name in _EVENT_FIELDS[event.kind][1]}}
+    return event._asdict()
 
 
 def event_from_dict(data: Any) -> Event:
     kind = data.get("kind") if isinstance(data, dict) else None
-    if not _declared(kind, _EVENT_FIELDS):
+    if not _declared(kind, _EVENT_CODECS):
         raise ValueError(f"unknown event kind {kind!r}")
-    cls, types = _EVENT_FIELDS[kind]
-    for name, typ in types.items():
-        if type(data.get(name)) is not typ:
-            raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
-    return cls(**{name: data[name] for name in types})
+    fields, types, values_of, make = _EVENT_CODECS[kind]
+    try:
+        values = values_of(data)
+    except KeyError:  # a missing field reads as None, which no field takes
+        values = tuple(map(data.get, fields))
+    if tuple(map(type, values)) != types:
+        name, typ = next((name, typ) for name, typ, value in zip(fields, types, values) if type(value) is not typ)
+        raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
+    return make(*values)
 
 
 def _states_to_dict(config: Mapping[str, tuple[str, int]]) -> dict:
@@ -858,7 +872,7 @@ def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTab
         "trajectory": {
             "horizon": tr.horizon,
             "initial": _states_to_dict(tr.initial),
-            "events": [event_to_dict(e) for e in tr.events],
+            "events": list(map(event_to_dict, tr.events)),
         },
         "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
     }
@@ -891,7 +905,9 @@ def _check_stored_configs(tr: Trajectory, stored: Any, out: _Collector) -> None:
 
 def load_trajectory_text(text: str, source: str = "<string>"):
     """Returns (scenario, trajectory, score table or None). Reads versions
-    1 and 2, and collects every issue of a damaged file."""
+    1 and 2, and collects every issue of a damaged file's structure. A
+    version-1 file's stored configurations must equal the fold of its log;
+    a version-2 log is folded, and so checked, by `analyze_trajectory`."""
     data = _json_object(text, source)
     if data.get("kind") != "trajectory-file":
         raise ModelFileError([Issue("parse-error", source, "not a trajectory file")])
@@ -929,13 +945,11 @@ def load_trajectory_text(text: str, source: str = "<string>"):
         scores = _parse_score_table(scores, "scores", out)
     if not out.issues:
         tr = Trajectory(sid, horizon, states, tuple(events))
-        try:
-            if version == 1:
+        if version == 1:
+            try:
                 _check_stored_configs(tr, traw.get("configs"), out)
-            else:
-                tr.final_configuration()
-        except EventLogError as exc:
-            out.invalid("trajectory.events", str(exc))
+            except EventLogError as exc:
+                out.invalid("trajectory.events", str(exc))
     if out.issues:
         raise ModelFileError(out.issues)
     return scenarios[sid], tr, scores

@@ -12,7 +12,9 @@ are recounts of that log.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import StatedevError
@@ -192,6 +194,11 @@ class Scenario:
 
     def subsystems(self) -> tuple[str, ...]:
         return self.hierarchy.preorder()
+
+    @cached_property
+    def step_index(self) -> "StepIndex":
+        """Built on first use, which `run_scenario` makes after validation."""
+        return StepIndex(self)
 
 
 @dataclass(frozen=True)
@@ -381,38 +388,34 @@ def initial_configuration(sc: Scenario) -> dict[str, tuple[str, int]]:
     return {sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()}
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     tick: int
     subsystem: str
     symbol: str
     symbol_kind: str  # "individual" | "general"
     effective: bool
-    kind = "delivery"
+    kind: str = "delivery"
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(NamedTuple):
     tick: int
     subsystem: str
     src: str
     dst: str
     symbol: str
     cause: str  # "direct" | "downward-propagation" | "upward-propagation"
-    kind = "firing"
+    kind: str = "firing"
 
 
-@dataclass(frozen=True)
-class Backstep:
+class Backstep(NamedTuple):
     tick: int
     subsystem: str
     src: str
     dst: str
-    kind = "backstep"
+    kind: str = "backstep"
 
 
-@dataclass(frozen=True)
-class Skipped:
+class Skipped(NamedTuple):
     """Downward propagation found the child outside the arc's source state."""
 
     tick: int
@@ -421,42 +424,88 @@ class Skipped:
     dst: str
     symbol: str
     actual_state: str
-    kind = "skipped"
+    kind: str = "skipped"
 
 
+# Each event is a named tuple whose last field is its kind, so events of
+# two kinds never compare equal and a record's fields are its JSON keys.
 Event = Union[Delivery, Firing, Backstep, Skipped]
 
-EVENT_KINDS: Mapping[str, type] = {cls.kind: cls for cls in (Delivery, Firing, Backstep, Skipped)}
+EVENT_KINDS: Mapping[str, type] = {
+    cls._field_defaults["kind"]: cls for cls in (Delivery, Firing, Backstep, Skipped)
+}
 
 
 def event_row(event: Event) -> tuple[str, str, str, str, str, str, str]:
     """Flat record (kind, subsystem, symbol, src, dst, cause, effective)."""
-    if isinstance(event, Delivery):
+    kind = event.kind
+    if kind == "delivery":
         return ("delivery", event.subsystem, event.symbol, "", "", event.symbol_kind,
                 "true" if event.effective else "false")
-    if isinstance(event, Firing):
+    if kind == "firing":
         return ("firing", event.subsystem, event.symbol, event.src, event.dst,
                 event.cause, "true")
-    if isinstance(event, Backstep):
+    if kind == "backstep":
         return ("backstep", event.subsystem, "", event.src, event.dst, "timeout", "true")
     return ("skipped", event.subsystem, event.symbol, event.src, event.dst,
             "downward-propagation", "false")
+
+
+class StepIndex:
+    """What `step` and `due_deliveries` look up, built once per scenario:
+
+    - `fires`: (subsystem, state, symbol) -> the one arc of the symbol's
+      pool that leaves the state; a delivery with none or several is
+      ineffective, so it has no entry;
+    - `links`: (parent arc, child arcs, required count) in `parent_links`
+      order; `parents`: child arc -> the positions of the links listing it;
+      `unconditional`: positions of the links that need no fired child;
+    - `backsteps`: (subsystem, state) -> the target of the back arc with
+      the smallest order drop, the first declared among equals;
+    - `knowers`: symbol -> the subsystems whose alphabet holds it, in
+      preorder, and `position`: subsystem -> its place in preorder.
+    """
+
+    __slots__ = ("fires", "links", "parents", "unconditional", "backsteps", "knowers", "position")
+
+    def __init__(self, sc: Scenario):
+        ae = sc.after_effect
+        enabled: dict[tuple[str, str, str], list[ArcRef]] = {}
+        knowers: dict[str, list[str]] = {}
+        self.backsteps: dict[tuple[str, str], str] = {}
+        for sub in sc.subsystems():
+            d = sc.diagram_of(sub)
+            for arc in d.labeled_arcs:
+                ref = ArcRef(sub, *arc)
+                if ref in (ae.isolated if ref.symbol in ae.individual_symbols else ae.coupled):
+                    enabled.setdefault((sub, ref.src, ref.symbol), []).append(ref)
+            for symbol in d.alphabet:
+                knowers.setdefault(symbol, []).append(sub)
+            for here, _ in d.back_arcs:
+                if (sub, here) not in self.backsteps:
+                    drops = [(d.order(here) - d.order(dst), dst) for src, dst in d.back_arcs if src == here]
+                    self.backsteps[sub, here] = min(drops, key=lambda drop: drop[0])[1]
+        self.fires = {key: refs[0] for key, refs in enabled.items() if len(refs) == 1}
+        self.knowers = {symbol: tuple(subs) for symbol, subs in knowers.items()}
+        self.position = {sub: i for i, sub in enumerate(sc.subsystems())}
+        self.links = tuple((parent, link, ae.required_count(link)) for parent, link in ae.parent_links.items())
+        self.parents: dict[ArcRef, list[int]] = {}
+        for pos, (_, link, _) in enumerate(self.links):
+            for child in link:
+                self.parents.setdefault(child, []).append(pos)
+        self.unconditional = frozenset(pos for pos, (_, _, need) in enumerate(self.links) if need <= 0)
 
 
 def due_deliveries(sc: Scenario) -> dict[int, list[tuple[str, str]]]:
     """The whole schedule, tick -> expanded (target, symbol) list:
     broadcasts fan out to every subsystem knowing the symbol; each tick's
     order is hierarchy preorder of the target, then declaration order."""
-    pre = {sub: i for i, sub in enumerate(sc.subsystems())}
+    index = sc.step_index
     due: dict[int, list[tuple[int, int, str, str]]] = {}
     for idx, entry in enumerate(sc.time_diagram):
-        if entry.target is not None:
-            targets: Sequence[str] = (entry.target,)
-        else:
-            targets = [sub for sub in sc.subsystems()
-                       if entry.symbol in sc.diagram_of(sub).alphabet]
+        targets = (entry.target,) if entry.target is not None else index.knowers.get(entry.symbol, ())
         for sub in targets:
-            due.setdefault(entry.tick, []).append((pre[sub], idx, sub, entry.symbol))
+            due.setdefault(entry.tick, []).append((index.position[sub], idx, sub, entry.symbol))
     return {tick: [(sub, sym) for _, _, sub, sym in sorted(items)] for tick, items in due.items()}
 
 
@@ -469,6 +518,7 @@ def step(
     """One tick in place on the configuration `states`: deliver symbols,
     propagate upward, then backstep. Returns the tick's events."""
     ae = sc.after_effect
+    index = sc.step_index
     events: list[Event] = []
     fired: set[ArcRef] = set()
 
@@ -490,50 +540,48 @@ def step(
 
     # Phase 1: deliveries in the given order.
     for target, symbol in deliveries:
-        d = sc.diagram_of(target)
-        here = states[target][0]
-        pool = ae.isolated if symbol in ae.individual_symbols else ae.coupled
         kind = "individual" if symbol in ae.individual_symbols else "general"
-        enabled = [
-            ArcRef(target, src, dst, sym)
-            for src, dst, sym in d.labeled_arcs
-            if sym == symbol and src == here and ArcRef(target, src, dst, sym) in pool
-        ]
-        if len(enabled) != 1:
-            events.append(Delivery(tick, target, symbol, kind, False))
-            continue
-        events.append(Delivery(tick, target, symbol, kind, True))
-        fire(enabled[0], "direct")
-        if kind == "general":
-            cascade_down(enabled[0])
+        ref = index.fires.get((target, states[target][0], symbol))
+        events.append(Delivery(tick, target, symbol, kind, ref is not None))
+        if ref is not None:
+            fire(ref, "direct")
+            if kind == "general":
+                cascade_down(ref)
 
-    # Phase 2: upward propagation to fixpoint.
-    changed = True
-    while changed:
+    # Phase 2: upward propagation to fixpoint, in passes over the links in
+    # `parent_links` order. Only a link with a fired child (or one that
+    # needs none) can fire, so a pass visits just those: a link whose child
+    # fires later in the pass joins it, an earlier one waits for the next.
+    waiting = index.unconditional.union(*(index.parents.get(ref, ()) for ref in fired))
+    while waiting:
+        queue = sorted(waiting)
+        waiting = set()
         changed = False
-        for parent_ref, link in ae.parent_links.items():
+        while queue:
+            pos = heapq.heappop(queue)
+            parent_ref, link, need = index.links[pos]
             if parent_ref in fired:
                 continue
-            done = sum(1 for child in link if child in fired)
-            if done < ae.required_count(link):
-                continue
-            if states[parent_ref.subsystem][0] != parent_ref.src:
+            if sum(child in fired for child in link) < need or states[parent_ref.subsystem][0] != parent_ref.src:
+                waiting.add(pos)
                 continue
             fire(parent_ref, "upward-propagation")
             changed = True
+            for later in index.parents.get(parent_ref, ()):
+                if later <= pos:
+                    waiting.add(later)
+                elif later not in queue:
+                    heapq.heappush(queue, later)
+        if not changed:
+            break
 
     # Phase 3: backstep on prolonged silence.
-    for sub in sc.subsystems():
-        if tick - states[sub][1] < sc.backstep_timeout:
-            continue
-        d = sc.diagram_of(sub)
-        here = states[sub][0]
-        options = [(src, dst) for src, dst in d.back_arcs if src == here]
-        if not options:
-            continue
-        src, dst = min(options, key=lambda arc: d.order(arc[0]) - d.order(arc[1]))
-        states[sub] = (dst, tick)
-        events.append(Backstep(tick, sub, src, dst))
+    for sub in index.position:
+        here, entered = states[sub]
+        if tick - entered >= sc.backstep_timeout and (sub, here) in index.backsteps:
+            dst = index.backsteps[sub, here]
+            states[sub] = (dst, tick)
+            events.append(Backstep(tick, sub, here, dst))
 
     return events
 
@@ -547,30 +595,38 @@ class Trajectory:
     initial: Mapping[str, tuple[str, int]]
     events: tuple[Event, ...]
 
-    def configurations(self) -> Iterator[dict[str, tuple[str, int]]]:
-        """The configuration after each tick 0..horizon-1: the logged
-        firings and backsteps folded over the initial configuration."""
-        states = dict(self.initial)
+    def fold(self, states: dict[str, tuple[str, int]]) -> Iterator[tuple[Event, ...]]:
+        """Fold the logged firings and backsteps into `states` in place; after
+        each tick 0..horizon-1, yield that tick's events. Raises
+        EventLogError at an event that leaves a state its subsystem is not
+        in, or that is out of tick order or past the horizon."""
         events = self.events
         i = 0
         for t in range(self.horizon):
+            start = i
             while i < len(events) and events[i].tick == t:
                 event = events[i]
-                if isinstance(event, (Firing, Backstep)):
+                if event.kind in ("firing", "backstep"):
                     if states.get(event.subsystem, (None,))[0] != event.src:
                         raise EventLogError(f"event {i} leaves {event.src!r}, where "
                                             f"{event.subsystem!r} is not at tick {t}")
                     states[event.subsystem] = (event.dst, t)
                 i += 1
-            yield dict(states)
+            yield events[start:i]
         if i < len(events):
             raise EventLogError(f"event {i} is out of tick order or past the horizon")
 
+    def configurations(self) -> Iterator[dict[str, tuple[str, int]]]:
+        """The configuration after each tick 0..horizon-1."""
+        states = dict(self.initial)
+        for _ in self.fold(states):
+            yield dict(states)
+
     def final_configuration(self) -> Mapping[str, tuple[str, int]]:
-        config = self.initial
-        for config in self.configurations():
+        states = dict(self.initial)
+        for _ in self.fold(states):
             pass
-        return config
+        return states
 
 
 def run_scenario(sc: Scenario, horizon: Union[int, None] = None) -> Trajectory:
@@ -625,54 +681,64 @@ class ScenarioReport:
 def analyze_trajectory(
     tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None
 ) -> ScenarioReport:
-    """Recount the event log into the scenario quality figures."""
-    if tr.scenario_id != sc.id:
-        raise TrajectoryScenarioMismatchError(
-            f"trajectory belongs to {tr.scenario_id!r}, not {sc.id!r}"
-        )
+    """Recount the event log into the scenario quality figures, in one fold
+    that also replays the log. A log that does not replay raises
+    EventLogError, and is named before a trajectory that does not fit the
+    scenario or a score table that lacks a state."""
     subs = sc.subsystems()
-    if set(tr.initial) != set(subs):
-        raise TrajectoryScenarioMismatchError("trajectory subsystems differ from the scenario's")
-    if scores is not None:
-        for sub in subs:
-            for state in sc.diagram_of(sub).states:
-                if state not in scores.get(sub, ()):
-                    raise MissingScoreError(f"no score for state {state!r} of {sub!r}")
+    unfit: Union[StatedevError, None] = None
+    if tr.scenario_id != sc.id:
+        unfit = TrajectoryScenarioMismatchError(f"trajectory belongs to {tr.scenario_id!r}, not {sc.id!r}")
+    elif set(tr.initial) != set(subs):
+        unfit = TrajectoryScenarioMismatchError("trajectory subsystems differ from the scenario's")
+    elif scores is not None:
+        unfit = next((MissingScoreError(f"no score for state {state!r} of {sub!r}")
+                      for sub in subs for state in sc.diagram_of(sub).states
+                      if state not in scores.get(sub, ())), None)
+    if unfit is not None:
+        tr.final_configuration()
+        raise unfit
 
-    # One fold gives the final configuration and the efficiency series:
-    # w(t) per subsystem (score of the state held after tick t) and the
-    # per-tick sum across subsystems in sorted order.
+    # One fold gives the final configuration, the counts and the efficiency
+    # series: w(t) per subsystem (score of the state held after tick t) and
+    # the per-tick sum across subsystems in sorted order. `row` holds the
+    # current scores and changes only where a subsystem moves; a logged
+    # state outside the score table is reported once the whole log replays.
     scored = tuple(sorted(subs))
-    rows: list[list[float]] = []
-    final = tr.initial
-    for final in tr.configurations():
-        if scores is not None:
-            try:
-                rows.append([scores[sub][final[sub][0]] for sub in scored])
-            except KeyError:  # a logged state outside the diagram
-                sub = next(sub for sub in scored if final[sub][0] not in scores[sub])
-                raise MissingScoreError(f"no score for state {final[sub][0]!r} of {sub!r}") from None
-    non_final = tuple(
-        sub for sub in subs if final[sub][0] != sc.diagram_of(sub).final
-    )
-
+    column = {sub: i for i, sub in enumerate(scored)}
+    states = dict(tr.initial)
+    row = None if scores is None else [scores[sub].get(states[sub][0]) for sub in scored]
+    rows: list[tuple[float, ...]] = []
+    unscored: Union[MissingScoreError, None] = None
     delivered: dict[str, dict[str, list[int]]] = {}
     backsteps: dict[str, int] = {sub: 0 for sub in subs}
     coupled: dict[str, int] = {sub: 0 for sub in subs}
     propagated: dict[str, int] = {sub: 0 for sub in subs}
-    for event in tr.events:
-        if isinstance(event, Delivery):
-            delivered.setdefault(event.subsystem, {}).setdefault(
-                event.symbol_kind, []
-            ).append(event.tick)
-        elif isinstance(event, Backstep):
-            backsteps[event.subsystem] += 1
-        elif isinstance(event, Firing):
-            ref = ArcRef(event.subsystem, event.src, event.dst, event.symbol)
-            if ref in sc.after_effect.coupled:
-                coupled[event.subsystem] += 1
-            if event.cause != "direct":
-                propagated[event.subsystem] += 1
+    coupled_arcs = sc.after_effect.coupled
+    for tick_events in tr.fold(states):
+        for event in tick_events:
+            kind = event.kind
+            if kind == "delivery":
+                delivered.setdefault(event.subsystem, {}).setdefault(event.symbol_kind, []).append(event.tick)
+                continue
+            if kind == "skipped":
+                continue
+            if kind == "backstep":
+                backsteps[event.subsystem] += 1
+            else:
+                coupled[event.subsystem] += event[1:5] in coupled_arcs  # (subsystem, src, dst, symbol)
+                propagated[event.subsystem] += event.cause != "direct"
+            if row is not None:
+                row[column[event.subsystem]] = scores[event.subsystem].get(event.dst)
+        if row is not None and unscored is None:
+            if None in row:
+                sub = scored[row.index(None)]
+                unscored = MissingScoreError(f"no score for state {states[sub][0]!r} of {sub!r}")
+            else:
+                rows.append(tuple(row))
+    if unscored is not None:
+        raise unscored
+    non_final = tuple(sub for sub in subs if states[sub][0] != sc.diagram_of(sub).final)
 
     incidents = []
     for sub in subs:
@@ -682,9 +748,9 @@ def analyze_trajectory(
             incidents.append((sub, tuple(ticks)))
 
     efficiency = None
-    if scores is not None:
-        per = {sub: tuple(row[i] for row in rows) for i, sub in enumerate(scored)}
-        efficiency = EfficiencySeries(per, tuple(sum(row) for row in rows))
+    if row is not None:
+        per = dict(zip(scored, zip(*rows))) if rows else {sub: () for sub in scored}
+        efficiency = EfficiencySeries(per, tuple(map(sum, rows)))
 
     back_total = sum(backsteps.values())
     coupled_total = sum(coupled.values())

@@ -616,6 +616,45 @@ def test_analyze_reports_a_logged_state_without_a_score(tmp_path, capsys):
     assert _failure(capsys, "analyze", str(traj)) == ["no score for state 'L9' of 'left'"]
 
 
+def _events(data):
+    return data["trajectory"]["events"]
+
+
+def _unreplayable(data):
+    _events(data)[1]["src"] = "T2"  # top's first firing leaves a state top is not in
+
+
+# A file with several faults names the first one the reader meets: the event
+# log, which replays over the whole horizon before the trajectory is fitted
+# to its scenario and its score table.
+@pytest.mark.parametrize("mutate, violations", [
+    pytest.param(lambda d: (_unreplayable(d), d["trajectory"]["initial"].update(extra=["X0", 0])),
+                 ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"],
+                 id="unreplayable-and-other-subsystems"),
+    pytest.param(lambda d: (_unreplayable(d), d["scores"]["left"].pop("L3")),
+                 ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"],
+                 id="unreplayable-and-scores-lack-a-state"),
+    pytest.param(lambda d: _events(d)[8].update(dst="T9"), ["no score for state 'T9' of 'top'"],
+                 id="logged-state-without-score"),
+    pytest.param(lambda d: _events(d)[2].update(dst="L9"),
+                 ["trajectory.events: event 5 leaves 'L1', where 'left' is not at tick 1"],
+                 id="unscored-state-then-unreplayable"),
+    pytest.param(lambda d: d["trajectory"].update(horizon=1),
+                 ["trajectory.events: event 4 is out of tick order or past the horizon"],
+                 id="event-past-horizon"),
+    pytest.param(lambda d: (_events(d)[2].update(dst="L9"), d["trajectory"].update(horizon=1)),
+                 ["trajectory.events: event 4 is out of tick order or past the horizon"],
+                 id="unscored-state-then-past-horizon"),
+])
+def test_analyze_names_the_first_fault_of_a_damaged_file(tmp_path, capsys, mutate, violations):
+    traj = tmp_path / "t.json"
+    run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--scores", "default", "--out", str(traj))
+    data = json.loads(traj.read_text())
+    mutate(data)
+    traj.write_text(json.dumps(data))
+    assert _failure(capsys, "analyze", str(traj)) == violations
+
+
 def test_profile_epsilon_must_be_finite(capsys):
     code, out, err = run(capsys, "profile", BASIC_S, "--series", str(X_SERIES), "--interval", "0:4", "--epsilon", "nan")
     assert (code, out) == (2, "")

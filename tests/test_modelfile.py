@@ -6,6 +6,8 @@ import pytest
 
 from statedev.modelfile import (
     ModelFileError,
+    event_from_dict,
+    event_to_dict,
     load_trajectory_text,
     model_to_dict,
     parse_model,
@@ -13,7 +15,7 @@ from statedev.modelfile import (
     serialize_model,
     serialize_trajectory,
 )
-from statedev.scenario import run_scenario, validate_scenario
+from statedev.scenario import Backstep, Delivery, Firing, Skipped, run_scenario, validate_scenario
 from tests.conftest import BASIC, TWO_LEVEL
 
 
@@ -187,3 +189,43 @@ def test_trajectory_file_round_trip(two_level_model):
     assert list(tr2.configurations()) == list(tr.configurations())
     assert sc2.id == sc.id
     assert scores2 == {k: dict(v) for k, v in scores.items()}
+
+
+EVENTS = (
+    Delivery(3, "left", "left_go", "general", True),
+    Firing(3, "left", "L0", "L1", "left_go", "direct"),
+    Backstep(4, "left", "L1", "L0"),
+    Skipped(5, "right", "R0", "R1", "right_go", "R2"),
+)
+
+
+def test_each_event_kind_round_trips():
+    for event in EVENTS:
+        data = event_to_dict(event)
+        assert data["kind"] == event.kind
+        assert json.loads(json.dumps(data)) == data
+        back = event_from_dict(json.loads(json.dumps(data)))
+        assert back == event and type(back) is type(event)
+        # the kind is the class's own string, not one decoded per event
+        assert back.kind is type(event)._field_defaults["kind"]
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"kind": "firing", "subsystem": "left", "src": "L0", "dst": "L1", "symbol": "left_go",
+                  "cause": "direct"}, "firing event needs an integer 'tick'", id="missing-field"),
+    pytest.param({**event_to_dict(EVENTS[0]), "effective": "yes"}, "delivery event needs a boolean 'effective'",
+                 id="wrong-type"),
+    pytest.param({**event_to_dict(EVENTS[3]), "actual_state": 2}, "skipped event needs a string 'actual_state'",
+                 id="wrong-type-last-field"),
+    pytest.param({**event_to_dict(EVENTS[2]), "tick": True}, "backstep event needs an integer 'tick'",
+                 id="bool-for-int"),
+    pytest.param({**event_to_dict(EVENTS[1]), "tick": 1.0, "src": None}, "firing event needs an integer 'tick'",
+                 id="first-bad-field-named"),
+    pytest.param({**event_to_dict(EVENTS[1]), "kind": "teleport"}, "unknown event kind 'teleport'", id="unknown-kind"),
+    pytest.param({**event_to_dict(EVENTS[1]), "kind": ["firing"]}, "unknown event kind ['firing']", id="list-kind"),
+    pytest.param(["firing"], "unknown event kind None", id="not-an-object"),
+])
+def test_event_from_dict_names_the_first_bad_field(data, message):
+    with pytest.raises(ValueError) as err:
+        event_from_dict(data)
+    assert str(err.value) == message

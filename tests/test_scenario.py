@@ -29,7 +29,7 @@ from statedev.scenario import (
     step,
     validate_scenario,
 )
-from tests.oracles import reference_run, replay_events
+from tests.oracles import reference_due, reference_run, reference_step, replay_events
 
 D_TOP = HypothesisDiagram(
     id="D_top",
@@ -100,6 +100,15 @@ def scenario(time_diagram, timeout=3, horizon=3, scheme=SCHEME, sid="s"):
 
 def firings(tr):
     return [(e.tick, e.subsystem, e.cause) for e in tr.events if isinstance(e, Firing)]
+
+
+def test_events_of_two_kinds_with_equal_fields_differ():
+    fields = (2, "left", "L0", "L1", "left_go", "direct")
+    firing, skipped = Firing(*fields), Skipped(*fields)
+    assert firing != skipped
+    assert firing[:6] == skipped[:6]
+    assert len({firing, skipped}) == 2
+    assert (firing.kind, skipped.kind) == ("firing", "skipped")
 
 
 def test_hypothesis_diagram_derives_alphabet():
@@ -563,6 +572,72 @@ def test_folded_configurations_equal_the_stepped_ones(two_level_model):
             ("firing", "upward-propagation"), ("backstep", ""), ("skipped", "")} <= seen
 
 
+def scheme_variant(sc: Scenario, threshold, rng: random.Random) -> Scenario:
+    """sc at the given upward threshold, with some coupled arcs that had no
+    parent link given an empty one, which under "all" needs no fired child."""
+    ae = sc.after_effect
+    links = dict(ae.parent_links)
+    for ref in sorted(ae.coupled - links.keys()):
+        if rng.random() < 0.15:
+            links[ref] = ()
+    return dataclasses.replace(sc, after_effect=dataclasses.replace(
+        ae, parent_links=links, upward_threshold=threshold))
+
+
+def test_indexed_step_equals_the_reference_step():
+    # From random configurations, reachable or not, with the scheduled and
+    # with random deliveries, at both upward thresholds.
+    symbols = ("a", "b", "c", "d", "e", "z")
+    seen = set()
+    for seed in range(600):
+        rng = random.Random(f"step-{seed}")
+        base = random_scenario(seed)
+        for threshold in ("all", 1):
+            sc = scheme_variant(base, threshold, rng)
+            assert validate_scenario(sc).passed
+            due = due_deliveries(sc)
+            assert sorted(due) == sorted({entry.tick for entry in sc.time_diagram})
+            for tick in range(sc.horizon + 2):
+                assert due.get(tick, []) == reference_due(sc, tick)
+            order = {ref: pos for pos, ref in enumerate(sc.after_effect.parent_links)}
+            for _ in range(10):
+                tick = rng.randrange(sc.horizon + 5)
+                config = {sub: (rng.choice(sc.diagram_of(sub).states), rng.randint(0, tick))
+                          for sub in sc.subsystems()}
+                deliveries = reference_due(sc, tick) + [
+                    (rng.choice(sc.subsystems()), rng.choice(symbols)) for _ in range(rng.randint(0, 6))
+                ]
+                rng.shuffle(deliveries)
+                expected_config, expected_events = reference_step(config, deliveries, sc, tick)
+                states = dict(config)
+                assert tuple(step(states, deliveries, sc, tick)) == expected_events, (seed, threshold)
+                assert states == expected_config, (seed, threshold)
+                upward = [order[ArcRef(*e[1:5])] for e in expected_events
+                          if e.kind == "firing" and e.cause == "upward-propagation"]
+                seen.update((e.kind, getattr(e, "cause", ""), threshold) for e in expected_events)
+                if upward != sorted(upward):
+                    seen.add("upward pass revisits an earlier link")
+                links = sc.after_effect.parent_links
+                fired = {"direct": set(), "downward-propagation": set(), "upward-propagation": set()}
+                for e in expected_events:
+                    if e.kind != "firing":
+                        continue
+                    ref = ArcRef(*e[1:5])
+                    if e.cause == "upward-propagation" and not links[ref]:
+                        seen.add("a link with no child fires")
+                    if e.cause == "upward-propagation" and fired[e.cause] & set(links[ref]):
+                        seen.add("upward over two levels")
+                    if e.cause == "downward-propagation" and any(ref in links.get(p, ()) for p in fired[e.cause]):
+                        seen.add("downward over two levels")
+                    fired[e.cause].add(ref)
+    for threshold in ("all", 1):
+        assert {("firing", "direct", threshold), ("firing", "downward-propagation", threshold),
+                ("firing", "upward-propagation", threshold), ("backstep", "", threshold),
+                ("skipped", "", threshold), ("delivery", "", threshold)} <= seen
+    assert {"upward pass revisits an earlier link", "a link with no child fires",
+            "upward over two levels", "downward over two levels"} <= seen
+
+
 def test_run_scenario_is_linear_in_the_horizon():
     # one broadcast per tick for 16000 ticks: a stepper that rescans the
     # time diagram every tick takes tens of seconds here
@@ -581,7 +656,7 @@ def test_fold_rejects_a_log_that_does_not_replay():
     sc = scenario([(0, "top", "advance"), (2, "left", "left_fin")], timeout=2, horizon=5)
     tr = run_scenario(sc)
     i = next(i for i, e in enumerate(tr.events) if isinstance(e, Firing))
-    moved = dataclasses.replace(tr.events[i], src="T2")
+    moved = tr.events[i]._replace(src="T2")
     broken = dataclasses.replace(tr, events=tr.events[:i] + (moved,) + tr.events[i + 1:])
     assert not replay_events(broken, sc)
     with pytest.raises(EventLogError):
