@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import StatedevError
@@ -72,6 +73,11 @@ class CanonicalDiagram:
     that induced it when the diagram was authored against one. Arcs may
     violate the order discipline at construction time; validate_canonical
     reports rather than refuses, so broken models stay inspectable.
+
+    `arcs` is the dev arcs, then the back arcs. The index their readers
+    share is built on first use and kept: `position` (state -> place in
+    the order), `arc_position` (arc -> first place in `arcs`) and
+    `out_arcs` (state -> leaving arcs by destination position, delta, kind).
     """
 
     id: str
@@ -83,6 +89,7 @@ class CanonicalDiagram:
     horizon: int
     scale_id: str | None = None
     labels: Mapping[str, str] = field(default_factory=dict)
+    arcs: tuple[Arc, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -92,6 +99,7 @@ class CanonicalDiagram:
         object.__setattr__(
             self, "back_arcs", tuple(sorted(self.back_arcs, key=lambda a: a.sort_index))
         )
+        object.__setattr__(self, "arcs", self.dev_arcs + self.back_arcs)
         object.__setattr__(self, "labels", dict(self.labels))
         if not self.states:
             raise ValueError(f"diagram {self.id!r} has no states")
@@ -115,12 +123,26 @@ class CanonicalDiagram:
                     f"diagram {self.id!r}: arc {arc.src}->{arc.dst} references unknown state"
                 )
 
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return self.dev_arcs + self.back_arcs
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {state: i for i, state in enumerate(self.states)}
+
+    @cached_property
+    def arc_position(self) -> dict[Arc, int]:
+        where: dict[Arc, int] = {}
+        for i, arc in enumerate(self.arcs):
+            where.setdefault(arc, i)
+        return where
+
+    @cached_property
+    def out_arcs(self) -> dict[str, tuple[Arc, ...]]:
+        leaving: dict[str, list[Arc]] = {state: [] for state in self.states}
+        for arc in sorted(self.arcs, key=lambda a: (self.position[a.dst], a.delta, a.kind.value)):
+            leaving[arc.src].append(arc)
+        return {state: tuple(arcs) for state, arcs in leaving.items()}
 
     def order(self, state: str) -> int:
-        return self.states.index(state)
+        return self.position[state]
 
 
 @dataclass(frozen=True)
@@ -147,9 +169,8 @@ def validate_canonical(d: CanonicalDiagram) -> DiagramReport:
     reached = {d.initial}
     frontier = [d.initial]
     while frontier:
-        here = frontier.pop()
-        for arc in d.dev_arcs:
-            if arc.src == here and arc.dst not in reached:
+        for arc in d.out_arcs[frontier.pop()]:
+            if arc.kind is ArcKind.DEV and arc.dst not in reached:
                 reached.add(arc.dst)
                 frontier.append(arc.dst)
     unreachable = tuple(s for s in d.states if s not in reached)
@@ -209,7 +230,7 @@ def replay_script(
     `initial` is never modified. Returns the final distribution and one
     event per entry; arc counts are read back from the events.
     """
-    arcs = set(d.arcs)
+    arcs = d.arc_position
     assignment = dict(initial.assignment)
     events = []
     last_tick = None
@@ -267,44 +288,43 @@ def intensity_report(
     t_lo, t_hi = int(window[0]), int(window[1])
     if t_lo > t_hi or t_lo < 0 or t_hi > d.horizon:
         raise WindowOutOfRangeError(f"window [{t_lo}, {t_hi}] outside [0, {d.horizon}]")
-    arcs = set(d.arcs)
+    position, where = d.position, d.arc_position
+    # tick -> (source position, destination position, arc position) per event
+    by_tick: dict[int, list[tuple[int, int, int]]] = {}
     for ev in history:
         if not 0 <= ev.tick <= d.horizon:
             raise ValueError(f"event at tick {ev.tick} outside the diagram horizon")
-        if ev.arc not in arcs:
+        i = where.get(ev.arc)
+        if i is None:
             raise ValueError(f"event arc {ev.arc.src}->{ev.arc.dst} not in diagram {d.id!r}")
+        by_tick.setdefault(ev.tick, []).append((position[ev.arc.src], position[ev.arc.dst], i))
 
-    by_tick: dict[int, list[TransitionEvent]] = {}
-    for ev in history:
-        by_tick.setdefault(ev.tick, []).append(ev)
-
-    counts = {state: 0 for state in d.states}
+    counts = [0] * len(d.states)
     for state, n in initial.counts().items():
-        if state not in counts:
+        if state not in position:
             raise ValueError(f"initial distribution places objects on unknown state {state!r}")
-        counts[state] = n
-    cumulative = {arc: 0 for arc in d.arcs}
-    occupancy: dict[str, list[int]] = {state: [] for state in d.states}
-    arc_series: dict[Arc, list[int]] = {arc: [] for arc in d.arcs}
+        counts[position[state]] = n
+    cumulative = [0] * len(d.arcs)
+    dev_count = len(d.dev_arcs)  # arcs before this position are dev arcs
+    occupancy_rows, arc_rows = [], []  # one row of counts per tick in the window
     development = degradation = 0
 
     for t in range(0, t_hi + 1):
-        for ev in by_tick.get(t, ()):
-            counts[ev.arc.src] -= 1
-            counts[ev.arc.dst] += 1
-            cumulative[ev.arc] += 1
+        for src, dst, i in by_tick.get(t, ()):
+            counts[src] -= 1
+            counts[dst] += 1
+            cumulative[i] += 1
             if t_lo <= t:
-                if ev.arc.kind is ArcKind.DEV:
+                if i < dev_count:
                     development += 1
                 else:
                     degradation += 1
         if t >= t_lo:
-            for state in d.states:
-                occupancy[state].append(counts[state])
-            for arc in d.arcs:
-                arc_series[arc].append(cumulative[arc])
+            occupancy_rows.append(tuple(counts))
+            arc_rows.append(tuple(cumulative))
 
-    reached = {state: counts[state] for state in d.states}
+    arc_columns = list(zip(*arc_rows))
+    reached = dict(zip(d.states, counts))
     target_delta = None
     if target is not None:
         target_delta = {
@@ -313,8 +333,8 @@ def intensity_report(
     return IntensityReport(
         diagram_id=d.id,
         window=(t_lo, t_hi),
-        occupancy={s: tuple(v) for s, v in occupancy.items()},
-        arc_cumulative={a: tuple(v) for a, v in arc_series.items()},
+        occupancy=dict(zip(d.states, zip(*occupancy_rows))),
+        arc_cumulative={arc: arc_columns[i] for arc, i in where.items()},
         development=development,
         degradation=degradation,
         ratio=(development / degradation) if degradation else None,

@@ -146,15 +146,8 @@ def _error_report(inputs: Sequence[str], messages: Sequence[str], args) -> Repor
 
 
 def _provenance(args, inputs: Sequence[str]) -> dict:
-    existing = []
-    for path in inputs:
-        try:
-            with open(path, "rb"):
-                existing.append(path)
-        except OSError:
-            pass
     return make_provenance(
-        inputs=existing,
+        inputs=inputs,
         seed=getattr(args, "seed", None),
         argv=getattr(args, "_argv", None),
     )
@@ -290,20 +283,22 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
         if not ticks[name]:
             raise StatedevError(f"series column {name!r} holds no observations")
         decl = model.parameters.get(name)
-        if decl is not None and decl.kind == "ordinal":
-            out.append(dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels))
-        else:
-            try:
-                numeric = modelfile.numbers(values[name])
-            except ValueError as exc:
-                raise StatedevError(f"series column {name!r}: {exc}") from None
-            out.append(dynamics.ParameterSeries(name, tuple(ticks[name]), numeric))
+        try:
+            if decl is not None and decl.kind == "ordinal":
+                series = dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels)
+            else:
+                series = dynamics.ParameterSeries(name, tuple(ticks[name]), modelfile.numbers(values[name]))
+        except ValueError as exc:
+            raise StatedevError(f"series column {name!r}: {exc}") from None
+        out.append(series)
     return out
 
 
 def _cmd_profile(args) -> tuple[Report, int]:
     model = modelfile.parse_model(args.model)
     interval = _parse_interval(args.interval)
+    if interval[0] > interval[1]:
+        raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
     series_set = _read_series_csv(args.series, model)
     profile = dynamics.parallel_profile(series_set, interval, args.epsilon)
     rows = [
@@ -351,9 +346,6 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip() for c in rows[0]] != ["tick", "object", "from", "to", "arc_kind"]:
         raise StatedevError("event CSV must have the header tick,object,from,to,arc_kind")
-    arcs: dict[tuple[str, str, str], list[canonical.Arc]] = {}
-    for arc in d.arcs:
-        arcs.setdefault((arc.src, arc.dst, arc.kind.value), []).append(arc)
     script = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
@@ -363,7 +355,7 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
             tick = int(tick_text)
         except ValueError:
             raise StatedevError(f"{path}:{line_no}: bad tick {tick_text!r}") from None
-        matches = arcs.get((src, dst, kind_text))
+        matches = [a for a in d.out_arcs.get(src, ()) if a.dst == dst and a.kind.value == kind_text]
         if not matches:
             raise canonical.UnknownArcError(
                 f"{path}:{line_no}: no {kind_text} arc {src}->{dst} in diagram {d.id!r}"

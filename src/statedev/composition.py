@@ -333,12 +333,6 @@ class ConsistencyVerdict:
     failed_prefix: int | None  # entry count of the shortest unsatisfiable prefix
 
 
-def _sorted_arcs(d: CanonicalDiagram) -> tuple[Arc, ...]:
-    return tuple(
-        sorted(d.arcs, key=lambda a: (d.order(a.src), d.order(a.dst), a.delta, a.kind.value))
-    )
-
-
 def _validate_refs(dset: TimedDiagramSet, seq: PrescribedSequence) -> None:
     for e in seq.entries:
         if not 0 <= e.diagram < len(dset.diagrams):
@@ -360,7 +354,7 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     after that cap are one node, and the one found first is kept. The
     witness is the first satisfying path found: earliest tick first;
     within a tick, the frontier in discovery order, then diagram index,
-    then _sorted_arcs order. It does not depend on the hash seed.
+    then `out_arcs` order. It does not depend on the hash seed.
 
     An entry carries only a deadline, an interval only forbids later
     firings, and a waiting node's clocks only grow. So a node covers any
@@ -390,12 +384,7 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     horizon = entries[-1].deadline
     n = len(dset.diagrams)
     limits = [min(tau, horizon) for tau in dset.intervals]
-    arcs_from: list[dict[str, list[Arc]]] = []
-    for d in dset.diagrams:
-        by_src: dict[str, list[Arc]] = {s: [] for s in d.states}
-        for arc in _sorted_arcs(d):
-            by_src[arc.src].append(arc)
-        arcs_from.append(by_src)
+    arcs_from = [d.out_arcs for d in dset.diagrams]
     # A clock at its state's cap enables every arc leaving that state.
     caps = [
         {s: max((a.delta for a in arcs), default=0) for s, arcs in by_src.items()}

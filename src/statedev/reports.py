@@ -81,9 +81,15 @@ def make_provenance(
     seed: Union[int, None] = None,
     argv: Union[Sequence[str], None] = None,
 ) -> dict:
+    digests = {}
+    for path in inputs:
+        try:
+            digests[path] = file_digest(path)
+        except OSError:
+            pass  # an input that cannot be read has no digest
     return {
         "tool": f"statedev {__version__}",
-        "inputs": {path: file_digest(path) for path in inputs},
+        "inputs": digests,
         "seed": seed,
         "argv": list(argv) if argv is not None else None,
     }

@@ -12,7 +12,6 @@ are recounts of that log.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
@@ -458,15 +457,14 @@ class StepIndex:
       pool that leaves the state; a delivery with none or several is
       ineffective, so it has no entry;
     - `links`: (parent arc, child arcs, required count) in `parent_links`
-      order; `parents`: child arc -> the positions of the links listing it;
-      `unconditional`: positions of the links that need no fired child;
+      order, which upward propagation passes over until a pass fires nothing;
     - `backsteps`: (subsystem, state) -> the target of the back arc with
       the smallest order drop, the first declared among equals;
     - `knowers`: symbol -> the subsystems whose alphabet holds it, in
       preorder, and `position`: subsystem -> its place in preorder.
     """
 
-    __slots__ = ("fires", "links", "parents", "unconditional", "backsteps", "knowers", "position")
+    __slots__ = ("fires", "links", "backsteps", "knowers", "position")
 
     def __init__(self, sc: Scenario):
         ae = sc.after_effect
@@ -489,11 +487,6 @@ class StepIndex:
         self.knowers = {symbol: tuple(subs) for symbol, subs in knowers.items()}
         self.position = {sub: i for i, sub in enumerate(sc.subsystems())}
         self.links = tuple((parent, link, ae.required_count(link)) for parent, link in ae.parent_links.items())
-        self.parents: dict[ArcRef, list[int]] = {}
-        for pos, (_, link, _) in enumerate(self.links):
-            for child in link:
-                self.parents.setdefault(child, []).append(pos)
-        self.unconditional = frozenset(pos for pos, (_, _, need) in enumerate(self.links) if need <= 0)
 
 
 def due_deliveries(sc: Scenario) -> dict[int, list[tuple[str, str]]]:
@@ -548,32 +541,16 @@ def step(
             if kind == "general":
                 cascade_down(ref)
 
-    # Phase 2: upward propagation to fixpoint, in passes over the links in
-    # `parent_links` order. Only a link with a fired child (or one that
-    # needs none) can fire, so a pass visits just those: a link whose child
-    # fires later in the pass joins it, an earlier one waits for the next.
-    waiting = index.unconditional.union(*(index.parents.get(ref, ()) for ref in fired))
-    while waiting:
-        queue = sorted(waiting)
-        waiting = set()
+    # Phase 2: upward propagation, passing over the links until a pass fires nothing.
+    changed = True
+    while changed:
         changed = False
-        while queue:
-            pos = heapq.heappop(queue)
-            parent_ref, link, need = index.links[pos]
-            if parent_ref in fired:
+        for parent_ref, link, need in index.links:
+            if parent_ref in fired or states[parent_ref.subsystem][0] != parent_ref.src:
                 continue
-            if sum(child in fired for child in link) < need or states[parent_ref.subsystem][0] != parent_ref.src:
-                waiting.add(pos)
-                continue
-            fire(parent_ref, "upward-propagation")
-            changed = True
-            for later in index.parents.get(parent_ref, ()):
-                if later <= pos:
-                    waiting.add(later)
-                elif later not in queue:
-                    heapq.heappush(queue, later)
-        if not changed:
-            break
+            if sum(child in fired for child in link) >= need:
+                fire(parent_ref, "upward-propagation")
+                changed = True
 
     # Phase 3: backstep on prolonged silence.
     for sub in index.position:

@@ -11,6 +11,9 @@ stepper that `scenario.run_scenario` must agree with event for event.
 predicate must agree with, and `reference_classify_series` and
 `reference_parallel_profile` are the trend classifier and the profile that
 fold every series twice and search every cycle period directly.
+`reference_intensity_report` is the intensity report that keys its counters
+by arc, which `canonical.intensity_report` must agree with, and
+`sorted_arcs` the arc order that `check_consistency` expands in.
 """
 
 from __future__ import annotations
@@ -18,8 +21,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from statedev.canonical import Arc, CanonicalDiagram
-from statedev.composition import PrescribedSequence, TimedDiagramSet, _sorted_arcs
+from statedev.canonical import (
+    Arc,
+    ArcKind,
+    CanonicalDiagram,
+    IntensityReport,
+    ObjectDistribution,
+    TransitionEvent,
+    WindowOutOfRangeError,
+)
+from statedev.composition import PrescribedSequence, TimedDiagramSet
 from statedev.dynamics import (
     DynamicsState,
     EmptyOverlapError,
@@ -50,6 +61,16 @@ class SpaceBoundExceededError(StatedevError):
     pass
 
 
+def sorted_arcs(d: CanonicalDiagram) -> tuple[Arc, ...]:
+    """Every arc by (order of src, order of dst, delta, kind)."""
+    return tuple(
+        sorted(
+            d.arcs,
+            key=lambda a: (d.states.index(a.src), d.states.index(a.dst), a.delta, a.kind.value),
+        )
+    )
+
+
 def _diagram_executions(
     d: CanonicalDiagram, last_tick: int, bound: int, sink: list
 ) -> list[tuple[tuple[int, Arc], ...]]:
@@ -59,7 +80,7 @@ def _diagram_executions(
     oscillate without adding occupancy, and cannot occur at all when
     every cycle-closing arc carries a nonzero delay.
     """
-    arcs = _sorted_arcs(d)
+    arcs = sorted_arcs(d)
     out: list[tuple[tuple[int, Arc], ...]] = []
 
     def rec(state: str, entered: int, prefix: list, tick_seen: set, last_fire: int):
@@ -511,3 +532,71 @@ def reference_parallel_profile(
             by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
         )
     return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows)
+
+
+def reference_intensity_report(
+    history: Sequence[TransitionEvent],
+    d: CanonicalDiagram,
+    window: tuple[int, int],
+    initial: ObjectDistribution,
+    target: Mapping[str, int] | None = None,
+) -> IntensityReport:
+    """Reconstruct N_i(t) and cumulative arc counters over a window, with
+    the counters kept in dicts keyed by state and by arc."""
+    t_lo, t_hi = int(window[0]), int(window[1])
+    if t_lo > t_hi or t_lo < 0 or t_hi > d.horizon:
+        raise WindowOutOfRangeError(f"window [{t_lo}, {t_hi}] outside [0, {d.horizon}]")
+    arcs = set(d.arcs)
+    for ev in history:
+        if not 0 <= ev.tick <= d.horizon:
+            raise ValueError(f"event at tick {ev.tick} outside the diagram horizon")
+        if ev.arc not in arcs:
+            raise ValueError(f"event arc {ev.arc.src}->{ev.arc.dst} not in diagram {d.id!r}")
+
+    by_tick: dict[int, list[TransitionEvent]] = {}
+    for ev in history:
+        by_tick.setdefault(ev.tick, []).append(ev)
+
+    counts = {state: 0 for state in d.states}
+    for state, n in initial.counts().items():
+        if state not in counts:
+            raise ValueError(f"initial distribution places objects on unknown state {state!r}")
+        counts[state] = n
+    cumulative = {arc: 0 for arc in d.arcs}
+    occupancy: dict[str, list[int]] = {state: [] for state in d.states}
+    arc_series: dict[Arc, list[int]] = {arc: [] for arc in d.arcs}
+    development = degradation = 0
+
+    for t in range(0, t_hi + 1):
+        for ev in by_tick.get(t, ()):
+            counts[ev.arc.src] -= 1
+            counts[ev.arc.dst] += 1
+            cumulative[ev.arc] += 1
+            if t_lo <= t:
+                if ev.arc.kind is ArcKind.DEV:
+                    development += 1
+                else:
+                    degradation += 1
+        if t >= t_lo:
+            for state in d.states:
+                occupancy[state].append(counts[state])
+            for arc in d.arcs:
+                arc_series[arc].append(cumulative[arc])
+
+    reached = {state: counts[state] for state in d.states}
+    target_delta = None
+    if target is not None:
+        target_delta = {
+            state: reached[state] - int(target.get(state, 0)) for state in d.states
+        }
+    return IntensityReport(
+        diagram_id=d.id,
+        window=(t_lo, t_hi),
+        occupancy={s: tuple(v) for s, v in occupancy.items()},
+        arc_cumulative={a: tuple(v) for a, v in arc_series.items()},
+        development=development,
+        degradation=degradation,
+        ratio=(development / degradation) if degradation else None,
+        reached=reached,
+        target_delta=target_delta,
+    )

@@ -1,5 +1,6 @@
 """Canonical development diagrams: validation, transitions, intensity."""
 
+import itertools
 import random
 from time import perf_counter
 
@@ -23,6 +24,7 @@ from statedev.canonical import (
 )
 from statedev.errors import StatedevError
 from tests.conftest import chain
+from tests.oracles import reference_intensity_report
 
 
 def arc(src, dst, delta, kind=ArcKind.DEV):
@@ -320,6 +322,73 @@ def test_replay_is_linear_in_the_script_length():
     assert len(events) == 8000
     assert {obj: state for obj, (state, _) in final.assignment.items()} == position
     assert elapsed < 0.5
+
+
+def _random_intensity_case(rng):
+    """A diagram without repeated arcs, a history of its events that may be
+    out of order, off the horizon or carry a foreign arc, an initial
+    distribution that may use a state outside the diagram, a window that
+    may not fit and a target that may name unknown states."""
+    n = rng.randint(1, 6)
+    states = tuple(f"s{i}" for i in range(n))
+    pairs = [(a, b) for a in states for b in states if a != b]
+    arcs = {
+        Arc(src, dst, rng.randint(0, 3), rng.choice((ArcKind.DEV, ArcKind.BACK)))
+        for src, dst in rng.sample(pairs, rng.randint(0, len(pairs)))
+    }
+    horizon = rng.randint(0, 12)
+    d = CanonicalDiagram(
+        id="rand", states=states,
+        dev_arcs=tuple(a for a in arcs if a.kind is ArcKind.DEV),
+        back_arcs=tuple(a for a in arcs if a.kind is ArcKind.BACK),
+        initial=states[0], final=states[-1], horizon=horizon,
+    )
+    history = []
+    for _ in range(rng.randint(0, 12)):
+        tick = rng.randint(0, horizon) if rng.random() < 0.97 else horizon + rng.choice((1, -horizon - 1))
+        if d.arcs and rng.random() < 0.97:
+            a = rng.choice(d.arcs)
+        else:
+            a = Arc(rng.choice(states + ("ghost",)), rng.choice(states), rng.randint(0, 3))
+        history.append(TransitionEvent(object=f"o{rng.randint(0, 3)}", arc=a, tick=tick))
+    if rng.random() < 0.7:
+        history.sort(key=lambda ev: ev.tick)
+    places = states + (("elsewhere",) if rng.random() < 0.05 else ())
+    initial = ObjectDistribution.initial({f"o{i}": rng.choice(places) for i in range(rng.randint(0, 5))})
+    lo = rng.randint(-1, horizon + 1) if rng.random() < 0.1 else rng.randint(0, horizon)
+    hi = rng.randint(-1, horizon + 1) if rng.random() < 0.1 else rng.randint(lo, horizon) if lo <= horizon else lo
+    target = None
+    if rng.random() < 0.5:
+        target = {rng.choice(states + ("ghost",)): rng.randint(0, 4) for _ in range(rng.randint(0, 3))}
+    return history, d, (lo, hi), initial, target
+
+
+def _intensity_outcome(report, *case):
+    try:
+        r = report(*case)
+    except (StatedevError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (
+        r.diagram_id, r.window, list(r.occupancy.items()), list(r.arc_cumulative.items()),
+        r.development, r.degradation, r.ratio, list(r.reached.items()),
+        None if r.target_delta is None else list(r.target_delta.items()),
+    )
+
+
+def test_intensity_equals_the_arc_keyed_reference_on_random_diagrams():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(6000):
+        case = _random_intensity_case(rng)
+        expected = _intensity_outcome(reference_intensity_report, *case)
+        assert _intensity_outcome(intensity_report, *case) == expected
+        if isinstance(expected[0], type):
+            seen.add(expected[1][:8])
+        else:  # (development, degradation, target) present or not
+            seen.add((expected[4] > 0, expected[5] > 0, expected[8] is not None))
+    # every error the report raises, and every mix of event kinds and target
+    errors = {"window [", "event at", "event ar", "initial "}
+    assert seen == errors | set(itertools.product((False, True), repeat=3))
 
 
 def test_intensity_flat_without_events():

@@ -579,6 +579,36 @@ def test_profile_rejects_a_non_finite_series_cell(tmp_path, capsys, cell):
     assert violations == [f"series column 'x': {cell!r} is not a finite number"]
 
 
+@pytest.mark.parametrize("text, interval, message", [
+    ("tick,phase\n0,Seed\n1,Bogus\n", "0:1", "series column 'phase': level 'Bogus' not in declared order"),
+    ("tick,x\n0,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
+    ("tick,x\n1,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
+    ("tick,x,x\n0,1,2\n1,2,3\n", "0:1", "series column 'x': ticks must be strictly increasing"),
+    ("tick,x\n0,1\n1,2\n", "3:1", "interval '3:1': start exceeds its end"),
+], ids=["unknown-level", "repeated-tick", "decreasing-tick", "duplicated-column", "reversed-interval"])
+def test_profile_reports_a_malformed_series_or_interval(tmp_path, capsys, text, interval, message):
+    series = tmp_path / "s.csv"
+    series.write_text(text)
+    violations = _failure(capsys, "profile", BASIC_S, "--series", str(series), "--interval", interval)
+    assert violations == [message]
+
+
+def test_replay_gives_a_repeated_arc_one_series(tmp_path, capsys):
+    def repeat_arc(raw):
+        raw["canonical_diagrams"]["dev3"]["dev_arcs"] += [{"from": "negative", "to": "high", "delta": 0}] * 2
+
+    path = _model(tmp_path, BASIC, repeat_arc)
+    assert run_json(capsys, "validate", path)[0] == 0
+    code, report, _ = run_json(
+        capsys, "replay", path, "--diagram", "dev3", "--events", str(DEV3_EVENTS), "--window", "1:3"
+    )
+    assert code == 0
+    arcs = report["body"]["arc_cumulative"]
+    assert arcs["negative->high dev d0"] == [0, 0, 0]
+    assert arcs["negative->low dev d1"] == [1, 2, 2]
+    assert all(len(series) == 3 for series in arcs.values())
+
+
 def test_validate_rejects_a_nan_series_value(tmp_path, capsys):
     def nan_value(raw):
         raw["series"]["x_run"]["values"][2] = "nan"

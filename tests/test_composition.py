@@ -22,7 +22,6 @@ from statedev.composition import (
     TupleOutOfProductError,
     UnknownDiagramError,
     UnknownStateError,
-    _sorted_arcs,
     _validate_refs,
     check_consistency,
     compose_parallel,
@@ -30,7 +29,7 @@ from statedev.composition import (
     generalize,
 )
 from tests.conftest import chain
-from tests.oracles import SpaceBoundExceededError, enumerate_attainable_sequences, execution_satisfies
+from tests.oracles import SpaceBoundExceededError, enumerate_attainable_sequences, execution_satisfies, sorted_arcs
 
 
 def two_chain(name, delta=1, horizon=6):
@@ -327,7 +326,7 @@ def reference_check_consistency(dset, seq):
     horizon = entries[-1].deadline
     n = len(dset.diagrams)
     limits = [min(tau, horizon) for tau in dset.intervals]
-    arc_lists = [_sorted_arcs(d) for d in dset.diagrams]
+    arc_lists = [sorted_arcs(d) for d in dset.diagrams]
 
     def claim(states, k, tick):
         while (
