@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import StatedevError
 
@@ -23,6 +23,10 @@ from .errors import StatedevError
 class ArcKind(Enum):
     DEV = "dev"
     BACK = "back"
+
+    # Members are singletons, so identity hashing agrees with equality and
+    # hashing an Arc makes no Python-level call for its kind.
+    __hash__ = object.__hash__
 
 
 class UnknownArcError(StatedevError):
@@ -207,8 +211,7 @@ class ObjectDistribution:
         return out
 
 
-@dataclass(frozen=True)
-class TransitionEvent:
+class TransitionEvent(NamedTuple):
     object: str
     arc: Arc
     tick: int
@@ -254,7 +257,7 @@ def replay_script(
                 f"arc delay {arc.delta} blocks firing before {entry[1] + arc.delta}"
             )
         assignment[obj] = (arc.dst, tick)
-        events.append(TransitionEvent(object=obj, arc=arc, tick=tick))
+        events.append(TransitionEvent(obj, arc, tick))
     return ObjectDistribution(assignment), tuple(events)
 
 

@@ -124,8 +124,7 @@ def _parse_object(text: str, parameters) -> dict:
     return assignment
 
 
-def _dyn_state_dict(state: dynamics.DynamicsState) -> dict:
-    return {"kind": state.kind.value, "streak": state.streak}
+_KIND_TEXT = {kind: kind.value for kind in dynamics.DynamicsKind}
 
 
 def _arc_key(arc: canonical.Arc) -> str:
@@ -253,10 +252,16 @@ def _cmd_classify(args) -> tuple[Report, int]:
     return report, 0 if outcome == "classified" else 1
 
 
-def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.ParameterSeries]:
+def _nonblank_rows(path: str) -> list[list[str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        return [row for row in csv.reader(fh) if any(map(str.strip, row))]
+
+
+def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.ParameterSeries]:
+    """One series per parameter column, read column by column. Line numbers
+    count non-blank rows; a blank or missing cell is no observation, and a
+    repeated column name extends the first column of that name row by row."""
+    rows = _nonblank_rows(path)
     if not rows:
         raise StatedevError(f"series file {path!r} is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -265,29 +270,46 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
     names = header[1:]
     if not names:
         raise StatedevError("series CSV has no parameter columns")
-    ticks: dict[str, list[int]] = {name: [] for name in names}
-    values: dict[str, list] = {name: [] for name in names}
-    for line_no, row in enumerate(rows[1:], start=2):
-        try:
-            tick = int(row[0])
-        except (ValueError, IndexError):
-            raise StatedevError(f"{path}:{line_no}: bad tick {row[0]!r}") from None
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            ticks[name].append(tick)
-            values[name].append(cell)
+    body = rows[1:]
+    tick_cells = [row[0] for row in body]
+    try:
+        ticks = list(map(int, tick_cells))
+    except ValueError:
+        for line_no, cell in enumerate(tick_cells, start=2):
+            try:
+                int(cell)
+            except ValueError:
+                raise StatedevError(f"{path}:{line_no}: bad tick {cell!r}") from None
+        raise
+    width = len(header)
+    if min(map(len, body), default=width) < width:
+        body = [row + [""] * (width - len(row)) for row in body]
+    columns = list(zip(*body)) or [()] * width
+    columns_of: dict[str, list[tuple[str, ...]]] = {}
+    for name, column in zip(names, columns[1:]):
+        columns_of.setdefault(name, []).append(column)
+    observed: dict[str, tuple[list[int], list[str]]] = {}
+    for name, same_name in columns_of.items():
+        name_ticks, column = ticks, same_name[0]
+        if len(same_name) > 1:  # the columns of a repeated name, row by row
+            name_ticks = [t for t in ticks for _ in same_name]
+            column = [cell for row in zip(*same_name) for cell in row]
+        cells = list(map(str.strip, column))
+        if not all(cells):
+            kept = [(t, cell) for t, cell in zip(name_ticks, cells) if cell]
+            name_ticks, cells = [t for t, _ in kept], [cell for _, cell in kept]
+        observed[name] = (name_ticks, cells)
     out = []
     for name in names:
-        if not ticks[name]:
+        name_ticks, values = observed[name]
+        if not name_ticks:
             raise StatedevError(f"series column {name!r} holds no observations")
         decl = model.parameters.get(name)
         try:
             if decl is not None and decl.kind == "ordinal":
-                series = dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels)
+                series = dynamics.ParameterSeries.from_ordinal(name, name_ticks, values, decl.levels)
             else:
-                series = dynamics.ParameterSeries(name, tuple(ticks[name]), modelfile.numbers(values[name]))
+                series = dynamics.ParameterSeries(name, name_ticks, modelfile.numbers(values))
         except ValueError as exc:
             raise StatedevError(f"series column {name!r}: {exc}") from None
         out.append(series)
@@ -301,15 +323,14 @@ def _cmd_profile(args) -> tuple[Report, int]:
         raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
     series_set = _read_series_csv(args.series, model)
     profile = dynamics.parallel_profile(series_set, interval, args.epsilon)
+    names = profile.parameters
+    columns = [
+        [{"kind": _KIND_TEXT[state.kind], "streak": state.streak} for state in profile.rows[name]]
+        for name in names
+    ]
     rows = [
-        {
-            "tick": t,
-            "cells": {
-                name: _dyn_state_dict(profile.rows[name][t - profile.start])
-                for name in profile.parameters
-            },
-        }
-        for t in range(profile.start, profile.end + 1)
+        {"tick": t, "cells": dict(zip(names, cells))}
+        for t, cells in zip(range(profile.start, profile.end + 1), zip(*columns))
     ]
     trends: dict[str, Union[dict, None]] = {}
     for s in series_set:
@@ -341,22 +362,25 @@ def _cmd_profile(args) -> tuple[Report, int]:
 
 
 def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str, canonical.Arc, int]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = _nonblank_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["tick", "object", "from", "to", "arc_kind"]:
         raise StatedevError("event CSV must have the header tick,object,from,to,arc_kind")
+    # (src, dst, kind text) -> the distinct arcs with that key; equal
+    # copies of an arc are one arc.
+    arcs: dict[tuple[str, str, str], list[canonical.Arc]] = {}
+    for arc in d.arc_position:
+        arcs.setdefault((arc.src, arc.dst, arc.kind.value), []).append(arc)
     script = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
             raise StatedevError(f"{path}:{line_no}: expected 5 columns")
-        tick_text, obj, src, dst, kind_text = (c.strip() for c in row)
+        tick_text, obj, src, dst, kind_text = map(str.strip, row)
         try:
             tick = int(tick_text)
         except ValueError:
             raise StatedevError(f"{path}:{line_no}: bad tick {tick_text!r}") from None
-        matches = [a for a in d.out_arcs.get(src, ()) if a.dst == dst and a.kind.value == kind_text]
-        if not matches:
+        matches = arcs.get((src, dst, kind_text))
+        if matches is None:
             raise canonical.UnknownArcError(
                 f"{path}:{line_no}: no {kind_text} arc {src}->{dst} in diagram {d.id!r}"
             )

@@ -11,6 +11,7 @@ classification rules can read a full system snapshot.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
@@ -40,6 +41,10 @@ class DynamicsKind(Enum):
     TURN_MIN = "TurnMin"
     CYCLE_SUSPECT = "CycleSuspect"
     UNKNOWN = "Unknown"
+
+    # Members are singletons, so identity hashing agrees with equality and
+    # a dict keyed by kind makes no Python-level call per lookup.
+    __hash__ = object.__hash__
 
 
 VOCABULARY: tuple[str, ...] = tuple(kind.value for kind in DynamicsKind)
@@ -146,21 +151,23 @@ def fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, 
     Equal to chaining estimate_state over the values: a state's streak
     grows while its kind repeats, and a turn never follows itself. Every
     state is legal by construction, so none goes through the checks of
-    DynamicsState.__post_init__.
+    DynamicsState.__post_init__, and the states are immutable, so one
+    object serves every position with the same kind and streak.
     """
     if not values:
         return ()
     out = [DynamicsState.INITIAL]
     kind, streak, prev = DynamicsKind.UNKNOWN, 0, 0
     new = object.__new__
+    made: dict[tuple[DynamicsKind, int], DynamicsState] = {}
     for sign in _signs(values, epsilon):
         next_kind = _NEXT_KIND[prev, sign]
         streak = streak + 1 if next_kind is kind else 1
         kind, prev = next_kind, sign
-        state = new(DynamicsState)
-        fields = state.__dict__
-        fields["kind"] = kind
-        fields["streak"] = streak
+        state = made.get((kind, streak))
+        if state is None:
+            state = made[kind, streak] = new(DynamicsState)
+            state.__dict__.update(kind=kind, streak=streak)
         out.append(state)
     return tuple(out)
 
@@ -174,13 +181,14 @@ class ParameterSeries:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ticks", tuple(int(t) for t in self.ticks))
+        ticks = tuple(map(int, self.ticks))
+        object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.ticks) != len(self.values):
+        if len(ticks) != len(self.values):
             raise ValueError("ticks and values differ in length")
-        if not self.ticks:
+        if not ticks:
             raise ValueError("series must hold at least one observation")
-        if any(b <= a for a, b in zip(self.ticks, self.ticks[1:])):
+        if any(map(operator.ge, ticks, ticks[1:])):
             raise ValueError("ticks must be strictly increasing")
 
     @classmethod
@@ -237,6 +245,12 @@ def _cycle_period(values: Sequence, epsilon: float) -> int | None:
     return None
 
 
+def _reversals(signs: Sequence[int]) -> list[int]:
+    """The index of every nonzero sign that differs from the nonzero sign before it."""
+    nonzero = [(i, s) for i, s in enumerate(signs) if s]
+    return [j for (_, before), (j, s) in zip(nonzero, nonzero[1:]) if s != before]
+
+
 def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass:
     """Retrospective trend classification of one series.
 
@@ -253,40 +267,27 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
         raise SeriesTooShortError("classification needs at least 2 observations")
     signs = _signs(values, epsilon)
 
-    nonzero = [(i, s) for i, s in enumerate(signs) if s != 0]
-    if not nonzero:
-        monotone = "none"
-    elif all(s >= 0 for s in signs):
+    moving = any(signs)
+    if moving and -1 not in signs:
         monotone = "increasing"
-    elif all(s <= 0 for s in signs):
+    elif moving and 1 not in signs:
         monotone = "decreasing"
     else:
         monotone = "none"
-
-    criticals = []
-    for (_, prev_sign), (j, sign) in zip(nonzero, nonzero[1:]):
-        if sign != prev_sign:
-            criticals.append(j)  # value index of the extremum
+    criticals = _reversals(signs)  # value index of each extremum
 
     inflexions: list[int] = []
     if n >= 3:
         try:
-            second = [values[i + 2] - 2 * values[i + 1] + values[i] for i in range(n - 2)]
+            second = [c - 2 * b + a for a, b, c in zip(values, values[1:], values[2:])]
         except TypeError:
             second = None
         if second is not None:
-            curve = []
-            for i, dd in enumerate(second):
-                if dd > epsilon:
-                    curve.append((i, 1))
-                elif dd < -epsilon:
-                    curve.append((i, -1))
-            for (_, prev_sign), (j, sign) in zip(curve, curve[1:]):
-                if sign != prev_sign:
-                    inflexions.append(j + 1)
+            curve = [(dd > epsilon) - (dd < -epsilon) for dd in second]
+            inflexions = [j + 1 for j in _reversals(curve)]
 
     cyclic_period = None
-    if nonzero and n >= 3:
+    if moving and n >= 3:
         cyclic_period = _cycle_period(values, epsilon)
 
     return TrendClass(
@@ -326,7 +327,8 @@ def parallel_profile(
 
     A grid tick carries the fold state over all of that series' values
     up to and including it; ticks the series never observed are Unknown.
-    Every series must overlap the interval.
+    Every series must overlap the interval. A series that observes
+    exactly the grid's ticks passes its fold through as its row.
     """
     a, b = int(interval[0]), int(interval[1])
     if a > b:
@@ -336,11 +338,16 @@ def parallel_profile(
         raise ValueError("duplicate parameter in series set")
     rows: dict[str, tuple[DynamicsState, ...]] = {}
     for series in series_set:
-        if not any(a <= t <= b for t in series.ticks):
+        ticks = series.ticks
+        i = bisect_left(ticks, a)
+        if i == len(ticks) or ticks[i] > b:
             raise EmptyOverlapError(series.parameter)
         folded = fold_states(series.values, epsilon)
-        by_tick = dict(zip(series.ticks, folded))
-        rows[series.parameter] = tuple(
-            by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
-        )
+        if ticks[0] == a and ticks[-1] == b and len(ticks) == b - a + 1:
+            rows[series.parameter] = folded  # the series observes exactly the grid
+        else:
+            by_tick = dict(zip(ticks, folded))
+            rows[series.parameter] = tuple(
+                by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
+            )
     return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows)

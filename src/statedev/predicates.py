@@ -253,6 +253,10 @@ _ABSENT = object()  # the assignment does not bind the name
 _SLOW = object()  # a fast-path operand that only the full resolution decides
 
 _OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+_REFLECTED = {
+    operator.lt: operator.gt, operator.le: operator.ge, operator.eq: operator.eq,
+    operator.ge: operator.le, operator.gt: operator.lt,
+}
 
 
 def _rank_maps(orders: Mapping[str, Sequence] | None) -> dict[str, dict]:
@@ -313,8 +317,19 @@ def _compile(node: Node, ranks: Mapping[str, dict]):
         return lambda assignment: not item(assignment)
     items = tuple(_compile(item, ranks) for item in node.items)
     if isinstance(node, And):
-        return lambda assignment: all(item(assignment) for item in items)
-    return lambda assignment: any(item(assignment) for item in items)
+        def every(assignment):
+            for item in items:
+                if not item(assignment):
+                    return False
+            return True
+        return every
+
+    def some(assignment):
+        for item in items:
+            if item(assignment):
+                return True
+        return False
+    return some
 
 
 def _rank(order: dict, value):
@@ -417,38 +432,50 @@ def _fast_chain(specs, fns, resolve):
     keys = [static[1] if i != at else None for i, (_, _, static) in enumerate(specs)]
     if any(static[0] is not domain for i, (_, _, static) in enumerate(specs) if i != at):
         return resolve
-    if order is None:
-        def get(assignment):
-            value = assignment.get(ident, _ABSENT)
-            return value if type(value) is float else _SLOW
+    if len(specs) == 2:
+        # Read "key op x" as "x reflected-op key": exact for floats and ranks.
+        f0, key = (fns[0] if at == 0 else _REFLECTED[fns[0]]), keys[1 - at]
+    elif len(specs) == 3 and at == 1:
+        (f0, f1), (k0, _, k2) = fns, keys
     else:
-        literals = tuple(name for name, _, _ in specs if name is not None and name != ident)
+        return resolve
+    if order is None:
+        # A float-valued name: its key is read inline, in the closure's own frame.
+        if len(specs) == 2:
+            def run(assignment):
+                x = assignment.get(ident, _ABSENT)
+                if type(x) is not float:
+                    return resolve(assignment)
+                return f0(x, key)
+        else:
+            def run(assignment):
+                x = assignment.get(ident, _ABSENT)
+                if type(x) is not float:
+                    return resolve(assignment)
+                return f0(k0, x) and f1(x, k2)
+        return run
 
-        def get(assignment):
-            for literal in literals:  # a bound name is a parameter, not a level
-                if literal in assignment:
-                    return _SLOW
-            try:
-                return order.get(assignment.get(ident, _ABSENT), _SLOW)
-            except TypeError:
+    literals = tuple(name for name, _, _ in specs if name is not None and name != ident)
+
+    def get(assignment):
+        for literal in literals:  # a bound name is a parameter, not a level
+            if literal in assignment:
                 return _SLOW
+        try:
+            return order.get(assignment.get(ident, _ABSENT), _SLOW)
+        except TypeError:
+            return _SLOW
 
     if len(specs) == 2:
-        f0, key = fns[0], keys[1 - at]
-
         def run(assignment):
             x = get(assignment)
             if x is _SLOW:
                 return resolve(assignment)
-            return f0(x, key) if at == 0 else f0(key, x)
-        return run
-    if len(specs) == 3 and at == 1:
-        (f0, f1), (k0, _, k2) = fns, keys
-
+            return f0(x, key)
+    else:
         def run(assignment):
             x = get(assignment)
             if x is _SLOW:
                 return resolve(assignment)
             return f0(k0, x) and f1(x, k2)
-        return run
-    return resolve
+    return run

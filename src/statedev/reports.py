@@ -136,8 +136,14 @@ def _scalar(value: Any) -> str:
 
 
 def canonical_json(payload: Any) -> str:
-    """The byte-stable JSON encoding: sorted keys, compact separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """The byte-stable JSON encoding: sorted keys, compact separators.
+
+    Reports and trajectory files are trees the program builds afresh, so
+    the encoder skips its cycle bookkeeping; a cyclic payload still raises
+    (RecursionError) before anything is written."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+    ) + "\n"
 
 
 def emit_report(report: Report, format: str = "machine-json") -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 from . import predicates as pred
@@ -303,11 +304,13 @@ def sample_assignments(
     if unresolved:
         raise MissingParameterRangeError(unresolved)
     rng = random.Random(spec.seed)
+    draws = [
+        (name, partial(rng.choice, decl.levels) if decl.levels is not None
+         else partial(rng.uniform, *decl.bounds))
+        for name, decl in zip(names, decls)
+    ]
     for _ in range(spec.samples):
-        yield {
-            name: rng.choice(decl.levels) if decl.levels is not None else rng.uniform(*decl.bounds)
-            for name, decl in zip(names, decls)
-        }
+        yield {name: draw() for name, draw in draws}
 
 
 def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[str]:
@@ -340,13 +343,13 @@ def validate_scale_disjointness(
     """Sample the parameter space and report every point where two or
     more predicates hold at once. Statistical, not a proof."""
     orders = _orders(parameters)
-    tests = scale.compiled(orders)
+    tests = tuple(enumerate(scale.compiled(orders), start=1))
     names = _sampled_names(scale.predicates, parameters, orders)
     count = 0
     overlaps = []
     for assignment in sample_assignments(spec, names, parameters):
         count += 1
-        hits = [i + 1 for i, holds in enumerate(tests) if holds(assignment)]
+        hits = [position for position, holds in tests if holds(assignment)]
         if len(hits) > 1:
             overlaps.append((assignment, tuple(hits)))
     return DisjointnessReport(scale_id=scale.id, samples=count, overlaps=tuple(overlaps))

@@ -14,13 +14,21 @@ fold every series twice and search every cycle period directly.
 `reference_intensity_report` is the intensity report that keys its counters
 by arc, which `canonical.intensity_report` must agree with, and
 `sorted_arcs` the arc order that `check_consistency` expands in.
+`reference_read_series_csv` is the row-by-row series CSV reader that the
+column-wise `cli._read_series_csv` must agree with, and
+`reference_sample_assignments` the sampler that tests each declaration's
+kind per name per sample, which `statespace.sample_assignments` must draw
+exactly as.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import random
 from typing import Iterable, Mapping, Sequence
 
+from statedev import dynamics, modelfile
 from statedev.canonical import (
     Arc,
     ArcKind,
@@ -55,6 +63,7 @@ from statedev.scenario import (
     Trajectory,
     initial_configuration,
 )
+from statedev.statespace import MissingParameterRangeError, Parameters, SampleSpec
 
 
 class SpaceBoundExceededError(StatedevError):
@@ -600,3 +609,67 @@ def reference_intensity_report(
         reached=reached,
         target_delta=target_delta,
     )
+
+
+def reference_read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.ParameterSeries]:
+    """The series CSV reader that walks the file row by row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise StatedevError(f"series file {path!r} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if not header or header[0] != "tick":
+        raise StatedevError("series CSV must start with a 'tick' column")
+    names = header[1:]
+    if not names:
+        raise StatedevError("series CSV has no parameter columns")
+    ticks: dict[str, list[int]] = {name: [] for name in names}
+    values: dict[str, list] = {name: [] for name in names}
+    for line_no, row in enumerate(rows[1:], start=2):
+        try:
+            tick = int(row[0])
+        except (ValueError, IndexError):
+            raise StatedevError(f"{path}:{line_no}: bad tick {row[0]!r}") from None
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            ticks[name].append(tick)
+            values[name].append(cell)
+    out = []
+    for name in names:
+        if not ticks[name]:
+            raise StatedevError(f"series column {name!r} holds no observations")
+        decl = model.parameters.get(name)
+        try:
+            if decl is not None and decl.kind == "ordinal":
+                series = dynamics.ParameterSeries.from_ordinal(name, ticks[name], values[name], decl.levels)
+            else:
+                series = dynamics.ParameterSeries(name, tuple(ticks[name]), modelfile.numbers(values[name]))
+        except ValueError as exc:
+            raise StatedevError(f"series column {name!r}: {exc}") from None
+        out.append(series)
+    return out
+
+
+def reference_sample_assignments(
+    spec: SampleSpec, names: Sequence[str], parameters: Parameters | None = None
+):
+    """The sampler that tests each declaration's kind per name per sample."""
+    names = sorted(names)
+    if not names:
+        return
+    decls = [(parameters or {}).get(name) for name in names]
+    unresolved = [
+        name for name, decl in zip(names, decls)
+        if decl is None or (decl.levels is None and decl.bounds is None)
+    ]
+    if unresolved:
+        raise MissingParameterRangeError(unresolved)
+    rng = random.Random(spec.seed)
+    for _ in range(spec.samples):
+        yield {
+            name: rng.choice(decl.levels) if decl.levels is not None else rng.uniform(*decl.bounds)
+            for name, decl in zip(names, decls)
+        }

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,13 @@ from pathlib import Path
 import pytest
 
 import statedev
+from statedev import cli
 from statedev.cli import main
+from statedev.errors import StatedevError
+from statedev.modelfile import parse_model
+from statedev.reports import Report, emit_report
 from tests.conftest import BASIC, DEV3_EVENTS, TWO_LEVEL, X_SERIES
+from tests.oracles import reference_read_series_csv
 
 BASIC_S = str(BASIC)
 TWO_LEVEL_S = str(TWO_LEVEL)
@@ -736,3 +743,115 @@ def test_consist_rejects_an_empty_composition(tmp_path, capsys, request_id, chan
     code, report, err = run_json(capsys, "consist", path, "--request", request_id)
     assert (code, err, report["body"]["outcome"]) == (1, "", "rejected")
     assert report["body"]["detail"]["error"] == "EmptyCompositionError"
+
+
+def test_replay_treats_equal_copies_of_an_arc_as_one_arc(tmp_path, capsys):
+    def repeat_arc(raw):
+        raw["canonical_diagrams"]["dev3"]["dev_arcs"] += [{"from": "negative", "to": "high", "delta": 0}] * 2
+
+    path = _model(tmp_path, BASIC, repeat_arc)
+    assert run_json(capsys, "validate", path)[0] == 0
+    events = tmp_path / "e.csv"
+    events.write_text("tick,object,from,to,arc_kind\n1,a,negative,high,dev\n")
+    code, report, _ = run_json(capsys, "replay", path, "--diagram", "dev3", "--events", str(events))
+    assert code == 0
+    assert report["body"]["arc_cumulative"]["negative->high dev d0"] == [0, 1, 1, 1, 1, 1, 1]
+    assert report["body"]["reached"] == {"high": 1, "low": 0, "negative": 1}
+
+
+def test_replay_still_refuses_an_arc_of_several_deltas(tmp_path, capsys):
+    def two_deltas(raw):
+        raw["canonical_diagrams"]["dev3"]["dev_arcs"] += [
+            {"from": "negative", "to": "high", "delta": 0},
+            {"from": "negative", "to": "high", "delta": 1},
+        ]
+
+    path = _model(tmp_path, BASIC, two_deltas)
+    events = tmp_path / "e.csv"
+    events.write_text("tick,object,from,to,arc_kind\n\n 1 , a ,negative,high,dev\n2,b,negative,high,back\n")
+    violations = _failure(capsys, "replay", path, "--diagram", "dev3", "--events", str(events))
+    assert violations == [
+        f"{events}:2: dev arc negative->high is ambiguous (several deltas); split the diagram arcs"
+    ]
+    events.write_text("tick,object,from,to,arc_kind\n1,a,negative,low,dev\n2,b,negative,high,back\n")
+    violations = _failure(capsys, "replay", path, "--diagram", "dev3", "--events", str(events))
+    assert violations == [f"{events}:3: no back arc negative->high in diagram 'dev3'"]
+
+
+def test_a_report_body_that_holds_a_cycle_raises_and_prints_nothing(monkeypatch, capsys):
+    body = {"target": "m", "passed": True, "violations": [], "warnings": []}
+    body["warnings"].append(body["warnings"])
+    report = Report(kind="validation", body=body, provenance={"tool": "t"})
+    with pytest.raises((ValueError, RecursionError)):
+        emit_report(report)
+    monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: (report, 0))
+    with pytest.raises((ValueError, RecursionError)):
+        main(["validate", BASIC_S])
+    assert capsys.readouterr().out == ""
+
+
+def _random_series_text(rng) -> str:
+    """A series CSV that may be malformed in any of the ways a file can be."""
+    pool = ["x", "phase", "y", "x", "tick"]
+    names = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+    header = ["tick"] + names
+    if rng.random() < 0.05:
+        header[0] = rng.choice(["time", "", " tick"])
+
+    def pad(cell):
+        return rng.choice(["", " ", "  "]) + cell + rng.choice(["", " ", "\t"])
+
+    lines = [",".join(pad(cell) for cell in header) if rng.random() > 0.04 else " , "]
+    tick = rng.randint(-3, 3)
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(rng.choice(["", ",,", "  ,  "]))  # blank rows are not counted
+            continue
+        tick += 1 if roll > 0.12 else rng.choice([0, -1, -2])
+        tick_cell = str(tick)
+        if rng.random() < 0.04:
+            tick_cell = rng.choice(["a", "1.5", "", "1e2", "nan"])
+        cells = [tick_cell]
+        for name in names:
+            r = rng.random()
+            if r < 0.2:
+                cells.append("")
+            elif name == "phase":
+                cells.append(rng.choice(["Seed", "Sprout", "Plant", "Plant", "Bogus"]) if r < 0.97 else "1")
+            else:
+                cells.append(rng.choice([str(rng.randint(-5, 5)), f"{rng.uniform(-9, 9):.3f}", "1e3"])
+                             if r < 0.97 else rng.choice(["nan", "inf", "-inf", "abc", "1e999"]))
+        if rng.random() < 0.1:
+            cells = cells[:rng.randint(1, len(cells))]  # a short row
+        elif rng.random() < 0.05:
+            cells.append("9")  # a cell beyond the header
+        lines.append(",".join(pad(cell) for cell in cells))
+    return "\n".join(lines) + rng.choice(["\n", ""])
+
+
+def test_column_series_reader_equals_the_row_reader(tmp_path):
+    model = parse_model(BASIC_S)
+    rng = random.Random(40)
+    path = tmp_path / "s.csv"
+    outcomes = set()
+    for _ in range(4000):
+        path.write_text(_random_series_text(rng))
+        try:
+            want = reference_read_series_csv(str(path), model)
+        except StatedevError as exc:
+            want = str(exc).replace(str(path), "PATH")
+            outcomes.add(re.sub(r"'[^']*'|\d+", "_", want))
+        else:
+            outcomes.add(len(want))
+        try:
+            got = cli._read_series_csv(str(path), model)
+        except StatedevError as exc:
+            got = str(exc).replace(str(path), "PATH")
+        assert got == want, path.read_text()
+    # Every kind of outcome occurs: series lists of several lengths and each error.
+    assert {1, 2, 3, 4} <= outcomes
+    for fragment in ("is empty", "must start with", "no parameter columns", "bad tick",
+                     "holds no observations", "not in declared order", "strictly increasing",
+                     "is not a finite number", "could not convert"):
+        assert any(fragment in str(o) for o in outcomes), fragment

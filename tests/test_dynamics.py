@@ -219,6 +219,24 @@ def test_classify_and_profile_equal_the_two_fold_reference():
         assert got == _outcome(reference_parallel_profile, series_set, interval, epsilon)
 
 
+def test_a_series_on_the_grid_passes_its_fold_through():
+    # Series on the grid, inside it, reaching past it on either side, and
+    # with one gap between the grid's ends: every row equals the reference.
+    rng = random.Random(32)
+    for _ in range(1500):
+        n, start = rng.randint(1, 30), rng.randint(-5, 10)
+        ticks = list(range(start, start + n + 1))
+        del ticks[rng.randrange(1, n) if n > 1 and rng.random() < 0.3 else n]
+        s = ParameterSeries("p", tuple(ticks), _random_values(rng, n))
+        a = rng.choice((start, start - rng.randint(1, 5), start + rng.randint(0, n)))
+        b = rng.choice((ticks[-1], ticks[-1], a + rng.randint(0, 40), a - 1))
+        epsilon = rng.choice((0.0, 0.5))
+        got = _outcome(parallel_profile, [s], (a, b), epsilon)
+        assert got == _outcome(reference_parallel_profile, [s], (a, b), epsilon), (s, a, b)
+    exact = ParameterSeries("p", (3, 4, 5), (1.0, 2.0, 1.0))
+    assert parallel_profile([exact], (3, 5)).rows["p"] == fold_states(exact.values)
+
+
 def test_cycle_search_equals_the_direct_search():
     rng = random.Random(31)
     periods = set()

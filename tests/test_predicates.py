@@ -163,11 +163,76 @@ def test_compiled_fast_paths_fall_back_on_unusual_values():
     assert interval({"x": 5}) and not interval({"x": 10})  # ints take the full resolution
     with pytest.raises(MissingParameterError):
         interval({})
+    with pytest.raises(IncomparableValuesError, match="non-comparable value True"):
+        interval({"x": True})  # a bool is not a number here
+    above = compile(parse("5 < x"))  # read as x > 5
+    assert above({"x": 6.0}) and above({"x": 6}) and not above({"x": 5.0})
     literal = compile(parse("phase <= Sprout"), orders)
     assert literal({"phase": "Seed"}) and not literal({"phase": "Plant"})
     # A bound name is a parameter, even when it is also a level.
     with pytest.raises(IncomparableValuesError, match="cannot compare a number"):
         literal({"phase": "Seed", "Sprout": 1.0})
+
+
+_ABSENT = object()
+_UNUSUAL = (4.0, 5.0, -0.0, float("nan"), 5, 0, True, False, "a", "5", None, (5.0,), _ABSENT)
+
+
+@pytest.mark.parametrize("text", [
+    "x < 5", "x <= 5", "x = 5", "x >= 5", "x > 5", "5 < x", "5 <= x", "5 = x", "5 >= x", "5 > x",
+    "0 <= x < 10", "0 < x <= 5", "10 > x >= 5", "4 = x = 4", "-1 <= x <= -1",
+])
+def test_float_name_chains_equal_the_oracle_on_every_kind_of_value(text):
+    node = parse(text)
+    compiled = compile(node)
+    for value in _UNUSUAL:
+        assignment = {"y": 1.0} if value is _ABSENT else {"x": value, "y": 1.0}
+        want = _outcome(evaluate, node, assignment, None)
+        assert _outcome(compiled, assignment) == want, (text, value)
+
+
+@pytest.mark.parametrize("text", [
+    "x < 1 and y < 2 and x > -1",
+    "x < 1 or y < 2 or x > 3 or y = 0",
+    "not (x < 1 and y < 2 and z < 3)",
+    "not (x < 1 or y < 2 or z < 3)",
+    "(x < 1 or y < 2 or z < 3) and (x > 0 or y > 0 or z > 0) and not (x = y)",
+    "x < 0 or (y < 1 and z < 2 and not (x < 5 or y < 5 or z < 5)) or z = 4",
+    "not (not (x < 1 and y < 1 and z < 1) or not (x > -5 or y > -5 or z > -5))",
+])
+def test_and_or_of_three_or_more_items_equal_the_oracle(text):
+    node = parse(text)
+    compiled = compile(node)
+    rng = random.Random(text)
+    values = (-6.0, 0.0, 0.5, 1.0, 4.0, 2, True, None, "a")
+    seen = set()
+    for _ in range(400):
+        assignment = {name: rng.choice(values) for name in ("x", "y", "z") if rng.random() < 0.85}
+        want = _outcome(evaluate, node, assignment, None)
+        assert _outcome(compiled, assignment) == want, (text, assignment)
+        seen.add(want if isinstance(want, bool) else want[0])
+    assert {True, False} <= seen
+
+
+def test_long_and_or_chains_equal_the_oracle_on_random_expressions():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(1500):
+        joiner = rng.choice((" and ", " or "))
+        text = joiner.join(f"({_random_expression(rng, 2)})" for _ in range(rng.randint(3, 5)))
+        if rng.random() < 0.3:
+            text = f"not ({text})"
+        if rng.random() < 0.3:
+            text = f"({text}){rng.choice((' and ', ' or '))}({_random_expression(rng, 2)})"
+        node = parse(text)
+        orders = rng.choice((_ORDERS, None))
+        compiled = compile(node, orders)
+        for _ in range(4):
+            assignment = _random_assignment(rng)
+            want = _outcome(evaluate, node, assignment, orders)
+            assert _outcome(compiled, assignment) == want, (text, assignment, orders)
+            seen.add(want if isinstance(want, bool) else want[0])
+    assert seen == {True, False, MissingParameterError, IncomparableValuesError}
 
 
 def test_a_level_literal_takes_the_first_order_of_its_chain():

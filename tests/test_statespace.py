@@ -1,5 +1,7 @@
 """Scales, hierarchical classification, sampling checks, rule matrices."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from statedev.statespace import (
     validate_classificator,
     validate_scale_disjointness,
 )
+from tests.oracles import reference_sample_assignments
 
 
 def scale(sid, *exprs, ids=None):
@@ -183,6 +186,42 @@ def test_ordinal_with_numeric_levels_draws_only_its_levels():
     draws = [a["g"] for a in sample_assignments(SampleSpec(samples=200, seed=5), ["g"], ordinal)]
     assert all(type(g) is int for g in draws)
     assert set(draws) == {1, 2}
+
+
+def _random_decl(rng, name):
+    roll = rng.random()
+    if roll < 0.4:
+        levels = rng.sample(["L0", "L1", "L2", "L3", 7, 8.5], rng.randint(1, 5))
+        return ParameterDecl(name, "ordinal", levels=tuple(levels))
+    if roll < 0.95:
+        lo = rng.choice([0.0, -1.0, 1e-9, rng.uniform(-50, 50), -1e300])
+        hi = rng.choice([lo, lo + rng.uniform(0, 100), 1e300])
+        return ParameterDecl(name, bounds=(lo, hi))
+    return ParameterDecl(name)  # numeric without bounds: no sampling range
+
+
+def _draws(fn, spec, names, parameters):
+    try:
+        return [[(name, type(v), repr(v)) for name, v in a.items()] for a in fn(spec, names, parameters)]
+    except MissingParameterRangeError as exc:
+        return (type(exc), str(exc))
+
+
+def test_bound_draws_equal_the_per_sample_kind_tests():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(600):
+        pool = rng.sample(["a", "b", "c", "d", "e", "f"], rng.randint(0, 6))
+        parameters = {name: _random_decl(rng, name) for name in pool if rng.random() < 0.95}
+        names = rng.sample(pool, len(pool))  # any order: both sort the names
+        spec = SampleSpec(samples=rng.randint(1, 40), seed=rng.randrange(1000))
+        want = _draws(reference_sample_assignments, spec, names, parameters)
+        assert _draws(sample_assignments, spec, names, parameters) == want
+        if isinstance(want, list) and want:
+            kinds.add(frozenset(kind for _, kind, _ in want[0]))
+        elif not isinstance(want, list):
+            kinds.add(want[0])
+    assert {frozenset({str, float}), frozenset({str, int, float}), MissingParameterRangeError} <= kinds
 
 
 def test_rule_matrix_single_cell():
