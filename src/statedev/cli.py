@@ -322,6 +322,11 @@ def _cmd_profile(args) -> tuple[Report, int]:
     if interval[0] > interval[1]:
         raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
     series_set = _read_series_csv(args.series, model)
+    seen: set[str] = set()
+    for s in series_set:
+        if s.parameter in seen:
+            raise StatedevError(f"series column {s.parameter!r} appears more than once")
+        seen.add(s.parameter)
     profile = dynamics.parallel_profile(series_set, interval, args.epsilon)
     names = profile.parameters
     columns = [

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Sequence
 
 from .canonical import Arc, ArcKind, CanonicalDiagram
@@ -371,7 +372,9 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
       clocks newly enabled: delta above the clock it was expanded with
       and at most its clock now. An arc it fired before led to a node
       whose aged copy covers what the arc gives now, or claimed an entry
-      that has since expired, which leaves a dead branch.
+      that has since expired, which leaves a dead branch. So a carried
+      node whose clocks did not move at the last aging is settled: it
+      keeps its clocks without aging them again and is not walked.
     - A tick in which no frontier node's clock moves fires nothing, and
       the same holds at every later tick, since all clocks stay capped
       and nodes only leave the frontier as their entries expire. The
@@ -390,25 +393,27 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
         {s: max((a.delta for a in arcs), default=0) for s, arcs in by_src.items()}
         for by_src in arcs_from
     ]
+    caps_of: dict = {}  # states -> their caps, per diagram
+    # Entry k as flat lists; the sentinel past the last one never expires
+    # and never matches, so claim stops there without a bound test.
+    deadline = [e.deadline for e in entries] + [horizon + 1]
+    where = [e.diagram for e in entries] + [0]
+    want = [e.state for e in entries] + [None]
 
     def claim(states: Sequence[str], k: int, tick: int) -> int:
-        while (
-            k < len(entries)
-            and entries[k].deadline >= tick
-            and states[entries[k].diagram] == entries[k].state
-        ):
+        while deadline[k] >= tick and states[where[k]] == want[k]:
             k += 1
         return k
 
-    # steps[i] is (parent index, firing) of the i-th node found; node 0 is
-    # the start. Node keys change as clocks tick, so parents go by index.
+    # steps[i] is (parent index, tick, diagram, arc) of the i-th node found;
+    # node 0 is the start. Node keys change as clocks tick: parents go by index.
     steps: list = [None]
 
     def finish(i: int) -> ConsistencyVerdict:
         firings = []
         while steps[i] is not None:
-            i, firing = steps[i]
-            firings.append(firing)
+            i, tick, di, arc = steps[i]
+            firings.append(ScheduledFiring(tick, di, arc))
         firings.reverse()
         # Recompute claim ticks along the witness.
         states = [d.initial for d in dset.diagrams]
@@ -428,26 +433,36 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     # (states, clocks, k, index in steps, clocks at the last expansion);
     # None marks a node found in this tick, which fires every enabled arc.
     frontier = [(start, (0,) * n, best_k, 0, None)]
+    moving = frontier[:]  # the frontier less its settled nodes, which fire nothing
     passed = {(start, best_k): [(0,) * n]}  # (states, k) -> clocks of frontier nodes
     for t in range(0, horizon + 1):
         if t:
-            passed, aged = {}, []
-            for states, ages, k, i, _ in frontier:
-                if entries[k].deadline >= t:
-                    now = tuple(
-                        min(a + 1, caps[di][s]) for di, (s, a) in enumerate(zip(states, ages))
-                    )
-                    seen = passed.setdefault((states, k), [])
-                    if now not in seen:  # the node found first stays
-                        seen.append(now)
-                        aged.append((states, now, k, i, ages))
-            if all(now == before for _, now, _, _, before in aged):
+            carried, passed, frontier, moving = frontier, {}, [], []
+            for node in carried:
+                states, ages, k, i, before = node
+                if deadline[k] < t:
+                    continue
+                if ages == before:
+                    now = ages  # settled: every clock is capped
+                else:
+                    capt = caps_of.get(states)
+                    if capt is None:
+                        capt = caps_of[states] = tuple(map(dict.__getitem__, caps, states))
+                    now = tuple(map(min, map((1).__add__, ages), capt))
+                seen = passed.setdefault((states, k), [])
+                if now not in seen:  # the node found first stays
+                    seen.append(now)
+                    node = (states, now, k, i, ages)
+                    frontier.append(node)
+                    if now != ages:
+                        moving.append(node)
+            if not moving:
                 break  # every clock is capped: nothing fires again
-            frontier = aged
-        for states, ages, k, i, before in frontier:  # grows while it is walked
-            for di in range(n):
+        live = [di for di in range(n) if t <= limits[di]]
+        for states, ages, k, i, before in moving:  # grows while it is walked
+            for di in live:
                 lo = -1 if before is None else before[di]
-                if t > limits[di] or lo == ages[di]:
+                if lo == ages[di]:
                     continue
                 for arc in arcs_from[di][states[di]]:
                     if not lo < arc.delta <= ages[di]:
@@ -456,15 +471,19 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
                     nk = claim(ns, k, t)
                     if nk > best_k:
                         best_k = nk
-                    if nk < len(entries) and entries[nk].deadline < t:
+                    if deadline[nk] < t:
                         continue  # dead branch: its next entry already expired
                     na = ages[:di] + (0,) + ages[di + 1 :]
                     seen = passed.setdefault((ns, nk), [])
-                    if any(all(x >= y for x, y in zip(v, na)) for v in seen):
-                        continue  # covered: that node may wait and fire as this one
-                    steps.append((i, ScheduledFiring(t, di, arc)))
-                    if nk == len(entries):
-                        return finish(len(steps) - 1)
-                    seen.append(na)
-                    frontier.append((ns, na, nk, len(steps) - 1, None))
+                    for v in seen:
+                        if all(map(ge, v, na)):
+                            break  # covered: that node may wait and fire as this one
+                    else:
+                        steps.append((i, t, di, arc))
+                        if nk == len(entries):
+                            return finish(len(steps) - 1)
+                        seen.append(na)
+                        node = (ns, na, nk, len(steps) - 1, None)
+                        frontier.append(node)
+                        moving.append(node)
     return ConsistencyVerdict(False, None, None, best_k + 1)

@@ -14,6 +14,9 @@ fold every series twice and search every cycle period directly.
 `reference_intensity_report` is the intensity report that keys its counters
 by arc, which `canonical.intensity_report` must agree with, and
 `sorted_arcs` the arc order that `check_consistency` expands in.
+`covering_check_consistency` is the covering search that ages, walks and
+records every frontier node each tick, which `check_consistency` must
+return the same verdict as.
 `reference_read_series_csv` is the row-by-row series CSV reader that the
 column-wise `cli._read_series_csv` must agree with, and
 `reference_sample_assignments` the sampler that tests each declaration's
@@ -38,7 +41,13 @@ from statedev.canonical import (
     TransitionEvent,
     WindowOutOfRangeError,
 )
-from statedev.composition import PrescribedSequence, TimedDiagramSet
+from statedev.composition import (
+    ConsistencyVerdict,
+    PrescribedSequence,
+    ScheduledFiring,
+    TimedDiagramSet,
+    _validate_refs,
+)
 from statedev.dynamics import (
     DynamicsState,
     EmptyOverlapError,
@@ -208,6 +217,107 @@ def execution_satisfies(
         if walk({t: ordering for t, ordering in zip(ticks, combo)}):
             return True
     return False
+
+
+def covering_check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> ConsistencyVerdict:
+    """The covering search that `composition.check_consistency` refines,
+    kept unchanged as the reference its whole verdict must equal. It ages
+    every carried node's clocks, walks it per diagram and builds a
+    `ScheduledFiring` for every node it finds; the search it replaced,
+    over absolute entry ticks, is `reference_check_consistency` in
+    tests/test_composition.py."""
+    _validate_refs(dset, seq)
+    entries = seq.entries
+    if not entries:
+        return ConsistencyVerdict(True, (), (), None)
+    horizon = entries[-1].deadline
+    n = len(dset.diagrams)
+    limits = [min(tau, horizon) for tau in dset.intervals]
+    arcs_from = [d.out_arcs for d in dset.diagrams]
+    # A clock at its state's cap enables every arc leaving that state.
+    caps = [
+        {s: max((a.delta for a in arcs), default=0) for s, arcs in by_src.items()}
+        for by_src in arcs_from
+    ]
+
+    def claim(states: Sequence[str], k: int, tick: int) -> int:
+        while (
+            k < len(entries)
+            and entries[k].deadline >= tick
+            and states[entries[k].diagram] == entries[k].state
+        ):
+            k += 1
+        return k
+
+    # steps[i] is (parent index, firing) of the i-th node found; node 0 is
+    # the start. Node keys change as clocks tick, so parents go by index.
+    steps: list = [None]
+
+    def finish(i: int) -> ConsistencyVerdict:
+        firings = []
+        while steps[i] is not None:
+            i, firing = steps[i]
+            firings.append(firing)
+        firings.reverse()
+        # Recompute claim ticks along the witness.
+        states = [d.initial for d in dset.diagrams]
+        k = claim(states, 0, 0)
+        ticks = [0] * k
+        for f in firings:
+            states[f.diagram] = f.arc.dst
+            nk = claim(states, k, f.tick)
+            ticks += [f.tick] * (nk - k)
+            k = nk
+        return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
+
+    start = tuple(d.initial for d in dset.diagrams)
+    best_k = claim(start, 0, 0)
+    if best_k == len(entries):
+        return finish(0)
+    # (states, clocks, k, index in steps, clocks at the last expansion);
+    # None marks a node found in this tick, which fires every enabled arc.
+    frontier = [(start, (0,) * n, best_k, 0, None)]
+    passed = {(start, best_k): [(0,) * n]}  # (states, k) -> clocks of frontier nodes
+    for t in range(0, horizon + 1):
+        if t:
+            passed, aged = {}, []
+            for states, ages, k, i, _ in frontier:
+                if entries[k].deadline >= t:
+                    now = tuple(
+                        min(a + 1, caps[di][s]) for di, (s, a) in enumerate(zip(states, ages))
+                    )
+                    seen = passed.setdefault((states, k), [])
+                    if now not in seen:  # the node found first stays
+                        seen.append(now)
+                        aged.append((states, now, k, i, ages))
+            if all(now == before for _, now, _, _, before in aged):
+                break  # every clock is capped: nothing fires again
+            frontier = aged
+        for states, ages, k, i, before in frontier:  # grows while it is walked
+            for di in range(n):
+                lo = -1 if before is None else before[di]
+                if t > limits[di] or lo == ages[di]:
+                    continue
+                for arc in arcs_from[di][states[di]]:
+                    if not lo < arc.delta <= ages[di]:
+                        continue
+                    ns = states[:di] + (arc.dst,) + states[di + 1 :]
+                    nk = claim(ns, k, t)
+                    if nk > best_k:
+                        best_k = nk
+                    if nk < len(entries) and entries[nk].deadline < t:
+                        continue  # dead branch: its next entry already expired
+                    na = ages[:di] + (0,) + ages[di + 1 :]
+                    seen = passed.setdefault((ns, nk), [])
+                    if any(all(x >= y for x, y in zip(v, na)) for v in seen):
+                        continue  # covered: that node may wait and fire as this one
+                    steps.append((i, ScheduledFiring(t, di, arc)))
+                    if nk == len(entries):
+                        return finish(len(steps) - 1)
+                    seen.append(na)
+                    frontier.append((ns, na, nk, len(steps) - 1, None))
+    return ConsistencyVerdict(False, None, None, best_k + 1)
+
 
 
 def replay_events(tr: Trajectory, sc: Scenario) -> bool:

@@ -524,6 +524,60 @@ def test_consist_witness_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(witness) == 1
 
 
+def test_consist_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # Every request of the basic fixture, and a pair of benchmark-like
+    # chains whose sequence is met by many witnesses and one that no
+    # execution meets, each consisted in one interpreter per hash seed.
+    rng = random.Random(3)
+    states = [f"c{i}" for i in range(6)]
+    dev = [1, 1, 2, 1, 1]
+
+    def chain():
+        back = dev[:]
+        rng.shuffle(back)
+        return {
+            "states": states, "initial": states[0], "final": states[-1], "horizon": 30,
+            "dev_arcs": [{"from": a, "to": b, "delta": t} for a, b, t in zip(states, states[1:], dev)],
+            "back_arcs": [{"from": b, "to": a, "delta": t} for a, b, t in zip(states, states[1:], back)],
+        }
+
+    # a climbs, drops and climbs again, b climbs once; the quickest way
+    # back to the top of a takes 18 ticks.
+    visits = ((0, "c5", 17), (1, "c5", 17), (0, "c0", 17))
+    model = {
+        "format_version": 1,
+        "canonical_diagrams": {"a": chain(), "b": chain()},
+        "composition_requests": {
+            f"climb_by_{last}": {
+                "kind": "consistency", "diagrams": ["a", "b"], "intervals": [30, 30],
+                "sequence": [{"diagram": d, "state": s, "deadline": t}
+                             for d, s, t in visits + ((0, "c5", last),)],
+            }
+            for last in (18, 17)
+        },
+    }
+    chains = tmp_path / "chains.json"
+    chains.write_text(json.dumps(model))
+    basic_requests = json.loads(BASIC.read_text())["composition_requests"]
+    calls = [["consist", BASIC_S, "--request", rid] for rid in basic_requests]
+    calls += [["consist", str(chains), "--request", rid] for rid in model["composition_requests"]]
+    script = "import json, sys\nfrom statedev.cli import main\nfor argv in json.loads(sys.argv[1]):\n    main(argv)\n"
+    src = str(Path(statedev.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(set(outputs)) == 1
+    reports = [json.loads(line) for line in outputs[0].splitlines()]
+    assert len(reports) == 6
+    assert [r["body"]["outcome"] for r in reports[3:]] == ["consistent", "consistent", "inconsistent"]
+
+
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
     # main builds its parser once per process and reuses it.
     usage = run(capsys, "consist", BASIC_S)  # --request is missing
@@ -591,8 +645,10 @@ def test_profile_rejects_a_non_finite_series_cell(tmp_path, capsys, cell):
     ("tick,x\n0,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
     ("tick,x\n1,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
     ("tick,x,x\n0,1,2\n1,2,3\n", "0:1", "series column 'x': ticks must be strictly increasing"),
+    ("tick,x,x\n0,1,\n1,2,\n", "0:1", "series column 'x' appears more than once"),
     ("tick,x\n0,1\n1,2\n", "3:1", "interval '3:1': start exceeds its end"),
-], ids=["unknown-level", "repeated-tick", "decreasing-tick", "duplicated-column", "reversed-interval"])
+], ids=["unknown-level", "repeated-tick", "decreasing-tick", "duplicated-column", "repeated-column",
+        "reversed-interval"])
 def test_profile_reports_a_malformed_series_or_interval(tmp_path, capsys, text, interval, message):
     series = tmp_path / "s.csv"
     series.write_text(text)

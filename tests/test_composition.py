@@ -29,7 +29,13 @@ from statedev.composition import (
     generalize,
 )
 from tests.conftest import chain
-from tests.oracles import SpaceBoundExceededError, enumerate_attainable_sequences, execution_satisfies, sorted_arcs
+from tests.oracles import (
+    SpaceBoundExceededError,
+    covering_check_consistency,
+    enumerate_attainable_sequences,
+    execution_satisfies,
+    sorted_arcs,
+)
 
 
 def two_chain(name, delta=1, horizon=6):
@@ -473,30 +479,33 @@ def test_search_equals_the_reference_on_long_deadlines():
     assert outcomes == {(True, False), (True, True), (False, False)}
 
 
-def test_settled_search_is_flat_in_the_horizon():
-    def found_case(horizon):
-        a, b = (
-            dataclasses.replace(chain(6, delta=2, horizon=horizon, back=True), id=name)
-            for name in "ab"
-        )
-        stuck = CanonicalDiagram(
-            id="c", states=("c0", "c1"), dev_arcs=(), back_arcs=(),
-            initial="c0", final="c1", horizon=horizon,
-        )
-        dset = TimedDiagramSet((a, b, stuck), (horizon,) * 3)
-        # c never reaches c1, so the search runs until its frontier settles.
-        seq = PrescribedSequence((
-            PrescribedEntry(0, "s6", horizon),
-            PrescribedEntry(2, "c1", horizon),
-            PrescribedEntry(1, "s6", horizon),
-        ))
-        return dset, seq
+def settled_case(horizon):
+    """Two 6-state chains and a diagram that never leaves its initial
+    state, which the second entry asks to leave: the search runs until its
+    frontier settles."""
+    a, b = (
+        dataclasses.replace(chain(6, delta=2, horizon=horizon, back=True), id=name)
+        for name in "ab"
+    )
+    stuck = CanonicalDiagram(
+        id="c", states=("c0", "c1"), dev_arcs=(), back_arcs=(),
+        initial="c0", final="c1", horizon=horizon,
+    )
+    dset = TimedDiagramSet((a, b, stuck), (horizon,) * 3)
+    seq = PrescribedSequence((
+        PrescribedEntry(0, "s6", horizon),
+        PrescribedEntry(2, "c1", horizon),
+        PrescribedEntry(1, "s6", horizon),
+    ))
+    return dset, seq
 
-    dset, seq = found_case(30)
+
+def test_settled_search_is_flat_in_the_horizon():
+    dset, seq = settled_case(30)
     short = check_consistency(dset, seq)
     assert short.failed_prefix == 2
     assert short == reference_check_consistency(dset, seq)
-    dset, seq = found_case(480)
+    dset, seq = settled_case(480)
     began = perf_counter()
     assert check_consistency(dset, seq) == short
     assert perf_counter() - began < 0.25
@@ -516,21 +525,54 @@ def bench_chain(rng, name, dev, horizon):
     )
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_search_equals_the_reference_on_chain_pairs(seed):
+def chain_pair_cases(seed):
+    """A pair of benchmark chains with the sequences whose last deadline
+    is 18 and 17: a climbs, drops and climbs again, b climbs once; the
+    quickest way back to the top of a takes 18 ticks, so 17 fails."""
     rng = random.Random(seed)
     a, b = (bench_chain(rng, name, (1, 1, 2, 1, 1), 30) for name in "ab")
     dset = TimedDiagramSet((a, b), (30, 30))
-    # a climbs, drops and climbs again, b climbs once; the quickest way
-    # back to the top of a takes 18 ticks, so a deadline of 17 fails.
     top, bottom = a.final, a.initial
-    for last in (18, 17):
-        seq = PrescribedSequence((
+    return [
+        (dset, PrescribedSequence((
             PrescribedEntry(0, top, 17),
             PrescribedEntry(1, b.final, 17),
             PrescribedEntry(0, bottom, 17),
             PrescribedEntry(0, top, last),
-        ))
+        )))
+        for last in (18, 17)
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_equals_the_reference_on_chain_pairs(seed):
+    for (dset, seq), last in zip(chain_pair_cases(seed), (18, 17)):
         verdict = check_consistency(dset, seq)
         assert verdict.consistent == (last == 18)
         assert verdict == reference_check_consistency(dset, seq)
+
+
+@pytest.mark.parametrize("long_deadlines", [False, True])
+def test_search_equals_the_covering_search(long_deadlines):
+    # The search skips settled nodes, ages clocks in one map and records
+    # firings as plain tuples; the covering search it refines does none of
+    # that, so their whole verdicts must agree: witness, claim ticks and
+    # failed prefix alike.
+    rng = random.Random(14)
+    cases = [settled_case(30), settled_case(90)]
+    cases += [case for seed in (1, 2, 3) for case in chain_pair_cases(seed)]
+    for _ in range(2000):
+        horizon = rng.randrange(4, 41)
+        diagrams = tuple(timed_diagram(rng, f"d{k}", horizon) for k in range(rng.randrange(1, 4)))
+        dset = TimedDiagramSet(diagrams, tuple(rng.randrange(horizon // 2, horizon + 1) for _ in diagrams))
+        if long_deadlines:
+            seq = random_sequence(rng, diagrams, horizon, most=6, step=horizon // 3)
+        else:
+            seq = random_sequence(rng, diagrams, horizon)
+        cases.append((dset, seq))
+    outcomes = set()
+    for dset, seq in cases:
+        verdict = check_consistency(dset, seq)
+        assert verdict == covering_check_consistency(dset, seq), f"{seq} over {dset}"
+        outcomes.add((verdict.consistent, len(verdict.witness or ()) > 1))
+    assert outcomes == {(True, False), (True, True), (False, False)}
