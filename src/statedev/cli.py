@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -340,7 +341,7 @@ def _cmd_profile(args) -> tuple[Report, int]:
     trends: dict[str, Union[dict, None]] = {}
     for s in series_set:
         try:
-            trend = dynamics.classify_series(s, args.epsilon)
+            trend = dynamics.classify_series(s, args.epsilon, profile.signs[s.parameter])
             trends[s.parameter] = {
                 "monotone": trend.monotone,
                 "critical_points": list(trend.critical_points),
@@ -533,11 +534,35 @@ def _trajectory_report(rep: scenario.ScenarioReport, args, source: str) -> Repor
     return Report(kind="trajectory", body=_scenario_report_body(rep), provenance=_provenance(args, inputs=[source]))
 
 
+# The event CSV's columns after seq and tick, per event kind.
+_EVENT_ROWS = {
+    "delivery": lambda e: ("delivery", e.subsystem, e.symbol, "", "", e.symbol_kind,
+                           "true" if e.effective else "false"),
+    "firing": lambda e: ("firing", e.subsystem, e.symbol, e.src, e.dst, e.cause, "true"),
+    "backstep": lambda e: ("backstep", e.subsystem, "", e.src, e.dst, "timeout", "true"),
+    "skipped": lambda e: ("skipped", e.subsystem, e.symbol, e.src, e.dst, "downward-propagation", "false"),
+}
+
+
 def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
+    """One line per event: its seq and tick, then the rest of its row, which
+    csv.writer writes once per file for each distinct run of the event's
+    fields after the tick."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    tails: dict[tuple, str] = {}
+
+    def tail(event: scenario.Event) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(_EVENT_ROWS[event.kind](event))
+        text = tails[event[1:]] = buffer.getvalue()
+        return text
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seq", "tick", "kind", "subsystem", "symbol", "src", "dst", "cause", "effective"])
-        writer.writerows((seq, event.tick, *scenario.event_row(event)) for seq, event in enumerate(tr.events))
+        csv.writer(fh, lineterminator="\n").writerow(
+            ("seq", "tick", "kind", "subsystem", "symbol", "src", "dst", "cause", "effective"))
+        fh.writelines("%d,%d,%s" % (seq, e.tick, tails.get(e[1:]) or tail(e)) for seq, e in enumerate(tr.events))
 
 
 def _cmd_simulate(args) -> tuple[Report, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
 
@@ -154,13 +154,16 @@ def fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, 
     DynamicsState.__post_init__, and the states are immutable, so one
     object serves every position with the same kind and streak.
     """
-    if not values:
-        return ()
+    return _fold(_signs(values, epsilon)) if values else ()
+
+
+def _fold(signs: Sequence[int]) -> tuple[DynamicsState, ...]:
+    """fold_states of the values whose directions are signs."""
     out = [DynamicsState.INITIAL]
     kind, streak, prev = DynamicsKind.UNKNOWN, 0, 0
     new = object.__new__
     made: dict[tuple[DynamicsKind, int], DynamicsState] = {}
-    for sign in _signs(values, epsilon):
+    for sign in signs:
         next_kind = _NEXT_KIND[prev, sign]
         streak = streak + 1 if next_kind is kind else 1
         kind, prev = next_kind, sign
@@ -251,7 +254,7 @@ def _reversals(signs: Sequence[int]) -> list[int]:
     return [j for (_, before), (j, s) in zip(nonzero, nonzero[1:]) if s != before]
 
 
-def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass:
+def classify_series(series: ParameterSeries, epsilon: float = 0.0, signs: Sequence[int] | None = None) -> TrendClass:
     """Retrospective trend classification of one series.
 
     Needs at least 2 observations; inflexion and cycle search engage
@@ -259,13 +262,15 @@ def classify_series(series: ParameterSeries, epsilon: float = 0.0) -> TrendClass
     with every value epsilon-equal to its p-back counterpart; a series
     with no strict movement is reported as not cyclic. The forecast is
     the estimator's kind after the last observation, which the last two
-    directions decide.
+    directions decide. signs, when given, are the series' directions at
+    epsilon, as `ParallelProfile.signs` holds them.
     """
     values = series.values
     n = len(values)
     if n < 2:
         raise SeriesTooShortError("classification needs at least 2 observations")
-    signs = _signs(values, epsilon)
+    if signs is None:
+        signs = _signs(values, epsilon)
 
     moving = any(signs)
     if moving and -1 not in signs:
@@ -316,6 +321,8 @@ class ParallelProfile:
     start: int
     end: int
     rows: Mapping[str, tuple[DynamicsState, ...]]
+    # parameter -> the direction of each consecutive pair of its values
+    signs: Mapping[str, Sequence[int]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def parallel_profile(
@@ -337,12 +344,14 @@ def parallel_profile(
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter in series set")
     rows: dict[str, tuple[DynamicsState, ...]] = {}
+    signs: dict[str, list[int]] = {}
     for series in series_set:
         ticks = series.ticks
         i = bisect_left(ticks, a)
         if i == len(ticks) or ticks[i] > b:
             raise EmptyOverlapError(series.parameter)
-        folded = fold_states(series.values, epsilon)
+        signs[series.parameter] = _signs(series.values, epsilon)
+        folded = _fold(signs[series.parameter])
         if ticks[0] == a and ticks[-1] == b and len(ticks) == b - a + 1:
             rows[series.parameter] = folded  # the series observes exactly the grid
         else:
@@ -350,4 +359,4 @@ def parallel_profile(
             rows[series.parameter] = tuple(
                 by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
             )
-    return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows)
+    return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows, signs=signs)

@@ -8,7 +8,9 @@ is collected and raised together, so one round trip shows them all.
 Each section's JSON format is stated once: `_SECTIONS` pairs the section
 key with its `ModelFile` field and the functions that parse and dump one
 entity, and each flat record (arcs, arc references, sequence and
-time-diagram entries) is read and written through one field table.
+time-diagram entries) is read and written through one field table. A
+trajectory file's long lists, its time diagram and event log, are written
+from one template per record shape and read on an exact-type path first.
 Non-finite numbers are rejected wherever a number enters.
 """
 
@@ -18,7 +20,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Union, get_type_hints
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Mapping, NamedTuple, Union
 
 from .canonical import Arc, ArcKind, CanonicalDiagram
 from .composition import PrescribedEntry, PrescribedSequence, TimedDiagramSet
@@ -591,11 +594,18 @@ def _parse_scenario(sid, raw, where, out, done) -> Union[Scenario, None]:
             ok = False
 
     entries: list[TimeDiagramEntry] = []
+    subsystems = set(hierarchy.preorder())
     for i, item in enumerate(_expect_list(raw.get("time_diagram"), f"{where}.time_diagram", out)):
+        if type(item) is dict:  # an int tick, a str symbol and no target or a known one
+            tick, target, symbol = item.get("tick"), item.get("target"), item.get("symbol")
+            known = target is None or type(target) is str and target in subsystems
+            if known and type(tick) is int and type(symbol) is str:
+                entries.append(TimeDiagramEntry(tick, target, symbol))
+                continue
         wi = f"{where}.time_diagram[{i}]"
         item = _expect_map(item, wi, out)
         target = item.get("target")
-        if target is not None and str(target) not in hierarchy.preorder():
+        if target is not None and str(target) not in subsystems:
             out.unresolved(wi, f"target {target!r} is not in the hierarchy")
             ok = False
         entry = _TIME_ENTRY.read(item, wi, out)
@@ -667,7 +677,9 @@ def _parse_scenario(sid, raw, where, out, done) -> Union[Scenario, None]:
     )
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
+def scenario_to_dict(sc: Scenario, time_diagram: bool = True) -> dict:
+    """The scenario's JSON object; its time diagram is left empty unless
+    time_diagram is set."""
     ae = sc.after_effect
 
     def refs(found) -> list:
@@ -689,7 +701,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             for d in sc.diagrams
         },
         "assignment": dict(sc.assignment),
-        "time_diagram": [_TIME_ENTRY.dump(e) for e in sc.time_diagram],
+        "time_diagram": [_TIME_ENTRY.dump(e) for e in sc.time_diagram] if time_diagram else [],
         "after_effect": {
             "individual_symbols": sorted(ae.individual_symbols),
             "general_symbols": sorted(ae.general_symbols),
@@ -823,40 +835,49 @@ def serialize_model(model: ModelFile) -> str:
 # analysis. The configurations after each tick are not stored;
 # `analyze_trajectory` folds them from the initial states and the events.
 
+# Every event field holds a string but these.
+_FIELD_TYPES = {"tick": int, "effective": bool}
+
+
 class _EventCodec(NamedTuple):
     fields: tuple[str, ...]  # the JSON keys besides "kind"
     types: tuple[type, ...]  # the exact type of each value
     values: Callable  # a JSON object holding every key -> its values in field order
     make: Callable  # the values -> the event, whose kind is its class's own string
+    head: str  # the event's canonical JSON up to the tick's value, %(field)s for the other fields
 
 
-# The JSON keys of an event are its fields, "kind" last.
+# The JSON keys of an event are its fields, "kind" last. They are written
+# sorted, and "tick", every event's first field, sorts last.
 _EVENT_CODECS = {
-    kind: _EventCodec(cls._fields[:-1], tuple(get_type_hints(cls)[name] for name in cls._fields[:-1]),
-                      operator.itemgetter(*cls._fields[:-1]), cls)
+    kind: _EventCodec(
+        cls._fields[:-1], tuple(_FIELD_TYPES.get(name, str) for name in cls._fields[:-1]),
+        operator.itemgetter(*cls._fields[:-1]), cls,
+        '{%s,"tick":' % ",".join(f'"{key}":%({key})s' for key in sorted(cls._fields[1:])),
+    )
     for kind, cls in EVENT_KINDS.items()
 }
 
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
 
 
-def event_to_dict(event: Event) -> dict:
-    return event._asdict()
-
-
 def event_from_dict(data: Any) -> Event:
+    """The event of a JSON object of a known kind with every field of its
+    exact type; otherwise a ValueError that names the first bad field."""
+    try:
+        codec = _EVENT_CODECS[data["kind"]]
+        values = codec.values(data)
+        if tuple(map(type, values)) == codec.types:
+            return codec.make(*values)
+    except (KeyError, TypeError):  # not an object, no known kind or a missing field
+        pass
     kind = data.get("kind") if isinstance(data, dict) else None
     if not _declared(kind, _EVENT_CODECS):
         raise ValueError(f"unknown event kind {kind!r}")
-    fields, types, values_of, make = _EVENT_CODECS[kind]
-    try:
-        values = values_of(data)
-    except KeyError:  # a missing field reads as None, which no field takes
-        values = tuple(map(data.get, fields))
-    if tuple(map(type, values)) != types:
-        name, typ = next((name, typ) for name, typ, value in zip(fields, types, values) if type(value) is not typ)
-        raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
-    return make(*values)
+    codec = _EVENT_CODECS[kind]
+    # A missing field reads as None, which no field takes.
+    typ, name = next((typ, name) for name, typ in zip(codec.fields, codec.types) if type(data.get(name)) is not typ)
+    raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
 
 
 def _states_to_dict(config: Mapping[str, tuple[str, int]]) -> dict:
@@ -864,22 +885,48 @@ def _states_to_dict(config: Mapping[str, tuple[str, int]]) -> dict:
 
 
 def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> dict:
+    """The trajectory file with its two long lists, the scenario's time
+    diagram and the event log, left empty for `serialize_trajectory`."""
     return {
         "format_version": TRAJECTORY_VERSION,
         "kind": "trajectory-file",
         "scenario_id": sc.id,
-        "scenario": scenario_to_dict(sc),
-        "trajectory": {
-            "horizon": tr.horizon,
-            "initial": _states_to_dict(tr.initial),
-            "events": list(map(event_to_dict, tr.events)),
-        },
+        "scenario": scenario_to_dict(sc, time_diagram=False),
+        "trajectory": {"horizon": tr.horizon, "initial": _states_to_dict(tr.initial), "events": []},
         "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
     }
 
 
+def _json_text(value: Union[str, bool]) -> str:
+    """A string or a boolean as `canonical_json` writes it."""
+    return ("false", "true")[value] if type(value) is bool else encode_basestring_ascii(value)
+
+
 def serialize_trajectory(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> str:
-    return canonical_json(trajectory_file_to_dict(tr, sc, scores))
+    """The trajectory file in canonical JSON. Time-diagram entries and events
+    are written from templates, byte for byte as `canonical_json` writes
+    `_TIME_ENTRY.dump(entry)` and `event._asdict()`; an event's text up to its
+    tick is filled once per call for each distinct run of its other fields."""
+    text = canonical_json(trajectory_file_to_dict(tr, sc, scores))
+    esc = encode_basestring_ascii
+    entries = ",".join([
+        '{"symbol":%s,"tick":%d}' % (esc(e.symbol), e.tick) if e.target is None
+        else '{"symbol":%s,"target":%s,"tick":%d}' % (esc(e.symbol), esc(e.target), e.tick)
+        for e in sc.time_diagram
+    ])
+    heads: dict[tuple, str] = {}
+
+    def head(rest: tuple) -> str:
+        codec = _EVENT_CODECS[rest[-1]]
+        filled = heads[rest] = codec.head % dict(zip(codec.make._fields[1:], map(_json_text, rest)))
+        return filled
+
+    events = ",".join(["%s%d}" % (heads.get(e[1:]) or head(e[1:]), e.tick) for e in tr.events])
+    # "time_diagram" is the last key of "scenario", which "scenario_id"
+    # follows; "events" is the first key of "trajectory", the last top-level key.
+    at_entries = text.index('"time_diagram":[]},"scenario_id":') + len('"time_diagram":[')
+    at_events = text.rindex('"trajectory":{"events":[') + len('"trajectory":{"events":[')
+    return "".join((text[:at_entries], entries, text[at_entries:at_events], events, text[at_events:]))
 
 
 def _typed(data: dict, key: str, typ: type, where: str, out: _Collector) -> Any:

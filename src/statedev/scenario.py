@@ -435,21 +435,6 @@ EVENT_KINDS: Mapping[str, type] = {
 }
 
 
-def event_row(event: Event) -> tuple[str, str, str, str, str, str, str]:
-    """Flat record (kind, subsystem, symbol, src, dst, cause, effective)."""
-    kind = event.kind
-    if kind == "delivery":
-        return ("delivery", event.subsystem, event.symbol, "", "", event.symbol_kind,
-                "true" if event.effective else "false")
-    if kind == "firing":
-        return ("firing", event.subsystem, event.symbol, event.src, event.dst,
-                event.cause, "true")
-    if kind == "backstep":
-        return ("backstep", event.subsystem, "", event.src, event.dst, "timeout", "true")
-    return ("skipped", event.subsystem, event.symbol, event.src, event.dst,
-            "downward-propagation", "false")
-
-
 class StepIndex:
     """What `step` and `due_deliveries` look up, built once per scenario:
 

@@ -22,6 +22,12 @@ column-wise `cli._read_series_csv` must agree with, and
 `reference_sample_assignments` the sampler that tests each declaration's
 kind per name per sample, which `statespace.sample_assignments` must draw
 exactly as.
+`reference_serialize_trajectory` and `reference_write_events_csv` write a
+run as the whole JSON object and as `csv.writer` rows, which the template
+writers must match byte for byte; `reference_read_events` and
+`reference_read_time_diagram` read the event log and the time diagram
+record by record, and the loader's exact-type paths must give the same
+records and the same issues.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import csv
 import itertools
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from statedev import dynamics, modelfile
 from statedev.canonical import (
@@ -60,7 +66,9 @@ from statedev.dynamics import (
 )
 from statedev.errors import IncomparableValuesError, MissingParameterError, StatedevError
 from statedev.predicates import And, Comparison, Node, Not, Number, Text
+from statedev.reports import canonical_json
 from statedev.scenario import (
+    EVENT_KINDS,
     ArcRef,
     Backstep,
     Delivery,
@@ -783,3 +791,97 @@ def reference_sample_assignments(
             name: rng.choice(decl.levels) if decl.levels is not None else rng.uniform(*decl.bounds)
             for name, decl in zip(names, decls)
         }
+
+
+def reference_trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores=None) -> dict:
+    """The whole trajectory file as one JSON object, each event as its
+    `_asdict()` and each time-diagram entry through `_TIME_ENTRY.dump`."""
+    return {
+        "format_version": modelfile.TRAJECTORY_VERSION,
+        "kind": "trajectory-file",
+        "scenario_id": sc.id,
+        "scenario": modelfile.scenario_to_dict(sc),
+        "trajectory": {
+            "horizon": tr.horizon,
+            "initial": {sub: [state, entry] for sub, (state, entry) in tr.initial.items()},
+            "events": [event._asdict() for event in tr.events],
+        },
+        "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
+    }
+
+
+def reference_serialize_trajectory(tr: Trajectory, sc: Scenario, scores=None) -> str:
+    """The trajectory file that `modelfile.serialize_trajectory` must write byte for byte."""
+    return canonical_json(reference_trajectory_file_to_dict(tr, sc, scores))
+
+
+def reference_event_row(event: Event) -> tuple[str, str, str, str, str, str, str]:
+    """Flat record (kind, subsystem, symbol, src, dst, cause, effective)."""
+    kind = event.kind
+    if kind == "delivery":
+        return ("delivery", event.subsystem, event.symbol, "", "", event.symbol_kind,
+                "true" if event.effective else "false")
+    if kind == "firing":
+        return ("firing", event.subsystem, event.symbol, event.src, event.dst,
+                event.cause, "true")
+    if kind == "backstep":
+        return ("backstep", event.subsystem, "", event.src, event.dst, "timeout", "true")
+    return ("skipped", event.subsystem, event.symbol, event.src, event.dst,
+            "downward-propagation", "false")
+
+
+def reference_write_events_csv(path: str, tr: Trajectory) -> None:
+    """The event CSV that `cli._write_events_csv` must write byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["seq", "tick", "kind", "subsystem", "symbol", "src", "dst", "cause", "effective"])
+        writer.writerows((seq, event.tick, *reference_event_row(event)) for seq, event in enumerate(tr.events))
+
+
+# kind -> (field names besides "kind", their types from the class annotations, class)
+_EVENT_TABLES = {
+    kind: (cls._fields[:-1], tuple(get_type_hints(cls)[name] for name in cls._fields[:-1]), cls)
+    for kind, cls in EVENT_KINDS.items()
+}
+
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def reference_event_from_dict(data) -> Event:
+    """One event read from its JSON object; a ValueError names the first bad field."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not isinstance(kind, str) or kind not in _EVENT_TABLES:
+        raise ValueError(f"unknown event kind {kind!r}")
+    fields, types, make = _EVENT_TABLES[kind]
+    values = tuple(map(data.get, fields))
+    for name, typ, value in zip(fields, types, values):
+        if type(value) is not typ:
+            raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
+    return make(*values)
+
+
+def reference_read_events(items: list, out) -> list[Event]:
+    """The events of a version-2 file's event list, one issue per bad item in out."""
+    events = []
+    for i, item in enumerate(items):
+        try:
+            events.append(reference_event_from_dict(item))
+        except ValueError as exc:
+            out.invalid(f"trajectory.events[{i}]", str(exc))
+    return events
+
+
+def reference_read_time_diagram(items: list, where: str, subsystems: Sequence[str], out) -> list:
+    """The entries of the time-diagram list of the scenario at where, one
+    issue per unknown target and per bad entry in out."""
+    entries = []
+    for i, item in enumerate(items):
+        wi = f"{where}.time_diagram[{i}]"
+        item = modelfile._expect_map(item, wi, out)
+        target = item.get("target")
+        if target is not None and str(target) not in subsystems:
+            out.unresolved(wi, f"target {target!r} is not in the hierarchy")
+        entry = modelfile._TIME_ENTRY.read(item, wi, out)
+        if entry is not None:
+            entries.append(entry)
+    return entries

@@ -7,7 +7,6 @@ import pytest
 from statedev.modelfile import (
     ModelFileError,
     event_from_dict,
-    event_to_dict,
     load_trajectory_text,
     model_to_dict,
     parse_model,
@@ -201,7 +200,7 @@ EVENTS = (
 
 def test_each_event_kind_round_trips():
     for event in EVENTS:
-        data = event_to_dict(event)
+        data = event._asdict()
         assert data["kind"] == event.kind
         assert json.loads(json.dumps(data)) == data
         back = event_from_dict(json.loads(json.dumps(data)))
@@ -213,16 +212,16 @@ def test_each_event_kind_round_trips():
 @pytest.mark.parametrize("data, message", [
     pytest.param({"kind": "firing", "subsystem": "left", "src": "L0", "dst": "L1", "symbol": "left_go",
                   "cause": "direct"}, "firing event needs an integer 'tick'", id="missing-field"),
-    pytest.param({**event_to_dict(EVENTS[0]), "effective": "yes"}, "delivery event needs a boolean 'effective'",
+    pytest.param({**EVENTS[0]._asdict(), "effective": "yes"}, "delivery event needs a boolean 'effective'",
                  id="wrong-type"),
-    pytest.param({**event_to_dict(EVENTS[3]), "actual_state": 2}, "skipped event needs a string 'actual_state'",
+    pytest.param({**EVENTS[3]._asdict(), "actual_state": 2}, "skipped event needs a string 'actual_state'",
                  id="wrong-type-last-field"),
-    pytest.param({**event_to_dict(EVENTS[2]), "tick": True}, "backstep event needs an integer 'tick'",
+    pytest.param({**EVENTS[2]._asdict(), "tick": True}, "backstep event needs an integer 'tick'",
                  id="bool-for-int"),
-    pytest.param({**event_to_dict(EVENTS[1]), "tick": 1.0, "src": None}, "firing event needs an integer 'tick'",
+    pytest.param({**EVENTS[1]._asdict(), "tick": 1.0, "src": None}, "firing event needs an integer 'tick'",
                  id="first-bad-field-named"),
-    pytest.param({**event_to_dict(EVENTS[1]), "kind": "teleport"}, "unknown event kind 'teleport'", id="unknown-kind"),
-    pytest.param({**event_to_dict(EVENTS[1]), "kind": ["firing"]}, "unknown event kind ['firing']", id="list-kind"),
+    pytest.param({**EVENTS[1]._asdict(), "kind": "teleport"}, "unknown event kind 'teleport'", id="unknown-kind"),
+    pytest.param({**EVENTS[1]._asdict(), "kind": ["firing"]}, "unknown event kind ['firing']", id="list-kind"),
     pytest.param(["firing"], "unknown event kind None", id="not-an-object"),
 ])
 def test_event_from_dict_names_the_first_bad_field(data, message):
