@@ -61,6 +61,19 @@ CASES = [
     {"name": "analyze-v1", "argv": ["analyze", "fixtures/coordinated_v1_trajectory.json"]},
     {"name": "compare", "argv": ["compare", f"{TMP}/coordinated.report.json",
                                  f"{TMP}/neglected.report.json", f"{TMP}/long.report.json"]},
+    # One error report per subcommand: its target and provenance inputs.
+    {"name": "validate-error", "argv": ["validate", "fixtures/x_series.csv"]},
+    {"name": "classify-error", "argv": ["classify", _BASIC, "--object", "x=7", "--classificator", "nope"]},
+    {"name": "profile-error", "argv": ["profile", _BASIC, "--series", "fixtures/x_series.csv",
+                                       "--interval", "3:1"]},
+    {"name": "replay-error-diagram", "argv": ["replay", _BASIC, "--diagram", "nope", "--events",
+                                              "fixtures/dev3_events.csv"]},
+    {"name": "replay-error-window", "argv": ["replay", _BASIC, "--diagram", "dev3", "--events",
+                                             "fixtures/dev3_events.csv", "--window", "3:1"]},
+    {"name": "consist-error", "argv": ["consist", _BASIC, "--request", "nope"]},
+    {"name": "simulate-error", "argv": ["simulate", _TWO_LEVEL, "--scenario", "nope"]},
+    {"name": "analyze-error", "argv": ["analyze", _BASIC]},
+    {"name": "compare-error", "argv": ["compare", _BASIC, _TWO_LEVEL]},
 ]
 
 
