@@ -21,11 +21,17 @@ from .errors import StatedevError
 from .reports import Report, emit_report, make_provenance
 
 
-def _finite_float(text: str) -> float:
-    try:
-        return modelfile.number(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _at_least(low, convert):
+    """An argument type: the text converted, rejected below low."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -46,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", "check a model file end to end")
     p.add_argument("model")
-    p.add_argument("--samples", type=int, default=1000, help="sampling checks per scale")
+    p.add_argument("--samples", type=_at_least(1, int), default=1000, help="sampling checks per scale")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampling checks")
 
     p = add("classify", "classify one object through a classificator")
@@ -58,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--series", required=True, help="CSV with a tick column and one column per parameter")
     p.add_argument("--interval", required=True, help="a:b tick window")
-    p.add_argument("--epsilon", type=_finite_float, default=0.0)
+    p.add_argument("--epsilon", type=_at_least(0, modelfile.number), default=0.0)
 
     p = add("replay", "replay a transition script against a canonical diagram")
     p.add_argument("model")
@@ -132,32 +138,8 @@ def _arc_key(arc: canonical.Arc) -> str:
     return f"{arc.src}->{arc.dst} {arc.kind.value} d{arc.delta}"
 
 
-def _error_report(inputs: Sequence[str], messages: Sequence[str], args) -> Report:
-    return Report(
-        kind="validation",
-        body={
-            "target": ", ".join(inputs),
-            "passed": False,
-            "violations": list(messages),
-            "warnings": [],
-        },
-        provenance=_provenance(args, inputs=inputs),
-    )
-
-
-def _provenance(args, inputs: Sequence[str]) -> dict:
-    return make_provenance(
-        inputs=inputs,
-        seed=getattr(args, "seed", None),
-        argv=getattr(args, "_argv", None),
-    )
-
-
-def _cmd_validate(args) -> tuple[Report, int]:
-    try:
-        model = modelfile.parse_model(args.model)
-    except modelfile.ModelFileError as exc:
-        return _error_report([args.model], [str(i) for i in exc.issues], args), 1
+def _cmd_validate(args) -> tuple[dict, int]:
+    model = modelfile.parse_model(args.model)
     violations: list[str] = []
     warnings: list[str] = []
     spec = statespace.SampleSpec(samples=args.samples, seed=args.seed)
@@ -201,20 +183,16 @@ def _cmd_validate(args) -> tuple[Report, int]:
         violations.extend(f"scenario {sid!r}: {v}" for v in report.violations)
         warnings.extend(f"scenario {sid!r}: {w}" for w in report.warnings)
     passed = not violations
-    report = Report(
-        kind="validation",
-        body={
-            "target": args.model,
-            "passed": passed,
-            "violations": violations,
-            "warnings": warnings,
-        },
-        provenance=_provenance(args, inputs=[args.model]),
-    )
-    return report, 0 if passed else 1
+    body = {
+        "target": args.model,
+        "passed": passed,
+        "violations": violations,
+        "warnings": warnings,
+    }
+    return body, 0 if passed else 1
 
 
-def _cmd_classify(args) -> tuple[Report, int]:
+def _cmd_classify(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     cid = args.classificator
     if cid is None:
@@ -240,17 +218,13 @@ def _cmd_classify(args) -> tuple[Report, int]:
         outcome = f"multiple-match in scale {exc.scale_id!r} at positions {list(exc.positions)}"
     except statespace.MissingParameterError as exc:
         outcome = f"missing parameters: {', '.join(exc.names)}"
-    report = Report(
-        kind="classification",
-        body={
-            "classificator": cid,
-            "object": {k: assignment[k] for k in sorted(assignment)},
-            "outcome": outcome,
-            "path": path,
-        },
-        provenance=_provenance(args, inputs=[args.model]),
-    )
-    return report, 0 if outcome == "classified" else 1
+    body = {
+        "classificator": cid,
+        "object": {k: assignment[k] for k in sorted(assignment)},
+        "outcome": outcome,
+        "path": path,
+    }
+    return body, 0 if outcome == "classified" else 1
 
 
 def _nonblank_rows(path: str) -> list[list[str]]:
@@ -260,8 +234,7 @@ def _nonblank_rows(path: str) -> list[list[str]]:
 
 def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.ParameterSeries]:
     """One series per parameter column, read column by column. Line numbers
-    count non-blank rows; a blank or missing cell is no observation, and a
-    repeated column name extends the first column of that name row by row."""
+    count non-blank rows; a blank or missing cell is no observation."""
     rows = _nonblank_rows(path)
     if not rows:
         raise StatedevError(f"series file {path!r} is empty")
@@ -271,6 +244,9 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
     names = header[1:]
     if not names:
         raise StatedevError("series CSV has no parameter columns")
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise StatedevError(f"series column {repeated!r} appears more than once")
     body = rows[1:]
     tick_cells = [row[0] for row in body]
     try:
@@ -286,23 +262,12 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
     if min(map(len, body), default=width) < width:
         body = [row + [""] * (width - len(row)) for row in body]
     columns = list(zip(*body)) or [()] * width
-    columns_of: dict[str, list[tuple[str, ...]]] = {}
-    for name, column in zip(names, columns[1:]):
-        columns_of.setdefault(name, []).append(column)
-    observed: dict[str, tuple[list[int], list[str]]] = {}
-    for name, same_name in columns_of.items():
-        name_ticks, column = ticks, same_name[0]
-        if len(same_name) > 1:  # the columns of a repeated name, row by row
-            name_ticks = [t for t in ticks for _ in same_name]
-            column = [cell for row in zip(*same_name) for cell in row]
-        cells = list(map(str.strip, column))
-        if not all(cells):
-            kept = [(t, cell) for t, cell in zip(name_ticks, cells) if cell]
-            name_ticks, cells = [t for t, _ in kept], [cell for _, cell in kept]
-        observed[name] = (name_ticks, cells)
     out = []
-    for name in names:
-        name_ticks, values = observed[name]
+    for name, column in zip(names, columns[1:]):
+        name_ticks, values = ticks, list(map(str.strip, column))
+        if not all(values):
+            kept = [(t, cell) for t, cell in zip(ticks, values) if cell]
+            name_ticks, values = [t for t, _ in kept], [cell for _, cell in kept]
         if not name_ticks:
             raise StatedevError(f"series column {name!r} holds no observations")
         decl = model.parameters.get(name)
@@ -317,17 +282,12 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
     return out
 
 
-def _cmd_profile(args) -> tuple[Report, int]:
+def _cmd_profile(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     interval = _parse_interval(args.interval)
     if interval[0] > interval[1]:
         raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
     series_set = _read_series_csv(args.series, model)
-    seen: set[str] = set()
-    for s in series_set:
-        if s.parameter in seen:
-            raise StatedevError(f"series column {s.parameter!r} appears more than once")
-        seen.add(s.parameter)
     profile = dynamics.parallel_profile(series_set, interval, args.epsilon)
     names = profile.parameters
     columns = [
@@ -353,18 +313,14 @@ def _cmd_profile(args) -> tuple[Report, int]:
             }
         except dynamics.SeriesTooShortError:
             trends[s.parameter] = None
-    report = Report(
-        kind="profile",
-        body={
-            "parameters": list(profile.parameters),
-            "start": profile.start,
-            "end": profile.end,
-            "rows": rows,
-            "trends": trends,
-        },
-        provenance=_provenance(args, inputs=[args.model, args.series]),
-    )
-    return report, 0
+    body = {
+        "parameters": list(profile.parameters),
+        "start": profile.start,
+        "end": profile.end,
+        "rows": rows,
+        "trends": trends,
+    }
+    return body, 0
 
 
 def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str, canonical.Arc, int]]:
@@ -399,7 +355,7 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
     return script
 
 
-def _cmd_replay(args) -> tuple[Report, int]:
+def _cmd_replay(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     if args.diagram not in model.canonical:
         raise StatedevError(f"diagram {args.diagram!r} is not declared")
@@ -430,12 +386,7 @@ def _cmd_replay(args) -> tuple[Report, int]:
         if report_data.target_delta is not None
         else None,
     }
-    report = Report(
-        kind="intensity",
-        body=body,
-        provenance=_provenance(args, inputs=[args.model, args.events]),
-    )
-    return report, 0
+    return body, 0
 
 
 def _diagram_summary(d: canonical.CanonicalDiagram) -> dict:
@@ -450,7 +401,7 @@ def _diagram_summary(d: canonical.CanonicalDiagram) -> dict:
     }
 
 
-def _cmd_consist(args) -> tuple[Report, int]:
+def _cmd_consist(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     if args.request not in model.composition_requests:
         raise StatedevError(f"request {args.request!r} is not declared")
@@ -490,12 +441,7 @@ def _cmd_consist(args) -> tuple[Report, int]:
             outcome = "rejected"
             detail = {"error": type(exc).__name__, "message": str(exc)}
             code = 1
-    report = Report(
-        kind="consistency",
-        body={"request": req.id, "outcome": outcome, "detail": detail},
-        provenance=_provenance(args, inputs=[args.model]),
-    )
-    return report, code
+    return {"request": req.id, "outcome": outcome, "detail": detail}, code
 
 
 def _scenario_report_body(rep: scenario.ScenarioReport) -> dict:
@@ -530,10 +476,6 @@ def _scenario_report_body(rep: scenario.ScenarioReport) -> dict:
     }
 
 
-def _trajectory_report(rep: scenario.ScenarioReport, args, source: str) -> Report:
-    return Report(kind="trajectory", body=_scenario_report_body(rep), provenance=_provenance(args, inputs=[source]))
-
-
 # The event CSV's columns after seq and tick, per event kind.
 _EVENT_ROWS = {
     "delivery": lambda e: ("delivery", e.subsystem, e.symbol, "", "", e.symbol_kind,
@@ -565,7 +507,7 @@ def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
         fh.writelines("%d,%d,%s" % (seq, e.tick, tails.get(e[1:]) or tail(e)) for seq, e in enumerate(tr.events))
 
 
-def _cmd_simulate(args) -> tuple[Report, int]:
+def _cmd_simulate(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     if args.scenario not in model.scenarios:
         raise StatedevError(f"scenario {args.scenario!r} is not declared")
@@ -582,17 +524,17 @@ def _cmd_simulate(args) -> tuple[Report, int]:
             fh.write(modelfile.serialize_trajectory(tr, sc, scores))
     if args.events_out:
         _write_events_csv(args.events_out, tr)
-    return _trajectory_report(rep, args, args.model), 0
+    return _scenario_report_body(rep), 0
 
 
-def _cmd_analyze(args) -> tuple[Report, int]:
+def _cmd_analyze(args) -> tuple[dict, int]:
     sc, tr, scores = modelfile.load_trajectory_file(args.trajectory)
     try:
         rep = scenario.analyze_trajectory(tr, sc, scores or None)
     except scenario.EventLogError as exc:
         # The log is read from the file, so a log that does not replay is an issue of the file.
         raise modelfile.ModelFileError([modelfile.Issue("invalid-value", "trajectory.events", str(exc))]) from None
-    return _trajectory_report(rep, args, args.trajectory), 0
+    return _scenario_report_body(rep), 0
 
 
 def _text(value) -> str:
@@ -632,7 +574,7 @@ def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
     )
 
 
-def _cmd_compare(args) -> tuple[Report, int]:
+def _cmd_compare(args) -> tuple[dict, int]:
     if len(args.reports) < 2:
         raise _Usage("compare needs at least two report files")
     loaded = []
@@ -651,52 +593,52 @@ def _cmd_compare(args) -> tuple[Report, int]:
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise StatedevError(f"{path!r} is not a trajectory report: {exc}") from exc
     result = scenario.compare_scenarios(loaded)
-    report = Report(
-        kind="comparison",
-        body={
-            "compared": [r.scenario_id for r in loaded],
-            "ranking": [list(group) for group in result.groups],
-        },
-        provenance=_provenance(args, inputs=list(args.reports)),
-    )
-    return report, 0
+    body = {
+        "compared": [r.scenario_id for r in loaded],
+        "ranking": [list(group) for group in result.groups],
+    }
+    return body, 0
 
 
+# Subcommand -> (its function, the kind of its report, the files it reads).
+# A function returns its report body and exit code; an error report is a
+# validation report that names those files.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "profile": _cmd_profile,
-    "replay": _cmd_replay,
-    "consist": _cmd_consist,
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
+    "validate": (_cmd_validate, "validation", lambda args: [args.model]),
+    "classify": (_cmd_classify, "classification", lambda args: [args.model]),
+    "profile": (_cmd_profile, "profile", lambda args: [args.model, args.series]),
+    "replay": (_cmd_replay, "intensity", lambda args: [args.model, args.events]),
+    "consist": (_cmd_consist, "consistency", lambda args: [args.model]),
+    "simulate": (_cmd_simulate, "trajectory", lambda args: [args.model]),
+    "analyze": (_cmd_analyze, "trajectory", lambda args: [args.trajectory]),
+    "compare": (_cmd_compare, "comparison", lambda args: args.reports),
 }
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args._argv = argv
-    fmt = "machine-json" if args.format == "json" else "human-text"
-    inputs = getattr(args, "reports", None) or [getattr(args, "model", getattr(args, "trajectory", "input"))]
+    command, kind, inputs_of = _COMMANDS[args.command]
+    inputs = inputs_of(args)
     try:
-        report, code = _COMMANDS[args.command](args)
+        body, code = command(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except modelfile.ModelFileError as exc:
-        report, code = _error_report(inputs, [str(i) for i in exc.issues], args), 1
     except StatedevError as exc:
-        report, code = _error_report(inputs, [str(exc)], args), 1
+        issues = exc.issues if isinstance(exc, modelfile.ModelFileError) else [exc]
+        kind, code = "validation", 1
+        body = {"target": ", ".join(inputs), "passed": False,
+                "violations": [str(i) for i in issues], "warnings": []}
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit_report(report, fmt))
+    provenance = make_provenance(inputs=inputs, seed=getattr(args, "seed", None), argv=argv)
+    fmt = "machine-json" if args.format == "json" else "human-text"
+    sys.stdout.write(emit_report(Report(kind=kind, body=body, provenance=provenance), fmt))
     return code
 
 

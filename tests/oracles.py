@@ -742,6 +742,9 @@ def reference_read_series_csv(path: str, model: modelfile.ModelFile) -> list[dyn
     names = header[1:]
     if not names:
         raise StatedevError("series CSV has no parameter columns")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise StatedevError(f"series column {name!r} appears more than once")
     ticks: dict[str, list[int]] = {name: [] for name in names}
     values: dict[str, list] = {name: [] for name in names}
     for line_no, row in enumerate(rows[1:], start=2):

@@ -644,7 +644,7 @@ def test_profile_rejects_a_non_finite_series_cell(tmp_path, capsys, cell):
     ("tick,phase\n0,Seed\n1,Bogus\n", "0:1", "series column 'phase': level 'Bogus' not in declared order"),
     ("tick,x\n0,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
     ("tick,x\n1,1\n0,2\n", "0:1", "series column 'x': ticks must be strictly increasing"),
-    ("tick,x,x\n0,1,2\n1,2,3\n", "0:1", "series column 'x': ticks must be strictly increasing"),
+    ("tick,x,x\n0,1,2\n1,2,3\n", "0:1", "series column 'x' appears more than once"),
     ("tick,x,x\n0,1,\n1,2,\n", "0:1", "series column 'x' appears more than once"),
     ("tick,x\n0,1\n1,2\n", "3:1", "interval '3:1': start exceeds its end"),
 ], ids=["unknown-level", "repeated-tick", "decreasing-tick", "duplicated-column", "repeated-column",
@@ -748,10 +748,20 @@ def test_analyze_names_the_first_fault_of_a_damaged_file(tmp_path, capsys, mutat
     assert _failure(capsys, "analyze", str(traj)) == violations
 
 
-def test_profile_epsilon_must_be_finite(capsys):
-    code, out, err = run(capsys, "profile", BASIC_S, "--series", str(X_SERIES), "--interval", "0:4", "--epsilon", "nan")
+@pytest.mark.parametrize("value, message", [
+    ("nan", "'nan' is not a finite number"),
+    ("-1", "must be >= 0, got '-1'"),
+], ids=["nan", "negative"])
+def test_profile_epsilon_must_be_finite(capsys, value, message):
+    code, out, err = run(capsys, "profile", BASIC_S, "--series", str(X_SERIES), "--interval", "0:4", "--epsilon", value)
     assert (code, out) == (2, "")
-    assert "'nan' is not a finite number" in err
+    assert message in err
+
+
+def test_validate_samples_must_be_at_least_one(capsys):
+    code, out, err = run(capsys, "validate", BASIC_S, "--samples", "0")
+    assert (code, out) == (2, "")
+    assert "must be >= 1, got '0'" in err
 
 
 def test_validate_reports_an_order_pair_that_is_not_a_pair_of_lists(tmp_path, capsys):
@@ -840,7 +850,7 @@ def test_a_report_body_that_holds_a_cycle_raises_and_prints_nothing(monkeypatch,
     report = Report(kind="validation", body=body, provenance={"tool": "t"})
     with pytest.raises((ValueError, RecursionError)):
         emit_report(report)
-    monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: (report, 0))
+    monkeypatch.setitem(cli._COMMANDS, "validate", (lambda args: (body, 0), *cli._COMMANDS["validate"][1:]))
     with pytest.raises((ValueError, RecursionError)):
         main(["validate", BASIC_S])
     assert capsys.readouterr().out == ""
