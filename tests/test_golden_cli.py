@@ -28,6 +28,7 @@ TMP = "{tmp}"
 
 _BASIC = "fixtures/basic.json"
 _TWO_LEVEL = "fixtures/two_level.json"
+_FLAWED = "fixtures/flawed.json"
 
 
 def _simulate(name, *extra, scenario=None):
@@ -74,6 +75,21 @@ CASES = [
     {"name": "simulate-error", "argv": ["simulate", _TWO_LEVEL, "--scenario", "nope"]},
     {"name": "analyze-error", "argv": ["analyze", _BASIC]},
     {"name": "compare-error", "argv": ["compare", _BASIC, _TWO_LEVEL]},
+    # The report lines of flawed models and inputs.
+    {"name": "validate-flawed", "argv": ["validate", _FLAWED]},
+    {"name": "classify-error-choice", "argv": ["classify", _FLAWED, "--object", "x=3"]},
+    {"name": "classify-no-match", "argv": ["classify", _FLAWED, "--object", "x=3", "--classificator", "sparse"]},
+    {"name": "classify-multiple-match", "argv": ["classify", _FLAWED, "--object", "x=3",
+                                                 "--classificator", "multi"]},
+    {"name": "classify-missing", "argv": ["classify", _BASIC, "--object", "phase=Seed"]},
+    {"name": "profile-cycle", "argv": ["profile", _BASIC, "--series", "fixtures/cycle_series.csv",
+                                       "--interval", "0:5"]},
+    {"name": "replay-error-initial", "argv": ["replay", _BASIC, "--diagram", "boost", "--events",
+                                              "fixtures/dev3_events.csv"]},
+    {"name": "replay-error-header", "argv": ["replay", _BASIC, "--diagram", "dev3", "--events",
+                                             "fixtures/x_series.csv"]},
+    {"name": "simulate-error-scores", "argv": ["simulate", _TWO_LEVEL, "--scenario", "coordinated",
+                                               "--scores", "nope"]},
 ]
 
 
