@@ -130,27 +130,19 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
 
+    def _joined(self, word: str, mark: str, item, make) -> Node:
+        """One item, or several joined by the keyword word or the mark."""
+        items = [item()]
+        while self._peek()[:2] in (("kw", word), ("punct", mark)):
+            self._take()
+            items.append(item())
+        return items[0] if len(items) == 1 else make(tuple(items))
+
     def or_expr(self) -> Node:
-        items = [self.and_expr()]
-        while True:
-            kind, value, _ = self._peek()
-            if (kind == "kw" and value == "or") or (kind == "punct" and value == "|"):
-                self._take()
-                items.append(self.and_expr())
-            else:
-                break
-        return items[0] if len(items) == 1 else Or(tuple(items))
+        return self._joined("or", "|", self.and_expr, Or)
 
     def and_expr(self) -> Node:
-        items = [self.not_expr()]
-        while True:
-            kind, value, _ = self._peek()
-            if (kind == "kw" and value == "and") or (kind == "punct" and value == "&"):
-                self._take()
-                items.append(self.not_expr())
-            else:
-                break
-        return items[0] if len(items) == 1 else And(tuple(items))
+        return self._joined("and", "&", self.not_expr, And)
 
     def not_expr(self) -> Node:
         kind, value, pos = self._peek()
@@ -250,13 +242,8 @@ def _comparisons(node: Node):
 _NUM = "num"
 _TEXT = "text"
 _ABSENT = object()  # the assignment does not bind the name
-_SLOW = object()  # a fast-path operand that only the full resolution decides
 
 _OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
-_REFLECTED = {
-    operator.lt: operator.gt, operator.le: operator.ge, operator.eq: operator.eq,
-    operator.ge: operator.le, operator.gt: operator.lt,
-}
 
 
 def _rank_maps(orders: Mapping[str, Sequence] | None) -> dict[str, dict]:
@@ -332,14 +319,6 @@ def _compile(node: Node, ranks: Mapping[str, dict]):
     return some
 
 
-def _rank(order: dict, value):
-    """The rank of value in order, or None when it is not a level."""
-    try:
-        return order.get(value)
-    except TypeError:  # unhashable, so equal to no declared level
-        return None
-
-
 def _chain(comp: Comparison, ranks: Mapping[str, dict]):
     """A comparison chain: the full resolution, behind a fast path."""
     literals = _chain_literals(comp, ranks)
@@ -365,12 +344,12 @@ def _chain(comp: Comparison, ranks: Mapping[str, dict]):
                     missing.append(ident)
                 resolved.append(static)
             elif order is not None:
-                rank = _rank(order, value)
-                if rank is None:
+                try:
+                    resolved.append((order, order[value]))
+                except (KeyError, TypeError):  # not a level, or unhashable
                     raise IncomparableValuesError(
                         f"value {value!r} is not a level of parameter {ident!r}"
-                    )
-                resolved.append((order, rank))
+                    ) from None
             elif isinstance(value, str):
                 resolved.append((_TEXT, value))
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -421,7 +400,12 @@ def _fast_chain(specs, fns, resolve):
     """resolve, behind a fast path for one name between constants of its
     domain: a float-valued name against numbers, or a declared ordinal's
     level against unbound level literals of its order. The fast path
-    reads that name's key, and resolve decides whenever it cannot."""
+    reads that name's key, and resolve decides whenever it cannot.
+
+    A two-operand chain runs as a three-operand one whose missing side is
+    an open bound: "x op k" as "-inf <= x op k", "k op x" as "k op x <= inf".
+    Every float and every rank meets an open bound and NaN fails it, so
+    the result is that of the chain as written."""
     named = [i for i, (ident, order, static) in enumerate(specs)
              if ident is not None and (order is not None or static is None)]
     if len(named) != 1:
@@ -429,53 +413,36 @@ def _fast_chain(specs, fns, resolve):
     at = named[0]
     ident, order, _ = specs[at]
     domain = _NUM if order is None else order
-    keys = [static[1] if i != at else None for i, (_, _, static) in enumerate(specs)]
     if any(static[0] is not domain for i, (_, _, static) in enumerate(specs) if i != at):
         return resolve
-    if len(specs) == 2:
-        # Read "key op x" as "x reflected-op key": exact for floats and ranks.
-        f0, key = (fns[0] if at == 0 else _REFLECTED[fns[0]]), keys[1 - at]
-    elif len(specs) == 3 and at == 1:
-        (f0, f1), (k0, _, k2) = fns, keys
-    else:
+    keys = [static[1] if i != at else None for i, (_, _, static) in enumerate(specs)]
+    if len(specs) == 2 and at == 0:
+        fns, keys, at = [operator.le, *fns], [-math.inf, *keys], 1
+    elif len(specs) == 2:
+        fns, keys = [*fns, operator.le], [*keys, math.inf]
+    if len(specs) > 3 or at != 1:
         return resolve
+    (f0, f1), (k0, _, k2) = fns, keys
     if order is None:
         # A float-valued name: its key is read inline, in the closure's own frame.
-        if len(specs) == 2:
-            def run(assignment):
-                x = assignment.get(ident, _ABSENT)
-                if type(x) is not float:
-                    return resolve(assignment)
-                return f0(x, key)
-        else:
-            def run(assignment):
-                x = assignment.get(ident, _ABSENT)
-                if type(x) is not float:
-                    return resolve(assignment)
-                return f0(k0, x) and f1(x, k2)
+        def run(assignment):
+            x = assignment.get(ident, _ABSENT)
+            if type(x) is not float:
+                return resolve(assignment)
+            return f0(k0, x) and f1(x, k2)
         return run
 
     literals = tuple(name for name, _, _ in specs if name is not None and name != ident)
 
-    def get(assignment):
+    def run(assignment):
         for literal in literals:  # a bound name is a parameter, not a level
             if literal in assignment:
-                return _SLOW
+                return resolve(assignment)
         try:
-            return order.get(assignment.get(ident, _ABSENT), _SLOW)
-        except TypeError:
-            return _SLOW
-
-    if len(specs) == 2:
-        def run(assignment):
-            x = get(assignment)
-            if x is _SLOW:
-                return resolve(assignment)
-            return f0(x, key)
-    else:
-        def run(assignment):
-            x = get(assignment)
-            if x is _SLOW:
-                return resolve(assignment)
-            return f0(k0, x) and f1(x, k2)
+            x = order.get(assignment.get(ident, _ABSENT))
+        except TypeError:  # unhashable, so no level
+            return resolve(assignment)
+        if x is None:
+            return resolve(assignment)
+        return f0(k0, x) and f1(x, k2)
     return run

@@ -83,23 +83,6 @@ class ParameterDecl:
 Parameters = Mapping[str, ParameterDecl]
 
 
-class _KeepsCompiled:
-    """Keeps its last compiled form, keyed by the level orders of the names
-    it references; a model's orders stay the same from call to call."""
-
-    def _compile_once(self, orders, build):
-        orders = orders or {}
-        key = tuple([orders.get(name) for name in self.references])
-        last = self._last[0]
-        if last is None or last[0] != key:
-            last = self._last[0] = (key, build(orders))
-        return last[1]
-
-    def __getstate__(self):
-        # Closures do not pickle; a loaded copy compiles again.
-        return {**self.__dict__, "_last": [None]}
-
-
 def _orders(parameters: Parameters | None) -> dict[str, tuple[str, ...]]:
     if not parameters:
         return {}
@@ -109,9 +92,10 @@ def _orders(parameters: Parameters | None) -> dict[str, tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class Predicate(_KeepsCompiled):
-    """Named predicate; the expression is parsed once at construction and
-    compiled once per set of level orders it reads."""
+class Predicate:
+    """Named predicate; the expression is parsed once at construction. It
+    keeps its last compiled form, keyed by the level orders of the names
+    it references; a model's orders stay the same from call to call."""
 
     name: str
     expression: str
@@ -125,9 +109,18 @@ class Predicate(_KeepsCompiled):
         object.__setattr__(self, "references", pred.referenced_names(ast))
         object.__setattr__(self, "_last", [None])
 
+    def __getstate__(self):
+        # Closures do not pickle; a loaded copy compiles again.
+        return {**self.__dict__, "_last": [None]}
+
     def compiled(self, orders: Mapping[str, Sequence] | None = None):
         """The expression compiled under these level orders."""
-        return self._compile_once(orders, lambda orders: pred.compile(self.ast, orders))
+        orders = orders or {}
+        key = tuple([orders.get(name) for name in self.references])
+        last = self._last[0]
+        if last is None or last[0] != key:
+            last = self._last[0] = (key, pred.compile(self.ast, orders))
+        return last[1]
 
     def holds(self, assignment, orders=None) -> bool:
         return self.compiled(orders)(assignment)
@@ -141,14 +134,13 @@ class State:
 
 
 @dataclass(frozen=True)
-class Scale(_KeepsCompiled):
+class Scale:
     """Ordered predicates paired one-to-one with ordered states."""
 
     id: str
     predicates: tuple[Predicate, ...]
     states: tuple[State, ...]
     references: frozenset[str] = field(init=False, repr=False, compare=False)
-    _last: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "predicates", tuple(self.predicates))
@@ -169,11 +161,10 @@ class Scale(_KeepsCompiled):
         object.__setattr__(
             self, "references", frozenset().union(*(p.references for p in self.predicates))
         )
-        object.__setattr__(self, "_last", [None])
 
     def compiled(self, orders: Mapping[str, Sequence] | None = None) -> tuple:
         """Each predicate compiled under these level orders, in scale order."""
-        return self._compile_once(orders, lambda orders: tuple(p.compiled(orders) for p in self.predicates))
+        return tuple([p.compiled(orders) for p in self.predicates])
 
 
 def _check_missing(references, assignment, orders) -> None:

@@ -175,7 +175,7 @@ def test_compiled_fast_paths_fall_back_on_unusual_values():
 
 
 _ABSENT = object()
-_UNUSUAL = (4.0, 5.0, -0.0, float("nan"), 5, 0, True, False, "a", "5", None, (5.0,), _ABSENT)
+_UNUSUAL = (4.0, 5.0, -0.0, float("nan"), float("inf"), float("-inf"), 5, 0, True, False, "a", "5", None, (5.0,), _ABSENT)
 
 
 @pytest.mark.parametrize("text", [
