@@ -371,14 +371,18 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     - A node carried over from the previous tick fires only the arcs its
       clocks newly enabled: delta above the clock it was expanded with
       and at most its clock now. An arc it fired before led to a node
-      whose aged copy covers what the arc gives now, or claimed an entry
-      that has since expired, which leaves a dead branch. So a carried
-      node whose clocks did not move at the last aging is settled: it
-      keeps its clocks without aging them again and is not walked.
+      whose aged copy covers what the arc gives now. So a carried node
+      whose clocks did not move at the last aging is settled: it keeps
+      its clocks without aging them again and is not walked.
     - A tick in which no frontier node's clock moves fires nothing, and
       the same holds at every later tick, since all clocks stay capped
       and nodes only leave the frontier as their entries expire. The
       search stops there.
+
+    Every node walked at tick t has deadline[k] >= t for its next entry k:
+    the start node as deadlines are >= 0, a carried node as aging drops a
+    node whose next entry expired, and a new node as claiming only moves
+    k forward along non-decreasing deadlines. So every claim is on time.
     """
     _validate_refs(dset, seq)
     entries = seq.entries
@@ -394,14 +398,14 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
         for by_src in arcs_from
     ]
     caps_of: dict = {}  # states -> their caps, per diagram
-    # Entry k as flat lists; the sentinel past the last one never expires
-    # and never matches, so claim stops there without a bound test.
-    deadline = [e.deadline for e in entries] + [horizon + 1]
+    # Entry k as flat lists; the sentinel past the last one never matches,
+    # so claim stops there without a bound test.
+    deadline = [e.deadline for e in entries]
     where = [e.diagram for e in entries] + [0]
     want = [e.state for e in entries] + [None]
 
-    def claim(states: Sequence[str], k: int, tick: int) -> int:
-        while deadline[k] >= tick and states[where[k]] == want[k]:
+    def claim(states: Sequence[str], k: int) -> int:
+        while states[where[k]] == want[k]:
             k += 1
         return k
 
@@ -417,17 +421,17 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
         firings.reverse()
         # Recompute claim ticks along the witness.
         states = [d.initial for d in dset.diagrams]
-        k = claim(states, 0, 0)
+        k = claim(states, 0)
         ticks = [0] * k
         for f in firings:
             states[f.diagram] = f.arc.dst
-            nk = claim(states, k, f.tick)
+            nk = claim(states, k)
             ticks += [f.tick] * (nk - k)
             k = nk
         return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
 
     start = tuple(d.initial for d in dset.diagrams)
-    best_k = claim(start, 0, 0)
+    best_k = claim(start, 0)
     if best_k == len(entries):
         return finish(0)
     # (states, clocks, k, index in steps, clocks at the last expansion);
@@ -468,11 +472,9 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
                     if not lo < arc.delta <= ages[di]:
                         continue
                     ns = states[:di] + (arc.dst,) + states[di + 1 :]
-                    nk = claim(ns, k, t)
+                    nk = claim(ns, k)
                     if nk > best_k:
                         best_k = nk
-                    if deadline[nk] < t:
-                        continue  # dead branch: its next entry already expired
                     na = ages[:di] + (0,) + ages[di + 1 :]
                     seen = passed.setdefault((ns, nk), [])
                     for v in seen:
