@@ -406,15 +406,12 @@ def _cmd_consist(args) -> tuple[dict, int]:
     if args.request not in model.composition_requests:
         raise StatedevError(f"request {args.request!r} is not declared")
     req = model.composition_requests[args.request]
-    dset = composition.TimedDiagramSet(
-        diagrams=tuple(model.canonical[d].diagram for d in req.diagram_ids),
-        intervals=req.intervals,
-    )
+    dset = req.diagram_set
     outcome = "composed"
     detail: dict
     code = 0
     if req.kind == "consistency":
-        verdict = composition.check_consistency(dset, req.sequence or composition.PrescribedSequence(()))
+        verdict = composition.check_consistency(dset, req.sequence)
         outcome = "consistent" if verdict.consistent else "inconsistent"
         detail = {
             "witness": [

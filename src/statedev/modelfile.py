@@ -97,8 +97,7 @@ class CanonicalEntry:
 class CompositionRequest:
     id: str
     kind: str  # "sequential" | "parallel" | "generalize" | "consistency"
-    diagram_ids: tuple[str, ...]
-    intervals: tuple[int, ...]
+    diagram_set: TimedDiagramSet
     sequence: Union[PrescribedSequence, None] = None
     selection: tuple[tuple[str, ...], ...] = ()
     order_pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
@@ -528,15 +527,16 @@ def _parse_request(rid, raw, where, out, done) -> Union[CompositionRequest, None
     if not ok:
         return None
     try:
-        TimedDiagramSet(tuple(canonical[d].diagram for d in ids), intervals)
+        diagram_set = TimedDiagramSet(tuple(canonical[d].diagram for d in ids), intervals)
     except ValueError as exc:
         out.invalid(f"{where}.intervals", str(exc))
         return None
-    return CompositionRequest(rid, kind, ids, intervals, sequence, tuple(selection), tuple(order_pairs))
+    return CompositionRequest(rid, kind, diagram_set, sequence, tuple(selection), tuple(order_pairs))
 
 
 def _dump_request(req: CompositionRequest, model) -> dict:
-    item: dict[str, Any] = {"kind": req.kind, "diagrams": list(req.diagram_ids), "intervals": list(req.intervals)}
+    dset = req.diagram_set
+    item: dict[str, Any] = {"kind": req.kind, "diagrams": [d.id for d in dset.diagrams], "intervals": list(dset.intervals)}
     if req.sequence is not None:
         item["sequence"] = [_PRESCRIBED.dump(e) for e in req.sequence.entries]
     if req.selection:
