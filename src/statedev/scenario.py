@@ -178,7 +178,8 @@ class Scenario:
     horizon: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "diagrams", tuple(self.diagrams))
+        # In id order, the order a model or trajectory file keys them in.
+        object.__setattr__(self, "diagrams", tuple(sorted(self.diagrams, key=lambda d: d.id)))
         object.__setattr__(self, "assignment", dict(self.assignment))
         object.__setattr__(self, "time_diagram", tuple(self.time_diagram))
         by_id = {}
