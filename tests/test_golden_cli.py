@@ -90,6 +90,9 @@ CASES = [
                                              "fixtures/x_series.csv"]},
     {"name": "simulate-error-scores", "argv": ["simulate", _TWO_LEVEL, "--scenario", "coordinated",
                                                "--scores", "nope"]},
+    {"name": "validate-flawed-scenario", "argv": ["validate", "fixtures/flawed_scenario.json"]},
+    {"name": "simulate-error-horizon", "argv": ["simulate", _TWO_LEVEL, "--scenario", "coordinated",
+                                                "--horizon", "-1"]},
 ]
 
 
