@@ -138,6 +138,14 @@ def _arc_key(arc: canonical.Arc) -> str:
     return f"{arc.src}->{arc.dst} {arc.kind.value} d{arc.delta}"
 
 
+def _first_five(head: str, findings, noun: str, line) -> list[str]:
+    """Report lines for a check's first five findings, then one that counts the rest."""
+    lines = [f"{head}: {line(*finding)}" for finding in findings[:5]]
+    if len(findings) > 5:
+        lines.append(f"{head}: {len(findings) - 5} further {noun}")
+    return lines
+
+
 def _cmd_validate(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     violations: list[str] = []
@@ -149,25 +157,14 @@ def _cmd_validate(args) -> tuple[dict, int]:
         except statespace.MissingParameterRangeError as exc:
             warnings.append(f"scale {sid!r}: disjointness not sampled ({exc})")
             continue
-        for assignment, positions in report.overlaps[:5]:
-            violations.append(
-                f"scale {sid!r}: predicates {list(positions)} overlap at {assignment}"
-            )
-        if len(report.overlaps) > 5:
-            violations.append(f"scale {sid!r}: {len(report.overlaps) - 5} further overlaps")
+        violations += _first_five(f"scale {sid!r}", report.overlaps, "overlaps",
+                                  lambda at, positions: f"predicates {list(positions)} overlap at {at}")
     for cid, cl in sorted(model.classificators.items()):
-        try:
-            report = statespace.validate_classificator(cl, spec, model.parameters)
-        except statespace.MissingParameterRangeError as exc:
-            warnings.append(f"classificator {cid!r}: refinement not sampled ({exc})")
-            continue
-        for sid, pos, child_pos, assignment in report.violations[:5]:
-            violations.append(
-                f"classificator {cid!r}: child predicate {child_pos} of ({sid!r}, {pos}) "
-                f"escapes its parent at {assignment}"
-            )
-        if len(report.violations) > 5:
-            violations.append(f"classificator {cid!r}: {len(report.violations) - 5} further escapes")
+        report = statespace.validate_classificator(cl, spec, model.parameters)
+        warnings += (f"classificator {cid!r}: refinement not sampled ({exc})" for exc in report.unsampled)
+        violations += _first_five(
+            f"classificator {cid!r}", report.violations, "escapes",
+            lambda sid, pos, j, at: f"child predicate {j} of ({sid!r}, {pos}) escapes its parent at {at}")
     for did, entry in sorted(model.canonical.items()):
         report = canonical.validate_canonical(entry.diagram)
         for arc in report.order_violations:
@@ -430,10 +427,7 @@ def _cmd_consist(args) -> tuple[dict, int]:
             elif req.kind == "parallel":
                 detail = _diagram_summary(composition.compose_parallel(dset).diagram)
             else:
-                spec = composition.OrderRelationSpec(req.order_pairs)
-                detail = _diagram_summary(
-                    composition.generalize(dset, req.selection, spec).diagram
-                )
+                detail = _diagram_summary(composition.generalize(dset, req.selection, req.order_pairs))
         except StatedevError as exc:
             outcome = "rejected"
             detail = {"error": type(exc).__name__, "message": str(exc)}

@@ -94,19 +94,6 @@ class PrescribedSequence:
                 raise ValueError("deadlines must be non-decreasing along the list")
 
 
-@dataclass(frozen=True)
-class OrderRelationSpec:
-    """Strict order pairs (a before b) over selected child-state tuples."""
-
-    pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        norm = tuple(
-            (tuple(a), tuple(b)) for a, b in self.pairs
-        )
-        object.__setattr__(self, "pairs", norm)
-
-
 def compose_sequential(dset: TimedDiagramSet) -> CanonicalDiagram:
     """Chain the diagrams along strictly increasing intervals.
 
@@ -220,26 +207,18 @@ def compose_parallel(dset: TimedDiagramSet) -> ParallelFragment:
     )
 
 
-@dataclass(frozen=True)
-class GeneralizedDiagram:
-    """Parent-level diagram from generalize; tuple_of recovers the
-    child-state tuple behind each parent state id."""
-
-    diagram: CanonicalDiagram
-    tuple_of: dict[str, tuple[str, ...]]
-
-
 def generalize(
     children: TimedDiagramSet,
     selection: Iterable[Sequence[str]],
-    order: OrderRelationSpec,
-) -> GeneralizedDiagram:
+    order: Iterable[tuple[Sequence[str], Sequence[str]]],
+) -> CanonicalDiagram:
     """Lift selected child-state tuples to a parent diagram.
 
-    The supplied pairs must form a strict partial order on the selection
-    with one minimal and one maximal element; parent states follow the
-    deterministic linear extension (ties broken by child state orders),
-    parent dev arcs are the covering pairs.
+    The order pairs (a before b) must form a strict partial order on the
+    selection with one minimal and one maximal element; parent states
+    follow the deterministic linear extension (ties broken by child state
+    orders), parent dev arcs are the covering pairs. A parent state id
+    spells its child tuple, as `(a0,b1)`.
     """
     diagrams = children.diagrams
     chosen: list[tuple[str, ...]] = []
@@ -259,7 +238,8 @@ def generalize(
     index = {tup: i for i, tup in enumerate(chosen)}
     n = len(chosen)
     edge = [[False] * n for _ in range(n)]
-    for a, b in order.pairs:
+    for a, b in order:
+        a, b = tuple(a), tuple(b)
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise TupleOutOfProductError(f"order pair references unselected tuple {missing}")
@@ -305,7 +285,7 @@ def generalize(
     ids = [_tuple_id(chosen[i]) for i in range(n)]
     states = tuple(ids[i] for i in extension)
     dev = tuple(Arc(ids[i], ids[j], 0, ArcKind.DEV) for i, j in covering)
-    diagram = CanonicalDiagram(
+    return CanonicalDiagram(
         id="gen(" + ",".join(d.id for d in diagrams) + ")",
         states=states,
         dev_arcs=dev,
@@ -313,9 +293,6 @@ def generalize(
         initial=ids[minimal[0]],
         final=ids[maximal[0]],
         horizon=max(children.intervals),
-    )
-    return GeneralizedDiagram(
-        diagram=diagram, tuple_of={ids[i]: chosen[i] for i in range(n)}
     )
 
 
@@ -409,34 +386,32 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
             k += 1
         return k
 
-    # steps[i] is (parent index, tick, diagram, arc) of the i-th node found;
-    # node 0 is the start. Node keys change as clocks tick: parents go by index.
-    steps: list = [None]
-
-    def finish(i: int) -> ConsistencyVerdict:
-        firings = []
-        while steps[i] is not None:
-            i, tick, di, arc = steps[i]
-            firings.append(ScheduledFiring(tick, di, arc))
-        firings.reverse()
-        # Recompute claim ticks along the witness.
-        states = [d.initial for d in dset.diagrams]
-        k = claim(states, 0)
-        ticks = [0] * k
-        for f in firings:
-            states[f.diagram] = f.arc.dst
-            nk = claim(states, k)
-            ticks += [f.tick] * (nk - k)
-            k = nk
-        return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
-
     start = tuple(d.initial for d in dset.diagrams)
     best_k = claim(start, 0)
+    # steps[i] is (parent index, tick, diagram, arc, k) of the i-th node found,
+    # k the prefix it claimed; node 0 is the start. Node keys change as clocks
+    # tick: parents go by index.
+    steps: list = [(0, 0, None, None, best_k)]
+
+    def finish(i: int) -> ConsistencyVerdict:
+        firings, ticks = [], []
+        while i:
+            parent, tick, di, arc, k = steps[i]
+            firings.append(ScheduledFiring(tick, di, arc))
+            ticks += [tick] * (k - steps[parent][4])
+            i = parent
+        ticks += [0] * steps[0][4]
+        firings.reverse()
+        ticks.reverse()
+        return ConsistencyVerdict(True, tuple(firings), tuple(ticks), None)
+
     if best_k == len(entries):
         return finish(0)
-    # (states, clocks, k, index in steps, clocks at the last expansion);
-    # None marks a node found in this tick, which fires every enabled arc.
-    frontier = [(start, (0,) * n, best_k, 0, None)]
+    # (states, clocks, k, index in steps, clocks at the last expansion); a
+    # node found in this tick has the clocks -1 there, so every enabled arc
+    # fires.
+    fresh = (-1,) * n
+    frontier = [(start, (0,) * n, best_k, 0, fresh)]
     moving = frontier[:]  # the frontier less its settled nodes, which fire nothing
     passed = {(start, best_k): [(0,) * n]}  # (states, k) -> clocks of frontier nodes
     for t in range(0, horizon + 1):
@@ -465,7 +440,7 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
         live = [di for di in range(n) if t <= limits[di]]
         for states, ages, k, i, before in moving:  # grows while it is walked
             for di in live:
-                lo = -1 if before is None else before[di]
+                lo = before[di]
                 if lo == ages[di]:
                     continue
                 for arc in arcs_from[di][states[di]]:
@@ -481,11 +456,11 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
                         if all(map(ge, v, na)):
                             break  # covered: that node may wait and fire as this one
                     else:
-                        steps.append((i, t, di, arc))
+                        steps.append((i, t, di, arc, nk))
                         if nk == len(entries):
                             return finish(len(steps) - 1)
                         seen.append(na)
-                        node = (ns, na, nk, len(steps) - 1, None)
+                        node = (ns, na, nk, len(steps) - 1, fresh)
                         frontier.append(node)
                         moving.append(node)
     return ConsistencyVerdict(False, None, None, best_k + 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import StatedevError
@@ -144,12 +145,9 @@ class HierarchicalStructure:
             seen.add(node)
             order.append(node)
             stack.extend(reversed(self.children.get(node, ())))
-        for parent, kids in self.children.items():
+        for parent in self.children:
             if parent not in seen:
                 raise ValueError(f"children listed for unreachable subsystem {parent!r}")
-            for kid in kids:
-                if kid not in seen:
-                    raise ValueError(f"subsystem {kid!r} is detached from the root")
         object.__setattr__(self, "_preorder", tuple(order))
 
     def preorder(self) -> tuple[str, ...]:
@@ -227,50 +225,57 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
     for sub in sc.assignment:
         if sub not in subs:
             bad.append(f"assignment names unknown subsystem {sub!r}")
-    seen_diagram: dict[str, str] = {}
+    first_sub: dict[str, str] = {}  # diagram id -> the first subsystem assigned it
+    assigned = []  # the subsystems with a known diagram, in preorder
     for sub in subs:
         did = sc.assignment.get(sub)
-        if did is None or did not in ids:
-            continue
-        if did in seen_diagram:
-            bad.append(
-                f"diagram {did!r} is assigned to both {seen_diagram[did]!r} and {sub!r}"
-            )
-        else:
-            seen_diagram[did] = sub
+        if did in ids:
+            assigned.append(sub)
+            if first_sub.setdefault(did, sub) != sub:
+                bad.append(f"diagram {did!r} is assigned to both {first_sub[did]!r} and {sub!r}")
     for d in sc.diagrams:
-        if d.id not in seen_diagram:
+        if d.id not in first_sub:
             warn.append(f"diagram {d.id!r} is not assigned to any subsystem")
 
-    assigned = [s for s in subs if sc.assignment.get(s) in ids]
-
-    # Per-diagram arc discipline and per-(state, symbol) determinism.
+    # Per-diagram arc discipline and per-(state, symbol) determinism; the
+    # same walk collects the symbols, the labeled arcs and, for each
+    # subsystem, the states reachable from its initial state.
+    symbols: set[str] = set()
+    all_arcs: set[ArcRef] = set()
+    reach: dict[str, set[str]] = {}
     for sub in assigned:
         d = sc.diagram_of(sub)
+        symbols |= d.alphabet
+        pairs: set[tuple[str, str]] = set()
+        edges: dict[str, list[str]] = {}
         for src, dst, sym in d.labeled_arcs:
             if d.order(src) >= d.order(dst):
                 bad.append(
                     f"{sub}: labeled arc ({src},{dst},{sym}) does not increase state order"
                 )
+            all_arcs.add(ArcRef(sub, src, dst, sym))
+            pairs.add((src, dst))
+            edges.setdefault(src, []).append(dst)
         for src, dst in d.back_arcs:
             if d.order(dst) >= d.order(src):
                 bad.append(f"{sub}: back arc ({src},{dst}) does not decrease state order")
-        pairs = {(src, dst) for src, dst, _ in d.labeled_arcs}
+            edges.setdefault(src, []).append(dst)
         for src, dst in d.back_arcs:
             if (src, dst) in pairs:
                 bad.append(f"{sub}: arc ({src},{dst}) is both labeled and back")
-        seen_pair: dict[tuple[str, str], tuple[str, str, str]] = {}
-        for arc in d.labeled_arcs:
-            key = (arc[0], arc[2])
-            if key in seen_pair:
-                bad.append(
-                    f"{sub}: symbol {arc[2]!r} leaves state {arc[0]!r} on two arcs"
-                )
-            seen_pair[key] = arc
-
-    symbols = set()
-    for sub in assigned:
-        symbols |= sc.diagram_of(sub).alphabet
+        leaving: set[tuple[str, str]] = set()
+        for src, _, sym in d.labeled_arcs:
+            if (src, sym) in leaving:
+                bad.append(f"{sub}: symbol {sym!r} leaves state {src!r} on two arcs")
+            leaving.add((src, sym))
+        seen = {d.initial}
+        stack = [d.initial]
+        while stack:
+            for nxt in edges.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[sub] = seen
 
     # Time diagram entries.
     for i, entry in enumerate(sc.time_diagram):
@@ -290,11 +295,6 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
 
     # After-effect partitions.
     ae = sc.after_effect
-    all_arcs = {
-        ArcRef(sub, src, dst, sym)
-        for sub in assigned
-        for (src, dst, sym) in sc.diagram_of(sub).labeled_arcs
-    }
     for ref in sorted(all_arcs - ae.isolated - ae.coupled):
         bad.append(f"labeled arc {ref} is in neither the isolated nor the coupled set")
     for ref in sorted(ae.isolated & ae.coupled):
@@ -330,22 +330,6 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
             bad.append(f"parent link of {parent_ref} references one child subsystem twice")
 
     # Every coupled arc must be reachable from its diagram's initial state.
-    reach: dict[str, set[str]] = {}
-    for sub in assigned:
-        d = sc.diagram_of(sub)
-        edges: dict[str, list[str]] = {}
-        for src, dst, _ in d.labeled_arcs:
-            edges.setdefault(src, []).append(dst)
-        for src, dst in d.back_arcs:
-            edges.setdefault(src, []).append(dst)
-        seen = {d.initial}
-        stack = [d.initial]
-        while stack:
-            for nxt in edges.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        reach[sub] = seen
     for ref in sorted(ae.coupled & all_arcs):
         if ref.src not in reach[ref.subsystem]:
             bad.append(f"coupled arc {ref} starts in a state unreachable from the initial state")
@@ -764,13 +748,4 @@ def compare_scenarios(reports: Sequence[ScenarioReport]) -> ComparisonResult:
                 len(r.redundancy_incidents))
 
     ordered = sorted(reports, key=key)
-    groups: list[list[str]] = []
-    last_key = None
-    for r in ordered:
-        k = key(r)
-        if k == last_key:
-            groups[-1].append(r.scenario_id)
-        else:
-            groups.append([r.scenario_id])
-            last_key = k
-    return ComparisonResult(tuple(tuple(g) for g in groups))
+    return ComparisonResult(tuple(tuple(r.scenario_id for r in tied) for _, tied in groupby(ordered, key)))

@@ -211,31 +211,28 @@ class Classificator:
 
     def __post_init__(self):
         object.__setattr__(self, "refinements", dict(self.refinements))
-        # Tree check: every refinement reachable from the root, each child
-        # scale attached exactly once, no scale repeated along any path.
+        # Tree check, one walk from the root: every refinement reached, each
+        # child scale attached exactly once, no scale repeated along any path.
+        below: dict[str, list] = {}
+        for (sid, pos), child in self.refinements.items():
+            below.setdefault(sid, []).append((pos, child))
         scales = {self.root.id: self.root}
-        pending = dict(self.refinements)
-        progress = True
-        while pending and progress:
-            progress = False
-            for (sid, pos), child in list(pending.items()):
-                if sid not in scales:
-                    continue
-                parent = scales[sid]
+        reached = [self.root]
+        for parent in reached:  # grows while it is walked
+            for pos, child in below.pop(parent.id, ()):
                 if not 1 <= pos <= len(parent.predicates):
                     raise ValueError(
                         f"classificator {self.id!r}: refinement position {pos} "
-                        f"outside scale {sid!r}"
+                        f"outside scale {parent.id!r}"
                     )
                 if child.id in scales:
                     raise ValueError(
                         f"classificator {self.id!r}: scale {child.id!r} attached twice"
                     )
                 scales[child.id] = child
-                del pending[(sid, pos)]
-                progress = True
-        if pending:
-            bad = ", ".join(repr(sid) for sid, _ in pending)
+                reached.append(child)
+        if below:
+            bad = ", ".join(repr(sid) for sid, _ in self.refinements if sid in below)
             raise ValueError(
                 f"classificator {self.id!r}: refinements dangle from unknown scale(s) {bad}"
             )
@@ -283,10 +280,9 @@ def sample_assignments(
     spec: SampleSpec, names: Sequence[str], parameters: Parameters | None = None
 ):
     """Deterministic stream of assignments over the named parameters: an
-    ordinal draws one of its levels, a numeric a value within its bounds."""
+    ordinal draws one of its levels, a numeric a value within its bounds.
+    A name without a sampling range raises here, not at the first draw."""
     names = sorted(names)
-    if not names:
-        return
     decls = [(parameters or {}).get(name) for name in names]
     unresolved = [
         name for name, decl in zip(names, decls)
@@ -300,8 +296,7 @@ def sample_assignments(
          else partial(rng.uniform, *decl.bounds))
         for name, decl in zip(names, decls)
     ]
-    for _ in range(spec.samples):
-        yield {name: draw() for name, draw in draws}
+    return ({name: draw() for name, draw in draws} for _ in range(spec.samples if names else 0))
 
 
 def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[str]:
@@ -351,6 +346,7 @@ class RefinementReport:
     classificator_id: str
     samples: int
     violations: tuple  # (scale id, position, child predicate position, assignment)
+    unsampled: tuple = ()  # a MissingParameterRangeError per refinement not sampled
 
     @property
     def passed(self) -> bool:
@@ -363,24 +359,30 @@ def validate_classificator(
     parameters: Parameters | None = None,
 ) -> RefinementReport:
     """Sampling check of the refinement property: every point accepted
-    by a child predicate must satisfy the parent predicate it refines."""
+    by a child predicate must satisfy the parent predicate it refines.
+    Each refinement is sampled on its own; one that reads a name without
+    a sampling range is listed in `unsampled` and the others are checked."""
     orders = _orders(parameters)
     total = 0
     violations = []
+    unsampled = []
     for (sid, pos), child in sorted(classificator.refinements.items()):
         parent_pred = classificator.scale_by_id(sid).predicates[pos - 1]
         parent_holds = parent_pred.compiled(orders)
         tests = child.compiled(orders)
         names = _sampled_names((parent_pred, *child.predicates), parameters, orders)
-        for assignment in sample_assignments(spec, names, parameters):
+        try:
+            assignments = sample_assignments(spec, names, parameters)
+        except MissingParameterRangeError as exc:
+            unsampled.append(exc)
+            continue
+        for assignment in assignments:
             total += 1
             parent_ok = parent_holds(assignment)
             for j, holds in enumerate(tests):
                 if holds(assignment) and not parent_ok:
                     violations.append((sid, pos, j + 1, assignment))
-    return RefinementReport(
-        classificator_id=classificator.id, samples=total, violations=tuple(violations)
-    )
+    return RefinementReport(classificator.id, total, tuple(violations), tuple(unsampled))
 
 
 @dataclass(frozen=True)

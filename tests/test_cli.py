@@ -59,6 +59,24 @@ def test_validate_reports_every_issue_of_a_broken_file(tmp_path, capsys):
     assert len(report["body"]["violations"]) == 2
 
 
+def test_validate_checks_the_other_refinements_of_an_unsampled_one(tmp_path, capsys):
+    # A second refinement of `sparse` reads the unbounded y: it gets the
+    # warning, and the escapes of (gap, 1) are still all reported.
+    flawed = BASIC.parent / "flawed.json"
+    model = json.loads(flawed.read_text())
+    model["classificators"]["sparse"]["refinements"].append({"scale": "gap", "position": 2, "child": "level"})
+    path = tmp_path / "flawed2.json"
+    path.write_text(json.dumps(model))
+    _, before, _ = run_json(capsys, "validate", str(flawed))
+    code, after, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert after["body"]["violations"] == before["body"]["violations"]
+    assert any("sparse': 666 further escapes" in line for line in after["body"]["violations"])
+    assert after["body"]["warnings"] == before["body"]["warnings"] + [
+        "classificator 'sparse': refinement not sampled (no sampling range for parameter(s): y)"
+    ]
+
+
 def test_validate_missing_file_exits_one(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/model.json")
     assert code == 1
@@ -389,6 +407,7 @@ def _first(data, kind):
     pytest.param(lambda d: d.update(scenario=[]), "scenario", id="list-scenario"),
     pytest.param(lambda d: d.update(trajectory="run"), "trajectory", id="str-trajectory"),
     pytest.param(lambda d: d["trajectory"].update(horizon="3"), "trajectory.horizon", id="str-horizon"),
+    pytest.param(lambda d: d["trajectory"].update(horizon=-1), "trajectory.horizon", id="negative-horizon"),
     pytest.param(lambda d: d["trajectory"].update(initial=["top"]), "trajectory.initial",
                  id="list-initial"),
     pytest.param(lambda d: d["trajectory"].update(events={}), "trajectory.events", id="map-events"),
@@ -746,6 +765,31 @@ def test_analyze_names_the_first_fault_of_a_damaged_file(tmp_path, capsys, mutat
     mutate(data)
     traj.write_text(json.dumps(data))
     assert _failure(capsys, "analyze", str(traj)) == violations
+
+
+@pytest.mark.parametrize("mutate, violations", [
+    pytest.param(lambda d: d["trajectory"].update(configs={}),
+                 ["trajectory.configs: expected a list of 3 configurations"], id="configs-not-a-list"),
+    pytest.param(_unreplayable,
+                 ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"], id="unreplayable"),
+])
+def test_analyze_reports_a_damaged_version_1_file(tmp_path, capsys, mutate, violations):
+    data = json.loads(V1_TRAJECTORY.read_text())
+    mutate(data)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data))
+    assert _failure(capsys, "analyze", str(path)) == violations
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda raw: [raw], "{path}: top level must be a JSON object", id="top-level-array"),
+    pytest.param(lambda raw: raw["canonical_diagrams"]["dev3"]["target_distribution"].update(top=1) or raw,
+                 "canonical_diagrams.dev3.target_distribution: unknown state 'top'", id="unknown-target-state"),
+])
+def test_validate_reports_a_malformed_model_file(tmp_path, capsys, change, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(change(json.loads(BASIC.read_text()))))
+    assert _failure(capsys, "validate", str(path)) == [message.format(path=path)]
 
 
 @pytest.mark.parametrize("value, message", [

@@ -1,5 +1,6 @@
 """Scales, hierarchical classification, sampling checks, rule matrices."""
 
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from statedev.errors import MissingParameterError
+from statedev.modelfile import parse_model
 from statedev.statespace import (
     Classificator,
     MissingParameterRangeError,
@@ -25,6 +27,7 @@ from statedev.statespace import (
     validate_classificator,
     validate_scale_disjointness,
 )
+from tests.conftest import BASIC
 from tests.oracles import reference_sample_assignments
 
 
@@ -169,6 +172,35 @@ def test_sub_predicate_check_catches_leaky_child():
     assert not report.passed
     scale_ids = {v[0] for v in report.violations}
     assert scale_ids == {"sign"}
+
+
+def test_each_refinement_is_sampled_on_its_own():
+    # The (sign, 1) refinement reads y, which has no sampling range; the
+    # leaky (sign, 2) refinement is still sampled and its escapes reported.
+    root = scale("sign", "x < 0", "x >= 0")
+    on_y = scale("on_y", "y < 0", "y >= 0")
+    leaky = scale("leak", "x > -5", "x <= -5")
+    c = Classificator(id="c", root=root, refinements={("sign", 1): on_y, ("sign", 2): leaky})
+    report = validate_classificator(c, SampleSpec(samples=500, seed=3), bounds(x=(-4.0, 4.0)))
+    assert report.samples == 500
+    assert report.violations and {v[:2] for v in report.violations} == {("sign", 2)}
+    assert [(type(exc), exc.names) for exc in report.unsampled] == [(MissingParameterRangeError, ("y",))]
+
+
+def test_a_missing_range_raises_at_the_call():
+    with pytest.raises(MissingParameterRangeError):
+        sample_assignments(SampleSpec(samples=5), ["x", "y"], bounds(x=(0.0, 1.0)))
+
+
+def test_a_parsed_model_survives_pickling():
+    # Classifying compiles the predicates; their closures do not pickle, so
+    # a copy is made without them and compiles again on first use.
+    model = parse_model(BASIC)
+    obj = {"x": 7.0, "phase": "Seed"}
+    path = classify_hierarchical(model.classificators["growth"], obj, model.parameters)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model
+    assert classify_hierarchical(copy.classificators["growth"], obj, copy.parameters) == path
 
 
 def test_sampling_is_seed_deterministic():
