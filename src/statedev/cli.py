@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--scenario", required=True)
     p.add_argument("--horizon", type=int, help="override the scenario's horizon")
-    p.add_argument("--seed", type=int, help="recorded in provenance; simulation is deterministic")
     p.add_argument("--scores", help="score table id for the efficiency series")
     p.add_argument("--out", help="write a self-contained trajectory file")
     p.add_argument("--events-out", help="write the event log as CSV")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge
 from typing import Iterable, Sequence
 
 from .canonical import Arc, ArcKind, CanonicalDiagram
@@ -325,41 +324,42 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     """Decide ordered visitation by deadlines over the joint tick grid.
 
     Breadth-first search over (per-diagram state, per-diagram residence
-    clock, satisfied-prefix length), tick by tick; within one tick any
+    clock, satisfied-prefix length k), tick by tick; within one tick any
     number of diagrams may fire and a diagram may chain zero-delay arcs.
     A residence clock stops at the largest delay leaving its state, since
-    any larger clock enables the same arcs; two nodes whose clocks agree
-    after that cap are one node, and the one found first is kept. The
-    witness is the first satisfying path found: earliest tick first;
-    within a tick, the frontier in discovery order, then diagram index,
-    then `out_arcs` order. It does not depend on the hash seed.
+    any larger clock enables the same arcs. The search keeps the first
+    node found of each (states, k) and drops every later one. The witness
+    is the first satisfying path found: earliest tick first; within a
+    tick, the frontier in discovery order, then diagram index, then
+    `out_arcs` order. It does not depend on the hash seed.
 
-    An entry carries only a deadline, an interval only forbids later
-    firings, and a waiting node's clocks only grow. So a node covers any
-    node with the same states and prefix whose clocks are no larger in
-    every component: whatever the latter can fire, at any later tick, the
-    former can fire at the same tick into a node that covers the result.
-    Three rules skip work whose result is covered, and none of them
-    changes the verdict or the witness:
+    A node (s, c, k) dominates (s, c', k') when c >= c' in every component
+    and k >= k'. Proven: whatever the dominated node fires at any later
+    tick, the dominating node fires at the same tick, into a node that
+    dominates the result. Larger clocks keep every arc enabled, aging keeps
+    the order, an interval only forbids later firings, deadlines do not
+    decrease along the list, and claim is monotone in k: if claim(s, k')
+    gets past k, every entry from k to where it stops holds in s.
 
-    - A new node covered by a frontier node is dropped. The covering node
-      comes first in the frontier, so any satisfying path through the
-      dropped one has a copy through it that is found earlier.
-    - A node carried over from the previous tick fires only the arcs its
-      clocks newly enabled: delta above the clock it was expanded with
-      and at most its clock now. An arc it fired before led to a node
-      whose aged copy covers what the arc gives now. So a carried node
-      whose clocks did not move at the last aging is settled: it keeps
-      its clocks without aging them again and is not walked.
-    - A tick in which no frontier node's clock moves fires nothing, and
-      the same holds at every later tick, since all clocks stay capped
-      and nodes only leave the frontier as their entries expire. The
-      search stops there.
-
-    Every node walked at tick t has deadline[k] >= t for its next entry k:
-    the start node as deadlines are >= 0, a carried node as aging drops a
-    node whose next entry expired, and a new node as claiming only moves
-    k forward along non-decreasing deadlines. So every claim is on time.
+    - Drop lemma, checked, not proven: when the search finds a (states, k)
+      a second time, a live node found earlier, with the same states and a
+      k' >= k, dominates the new one. tests/test_composition.py checks it
+      at every drop (`test_every_drop_is_dominated`) and checks the whole
+      verdict against the covering search, which keeps clocks per
+      (states, k) (`test_search_equals_the_covering_search*`).
+    - A key stays found after its node leaves the frontier: a settled
+      node's capped clocks dominate any later node with its key, and a new
+      node claims from a live parent, so it never carries an expired entry.
+    - A carried node fires only the arcs its clocks newly enabled: delta
+      above its clock at the last expansion and at most its clock now; an
+      arc it fired before gave a node that a kept node, aged, dominates.
+      One whose clocks did not move when aged is settled: every clock is
+      capped, it fires nothing again, and it leaves the frontier. The
+      search stops at the first tick with an empty frontier.
+    - Every node walked at tick t has deadline[k] >= t: the start node as
+      deadlines are >= 0, a carried node as aging drops a node whose next
+      entry expired, and a new node as claiming only moves k forward along
+      non-decreasing deadlines. So every claim is on time.
     """
     _validate_refs(dset, seq)
     entries = seq.entries
@@ -412,33 +412,23 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
     # fires.
     fresh = (-1,) * n
     frontier = [(start, (0,) * n, best_k, 0, fresh)]
-    moving = frontier[:]  # the frontier less its settled nodes, which fire nothing
-    passed = {(start, best_k): [(0,) * n]}  # (states, k) -> clocks of frontier nodes
+    found = {(start, best_k)}  # every (states, k) found so far
     for t in range(0, horizon + 1):
         if t:
-            carried, passed, frontier, moving = frontier, {}, [], []
-            for node in carried:
-                states, ages, k, i, before = node
+            carried, frontier = frontier, []
+            for states, ages, k, i, _ in carried:
                 if deadline[k] < t:
                     continue
-                if ages == before:
-                    now = ages  # settled: every clock is capped
-                else:
-                    capt = caps_of.get(states)
-                    if capt is None:
-                        capt = caps_of[states] = tuple(map(dict.__getitem__, caps, states))
-                    now = tuple(map(min, map((1).__add__, ages), capt))
-                seen = passed.setdefault((states, k), [])
-                if now not in seen:  # the node found first stays
-                    seen.append(now)
-                    node = (states, now, k, i, ages)
-                    frontier.append(node)
-                    if now != ages:
-                        moving.append(node)
-            if not moving:
-                break  # every clock is capped: nothing fires again
+                capt = caps_of.get(states)
+                if capt is None:
+                    capt = caps_of[states] = tuple(map(dict.__getitem__, caps, states))
+                now = tuple(map(min, map((1).__add__, ages), capt))
+                if now != ages:  # else settled: every clock is capped
+                    frontier.append((states, now, k, i, ages))
+            if not frontier:
+                break  # nothing fires again
         live = [di for di in range(n) if t <= limits[di]]
-        for states, ages, k, i, before in moving:  # grows while it is walked
+        for states, ages, k, i, before in frontier:  # grows while it is walked
             for di in live:
                 lo = before[di]
                 if lo == ages[di]:
@@ -448,19 +438,13 @@ def check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> Consist
                         continue
                     ns = states[:di] + (arc.dst,) + states[di + 1 :]
                     nk = claim(ns, k)
-                    if nk > best_k:
-                        best_k = nk
+                    if (ns, nk) in found:
+                        continue  # a node found earlier dominates it: the drop lemma
+                    found.add((ns, nk))
+                    best_k = max(best_k, nk)
+                    steps.append((i, t, di, arc, nk))
+                    if nk == len(entries):
+                        return finish(len(steps) - 1)
                     na = ages[:di] + (0,) + ages[di + 1 :]
-                    seen = passed.setdefault((ns, nk), [])
-                    for v in seen:
-                        if all(map(ge, v, na)):
-                            break  # covered: that node may wait and fire as this one
-                    else:
-                        steps.append((i, t, di, arc, nk))
-                        if nk == len(entries):
-                            return finish(len(steps) - 1)
-                        seen.append(na)
-                        node = (ns, na, nk, len(steps) - 1, fresh)
-                        frontier.append(node)
-                        moving.append(node)
+                    frontier.append((ns, na, nk, len(steps) - 1, fresh))
     return ConsistencyVerdict(False, None, None, best_k + 1)

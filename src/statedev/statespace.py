@@ -280,8 +280,9 @@ def sample_assignments(
     spec: SampleSpec, names: Sequence[str], parameters: Parameters | None = None
 ):
     """Deterministic stream of assignments over the named parameters: an
-    ordinal draws one of its levels, a numeric a value within its bounds.
-    A name without a sampling range raises here, not at the first draw."""
+    ordinal draws one of its levels, a numeric a value within its bounds;
+    no names give one empty assignment. A name without a sampling range
+    raises here, not at the first draw."""
     names = sorted(names)
     decls = [(parameters or {}).get(name) for name in names]
     unresolved = [
@@ -296,7 +297,7 @@ def sample_assignments(
          else partial(rng.uniform, *decl.bounds))
         for name, decl in zip(names, decls)
     ]
-    return ({name: draw() for name, draw in draws} for _ in range(spec.samples if names else 0))
+    return ({name: draw() for name, draw in draws} for _ in range(spec.samples if names else 1))
 
 
 def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[str]:

@@ -14,9 +14,11 @@ fold every series twice and search every cycle period directly.
 `reference_intensity_report` is the intensity report that keys its counters
 by arc, which `canonical.intensity_report` must agree with, and
 `sorted_arcs` the arc order that `check_consistency` expands in.
-`covering_check_consistency` is the covering search that ages, walks and
-records every frontier node each tick, which `check_consistency` must
-return the same verdict as.
+`covering_check_consistency` is the covering search that keeps every clock
+vector that no frontier node with the same states and prefix covers, where
+`check_consistency` keeps one node per states and prefix; their whole
+verdicts must be equal, and the oracle can record each tick where it keeps
+two clock vectors for one states and prefix.
 `reference_read_series_csv` is the row-by-row series CSV reader that the
 column-wise `cli._read_series_csv` must agree with, and
 `reference_sample_assignments` the sampler that tests each declaration's
@@ -227,13 +229,21 @@ def execution_satisfies(
     return False
 
 
-def covering_check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -> ConsistencyVerdict:
-    """The covering search that `composition.check_consistency` refines,
-    kept unchanged as the reference its whole verdict must equal. It ages
-    every carried node's clocks, walks it per diagram and builds a
-    `ScheduledFiring` for every node it finds; the search it replaced,
-    over absolute entry ticks, is `reference_check_consistency` in
-    tests/test_composition.py."""
+def covering_check_consistency(
+    dset: TimedDiagramSet, seq: PrescribedSequence, kept_twice: list | None = None
+) -> ConsistencyVerdict:
+    """The covering search, kept as the reference the whole verdict of
+    `composition.check_consistency` must equal. It keeps a node unless a
+    frontier node with the same states and prefix has clocks at least as
+    large, so it may keep several clock vectors for one (states, k) where
+    `check_consistency` keeps the first node only. It ages every carried
+    node's clocks, walks it per diagram and builds a `ScheduledFiring` for
+    every node it finds; the search it replaced, over absolute entry ticks,
+    is `reference_check_consistency` in tests/test_composition.py.
+
+    Given a list as `kept_twice`, it appends (tick, states, k, clocks) each
+    time it keeps a second or later clock vector for one (states, k) at one
+    tick, clocks being all the vectors it then keeps for that key."""
     _validate_refs(dset, seq)
     entries = seq.entries
     if not entries:
@@ -297,6 +307,8 @@ def covering_check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -
                     seen = passed.setdefault((states, k), [])
                     if now not in seen:  # the node found first stays
                         seen.append(now)
+                        if kept_twice is not None and len(seen) > 1:
+                            kept_twice.append((t, states, k, tuple(seen)))
                         aged.append((states, now, k, i, ages))
             if all(now == before for _, now, _, _, before in aged):
                 break  # every clock is capped: nothing fires again
@@ -323,6 +335,8 @@ def covering_check_consistency(dset: TimedDiagramSet, seq: PrescribedSequence) -
                     if nk == len(entries):
                         return finish(len(steps) - 1)
                     seen.append(na)
+                    if kept_twice is not None and len(seen) > 1:
+                        kept_twice.append((t, ns, nk, tuple(seen)))
                     frontier.append((ns, na, nk, len(steps) - 1, None))
     return ConsistencyVerdict(False, None, None, best_k + 1)
 
@@ -780,6 +794,7 @@ def reference_sample_assignments(
     """The sampler that tests each declaration's kind per name per sample."""
     names = sorted(names)
     if not names:
+        yield {}  # predicates that read no name: one check decides them
         return
     decls = [(parameters or {}).get(name) for name in names]
     unresolved = [

@@ -77,6 +77,24 @@ def test_validate_checks_the_other_refinements_of_an_unsampled_one(tmp_path, cap
     ]
 
 
+def test_validate_checks_predicates_that_read_no_name(tmp_path, capsys):
+    # Both states of `s` hold everywhere, as classify finds; validate has
+    # no name to sample and checks the empty assignment once.
+    model = tmp_path / "constant.json"
+    model.write_text(json.dumps({
+        "format_version": 1,
+        "scales": {"s": {"states": [
+            {"id": "a", "predicate": "1 < 2"}, {"id": "b", "predicate": "0 = 0"},
+        ]}},
+        "classificators": {"c": {"root": "s"}},
+    }))
+    code, report, _ = run_json(capsys, "validate", str(model))
+    assert code == 1
+    assert report["body"]["violations"] == ["scale 's': predicates [1, 2] overlap at {}"]
+    code, report, _ = run_json(capsys, "classify", str(model), "--object", "x=1", "--classificator", "c")
+    assert (code, report["body"]["outcome"]) == (1, "multiple-match in scale 's' at positions [1, 2]")
+
+
 def test_validate_missing_file_exits_one(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/model.json")
     assert code == 1
@@ -603,6 +621,8 @@ def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
     valid = run(capsys, "consist", BASIC_S, "--request", "dev_milestones")
     assert run(capsys, "consist", BASIC_S) == usage
     assert usage[0] == 2 and "--request" in usage[2]
+    seeded = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated", "--seed", "3")
+    assert seeded[:2] == (2, "") and "unrecognized arguments: --seed 3" in seeded[2]
     src = str(Path(statedev.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     fresh = subprocess.run(

@@ -552,10 +552,11 @@ def test_search_equals_the_reference_on_chain_pairs(seed):
 
 @pytest.mark.parametrize("long_deadlines", [False, True])
 def test_search_equals_the_covering_search(long_deadlines):
-    # The search skips settled nodes, ages clocks in one map and records
-    # firings as plain tuples; the covering search it refines does none of
-    # that, so their whole verdicts must agree: witness, claim ticks and
-    # failed prefix alike.
+    # The search keeps one node per (states, k) and drops settled nodes;
+    # the covering search keeps every clock vector that no frontier node
+    # with the same (states, k) covers, and keeps settled nodes. Their
+    # whole verdicts must agree: witness, claim ticks and failed prefix
+    # alike.
     rng = random.Random(14)
     cases = [settled_case(30), settled_case(90)]
     cases += [case for seed in (1, 2, 3) for case in chain_pair_cases(seed)]
@@ -574,3 +575,211 @@ def test_search_equals_the_covering_search(long_deadlines):
         assert verdict == covering_check_consistency(dset, seq), f"{seq} over {dset}"
         outcomes.add((verdict.consistent, len(verdict.witness or ()) > 1))
     assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+def dense_case(seed):
+    """A set aimed at incomparable clocks: 2-4 diagrams of 3 states with an
+    arc of delay 0-2 from every state to every other, back arcs included,
+    intervals at or below a horizon of 4-8, and 2-6 entries, each on
+    another diagram than the one before."""
+    rng = random.Random(seed)
+    horizon = rng.randrange(4, 9)
+    diagrams = []
+    for name in "ABCD"[: rng.randrange(2, 5)]:
+        states = tuple(f"{name}{i}" for i in range(3))
+        arcs = [
+            Arc(a, b, rng.randrange(0, 3), ArcKind.DEV if i < j else ArcKind.BACK)
+            for i, a in enumerate(states) for j, b in enumerate(states) if i != j
+        ]
+        diagrams.append(CanonicalDiagram(
+            id=name, states=states,
+            dev_arcs=tuple(a for a in arcs if a.kind is ArcKind.DEV),
+            back_arcs=tuple(a for a in arcs if a.kind is ArcKind.BACK),
+            initial=states[0], final=states[-1], horizon=horizon,
+        ))
+    n = len(diagrams)
+    intervals = tuple(rng.randrange(horizon // 2, horizon + 1) for _ in diagrams)
+    entries, deadline, di = [], 0, rng.randrange(n)
+    for _ in range(rng.randrange(2, 7)):
+        di = (di + rng.randrange(1, n)) % n
+        deadline = min(horizon, deadline + rng.randrange(0, 3))
+        entries.append(PrescribedEntry(di, rng.choice(diagrams[di].states), deadline))
+    return TimedDiagramSet(tuple(diagrams), intervals), PrescribedSequence(tuple(entries))
+
+
+def keeps_incomparable_clocks(dset, seq):
+    """Whether the covering search keeps, at some tick, two clock vectors
+    for one (states, k) of which neither is at least the other."""
+    kept_twice = []
+    covering_check_consistency(dset, seq, kept_twice)
+    return any(
+        any(map(int.__gt__, a, b)) and any(map(int.__lt__, a, b))
+        for _, _, _, clocks in kept_twice for a, b in itertools.combinations(clocks, 2)
+    )
+
+
+# dense_case seeds whose covering search keeps incomparable clocks: all
+# of them below 6000, and the seven of 6000-29999 whose verdict is
+# inconsistent.
+INCOMPARABLE_SEEDS = (
+    24, 272, 518, 725, 980, 1117, 1145, 1184, 1244, 1465, 1522, 1631, 1885, 2093, 2194, 2584,
+    2689, 3091, 3263, 3299, 3685, 3992, 4097, 4210, 4260, 4851, 4937, 4975, 5027, 5171, 5672,
+    5767, 5814, 5959, 8579, 13759, 15864, 20266, 24738, 26068, 27443,
+)
+
+
+def incomparable_clocks_case():
+    """Two paths reach states (A1, B1) with prefix 2 at tick 2, with clocks
+    (1, 1) and (0, 2), of which neither covers the other. The search keeps
+    the first, and drops the second, which a node found earlier with prefix
+    4 and clocks (1, 2) dominates."""
+    a = CanonicalDiagram(
+        id="A", states=("A0", "A1", "A2"),
+        dev_arcs=(
+            Arc("A0", "A1", 2, ArcKind.DEV), Arc("A0", "A2", 0, ArcKind.DEV),
+            Arc("A1", "A2", 0, ArcKind.DEV),
+        ),
+        back_arcs=(
+            Arc("A1", "A0", 1, ArcKind.BACK), Arc("A2", "A0", 1, ArcKind.BACK),
+            Arc("A2", "A1", 1, ArcKind.BACK),
+        ),
+        initial="A0", final="A2", horizon=3,
+    )
+    b = CanonicalDiagram(
+        id="B", states=("B0", "B1"),
+        dev_arcs=(Arc("B0", "B1", 0, ArcKind.DEV),),
+        back_arcs=(Arc("B1", "B0", 2, ArcKind.BACK),),
+        initial="B0", final="B1", horizon=3,
+    )
+    seq = PrescribedSequence(tuple(
+        PrescribedEntry(di, state, deadline)
+        for di, state, deadline in ((1, "B1", 1), (1, "B1", 2), (0, "A2", 3), (1, "B1", 3), (1, "B0", 3))
+    ))
+    return TimedDiagramSet((a, b), (3, 3)), seq
+
+
+def drops_of_the_search(dset, seq):
+    """check_consistency's search, listing its drops: for every node it
+    drops at tick t, as (t, states, k, clocks), the prefixes k' >= k of the
+    nodes with those states found earlier whose clocks at t are at least
+    the dropped node's. Also returns the verdict's consistency and failed
+    prefix, which must equal check_consistency's."""
+    entries = seq.entries
+    n = len(dset.diagrams)
+    limits = [min(tau, entries[-1].deadline) for tau in dset.intervals]
+    arcs_from = [d.out_arcs for d in dset.diagrams]
+    caps = [{s: max((a.delta for a in arcs), default=0) for s, arcs in by_src.items()} for by_src in arcs_from]
+
+    def claim(states, k):
+        while k < len(entries) and states[entries[k].diagram] == entries[k].state:
+            k += 1
+        return k
+
+    def aged(states, clocks, ticks):
+        return tuple(min(c + ticks, cap[s]) for c, cap, s in zip(clocks, caps, states))
+
+    start = tuple(d.initial for d in dset.diagrams)
+    best_k = claim(start, 0)
+    found = {start: [(best_k, 0, (0,) * n)]}  # states -> (k, tick found, clocks then)
+    frontier, drops = [(start, (0,) * n, best_k, (-1,) * n)], []
+    if best_k == len(entries):
+        return True, None, drops
+    for t in range(entries[-1].deadline + 1):
+        if t:
+            frontier = [
+                (states, aged(states, ages, 1), k, ages)
+                for states, ages, k, _ in frontier if entries[k].deadline >= t
+            ]
+            frontier = [node for node in frontier if node[1] != node[3]]
+        for states, ages, k, before in frontier:
+            for di in range(n):
+                if t > limits[di]:
+                    continue
+                for arc in arcs_from[di][states[di]]:
+                    if not before[di] < arc.delta <= ages[di]:
+                        continue
+                    ns = states[:di] + (arc.dst,) + states[di + 1 :]
+                    nk = claim(ns, k)
+                    na = ages[:di] + (0,) + ages[di + 1 :]
+                    best_k = max(best_k, nk)
+                    if nk == len(entries):
+                        return True, None, drops
+                    earlier = found.setdefault(ns, [])
+                    if all(k2 != nk for k2, _, _ in earlier):
+                        earlier.append((nk, t, na))
+                        frontier.append((ns, na, nk, (-1,) * n))
+                        continue
+                    drops.append((t, ns, nk, na, [
+                        k2 for k2, t2, c2 in earlier
+                        if k2 >= nk and all(map(int.__ge__, aged(ns, c2, t - t2), na))
+                    ]))
+    return False, best_k + 1, drops
+
+
+def test_incomparable_clocks_case():
+    dset, seq = incomparable_clocks_case()
+    kept_twice = []
+    verdict = covering_check_consistency(dset, seq, kept_twice)
+    assert (2, ("A1", "B1"), 2, ((1, 1), (0, 2))) in kept_twice
+    assert drops_of_the_search(dset, seq)[2][-1] == (2, ("A1", "B1"), 2, (0, 2), [4])
+    assert verdict == check_consistency(dset, seq) == ConsistencyVerdict(
+        True,
+        (
+            ScheduledFiring(0, 0, Arc("A0", "A2", 0, ArcKind.DEV)),
+            ScheduledFiring(0, 1, Arc("B0", "B1", 0, ArcKind.DEV)),
+            ScheduledFiring(2, 1, Arc("B1", "B0", 2, ArcKind.BACK)),
+        ),
+        (0, 0, 0, 0, 2),
+        None,
+    )
+
+
+def test_search_equals_the_covering_search_on_incomparable_clocks():
+    # Where the covering search keeps two clock vectors for one (states,
+    # k), the search keeps the first node only; the whole verdicts must
+    # still agree, and so must the consistency the exhaustive oracle finds
+    # wherever its enumeration stays within a small bound.
+    cases = [incomparable_clocks_case()] + [dense_case(seed) for seed in INCOMPARABLE_SEEDS]
+    outcomes, enumerated = set(), 0
+    for dset, seq in cases:
+        assert keeps_incomparable_clocks(dset, seq), f"{seq} over {dset}"
+        verdict = check_consistency(dset, seq)
+        assert verdict == covering_check_consistency(dset, seq), f"{seq} over {dset}"
+        assert verdict == reference_check_consistency(dset, seq), f"{seq} over {dset}"
+        try:
+            executions = enumerate_attainable_sequences(dset, seq.entries[-1].deadline, bound=10_000)
+        except SpaceBoundExceededError:
+            pass
+        else:
+            assert verdict.consistent == any(
+                execution_satisfies(dset, joint, seq) for joint in executions
+            ), f"{seq} over {dset}"
+            enumerated += 1
+        outcomes.add(verdict.consistent)
+    assert outcomes == {True, False}
+    assert enumerated == 11
+
+
+def test_every_drop_is_dominated():
+    # The drop lemma of check_consistency, checked at every drop: a node
+    # found earlier with the same states, a prefix at least as long and
+    # clocks at least as large dominates the dropped one. Some drops are
+    # dominated only by a node with a longer prefix.
+    rng = random.Random(21)
+    cases = [incomparable_clocks_case(), settled_case(30)]
+    cases += [dense_case(seed) for seed in INCOMPARABLE_SEEDS + tuple(range(600))]
+    cases += [case for seed in (1, 2, 3) for case in chain_pair_cases(seed)]
+    for _ in range(1000):
+        horizon = rng.randrange(4, 41)
+        diagrams = tuple(timed_diagram(rng, f"d{k}", horizon) for k in range(rng.randrange(1, 4)))
+        dset = TimedDiagramSet(diagrams, tuple(rng.randrange(horizon // 2, horizon + 1) for _ in diagrams))
+        cases.append((dset, random_sequence(rng, diagrams, horizon, most=6, step=horizon // 3)))
+    longer_only = 0
+    for dset, seq in cases:
+        consistent, failed_prefix, drops = drops_of_the_search(dset, seq)
+        verdict = check_consistency(dset, seq)
+        assert (consistent, failed_prefix) == (verdict.consistent, verdict.failed_prefix)
+        for t, states, k, clocks, by in drops:
+            assert by, f"undominated drop of {states, k, clocks} at tick {t}: {seq} over {dset}"
+            longer_only += k not in by
+    assert longer_only > 0

@@ -126,6 +126,15 @@ def test_disjointness_vacuous_without_predicate_pairs():
     assert validate_scale_disjointness(single, spec, bounds(x=(-1.0, 1.0))).passed
 
 
+def test_predicates_that_read_no_name_are_checked_once():
+    report = validate_scale_disjointness(scale("s", "1 < 2", "0 = 0"), SampleSpec(samples=50))
+    assert (report.samples, report.overlaps) == (1, (({}, (1, 2)),))
+    root = scale("r", "1 > 2", "x >= 0")
+    leaky = Classificator(id="c", root=root, refinements={("r", 1): scale("k", "0 = 0")})
+    report = validate_classificator(leaky, SampleSpec(samples=50))
+    assert (report.samples, report.violations) == (1, (("r", 1, 1, {}),))
+
+
 def test_scale_must_declare_at_least_one_state():
     with pytest.raises(ValueError):
         Scale(id="none", predicates=(), states=())
