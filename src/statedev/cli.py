@@ -114,6 +114,8 @@ def _parse_object(text: str, parameters) -> dict:
         name = name.strip()
         if not sep or not name:
             raise _Usage(f"object entries must look like name=value, got {part!r}")
+        if name in assignment:
+            raise _Usage(f"object parameter {name!r} appears more than once")
         value = value.strip()
         decl = parameters.get(name)
         if decl is not None and decl.kind == "ordinal":

@@ -87,33 +87,6 @@ def _direction(x_prev, x_curr, epsilon: float) -> int:
     return -1 if delta < -epsilon else 0
 
 
-def estimate_state(
-    prev: DynamicsState, x_prev, x_curr, epsilon: float = 0.0
-) -> DynamicsState:
-    """One estimation step: new qualitative state from the previous one
-    and two consecutive values. Pure function of its four inputs.
-
-    Movement within epsilon is Steady. A rise after a decline (or right
-    after a peak) is TurnMin; symmetric for TurnMax. Rises and falls
-    otherwise extend or start Growth/Decline streaks.
-    """
-    d = _direction(x_prev, x_curr, epsilon)
-    if d == 0:
-        streak = prev.streak + 1 if prev.kind is DynamicsKind.STEADY else 1
-        return DynamicsState(DynamicsKind.STEADY, streak)
-    if d > 0:
-        if prev.kind is DynamicsKind.GROWTH:
-            return DynamicsState(DynamicsKind.GROWTH, prev.streak + 1)
-        if prev.kind in (DynamicsKind.DECLINE, DynamicsKind.TURN_MAX):
-            return DynamicsState(DynamicsKind.TURN_MIN, 1)
-        return DynamicsState(DynamicsKind.GROWTH, 1)
-    if prev.kind is DynamicsKind.DECLINE:
-        return DynamicsState(DynamicsKind.DECLINE, prev.streak + 1)
-    if prev.kind in (DynamicsKind.GROWTH, DynamicsKind.TURN_MIN):
-        return DynamicsState(DynamicsKind.TURN_MAX, 1)
-    return DynamicsState(DynamicsKind.DECLINE, 1)
-
-
 def _signs(values: Sequence, epsilon: float) -> list[int]:
     """The direction of every consecutive pair, as _direction gives it."""
     if len(values) < 2:
@@ -129,9 +102,7 @@ def _signs(values: Sequence, epsilon: float) -> list[int]:
         return [_direction(a, b, epsilon) for a, b in zip(values, values[1:])]
 
 
-# The estimator's kind from the direction before and the direction now. A
-# rise before left Growth or TurnMin, a fall Decline or TurnMax, and no
-# movement Steady or the initial Unknown; that is all estimate_state reads.
+# The estimator's kind from the direction before and the direction now.
 _NEXT_KIND = {
     (-1, -1): DynamicsKind.DECLINE,
     (0, -1): DynamicsKind.DECLINE,
@@ -143,6 +114,35 @@ _NEXT_KIND = {
     (0, 1): DynamicsKind.GROWTH,
     (1, 1): DynamicsKind.GROWTH,
 }
+
+
+# The direction before, read off the previous kind: a rise left Growth or
+# TurnMin, a fall Decline or TurnMax, and no movement Steady or the initial
+# Unknown. CycleSuspect, which only current_symbol gives, reads as none.
+_LAST_DIRECTION = {
+    DynamicsKind.GROWTH: 1,
+    DynamicsKind.TURN_MIN: 1,
+    DynamicsKind.DECLINE: -1,
+    DynamicsKind.TURN_MAX: -1,
+    DynamicsKind.STEADY: 0,
+    DynamicsKind.CYCLE_SUSPECT: 0,
+    DynamicsKind.UNKNOWN: 0,
+}
+
+
+def estimate_state(
+    prev: DynamicsState, x_prev, x_curr, epsilon: float = 0.0
+) -> DynamicsState:
+    """One estimation step: new qualitative state from the previous one
+    and two consecutive values. Pure function of its four inputs.
+
+    Movement within epsilon is Steady. A rise after a decline (or right
+    after a peak) is TurnMin; symmetric for TurnMax. Rises and falls
+    otherwise extend or start Growth/Decline streaks. A streak grows while
+    the kind repeats and otherwise starts at 1.
+    """
+    kind = _NEXT_KIND[_LAST_DIRECTION[prev.kind], _direction(x_prev, x_curr, epsilon)]
+    return DynamicsState(kind, prev.streak + 1 if kind is prev.kind else 1)
 
 
 def fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, ...]:

@@ -33,7 +33,6 @@ from .scenario import (
     AfterEffectScheme,
     ArcRef,
     Event,
-    EventLogError,
     HierarchicalStructure,
     HypothesisDiagram,
     Scenario,
@@ -51,8 +50,7 @@ from .statespace import (
 )
 
 FORMAT_VERSION = 1
-# Version 2 stores the initial states and the event log; version 1 also
-# stored the configuration after every tick and is still read.
+# Version 2 stores the initial states and the event log; it is the one read.
 TRAJECTORY_VERSION = 2
 
 
@@ -938,28 +936,15 @@ def _typed(data: dict, key: str, typ: type, where: str, out: _Collector) -> Any:
     return None
 
 
-def _check_stored_configs(tr: Trajectory, stored: Any, out: _Collector) -> None:
-    """A version-1 file's per-tick configurations must equal the fold."""
-    if not isinstance(stored, list) or len(stored) != tr.horizon:
-        out.invalid("trajectory.configs", f"expected a list of {tr.horizon} configurations")
-        return
-    for t, (config, item) in enumerate(zip(tr.configurations(), stored)):
-        states = _states_to_dict(config)
-        if item != {"states": states, "last_activity": {sub: entry for sub, (_, entry) in states.items()}}:
-            out.invalid(f"trajectory.configs[{t}]", "stored configuration disagrees with the event log")
-            return
-
-
 def load_trajectory_text(text: str, source: str = "<string>"):
-    """Returns (scenario, trajectory, score table or None). Reads versions
-    1 and 2, and collects every issue of a damaged file's structure. A
-    version-1 file's stored configurations must equal the fold of its log;
-    a version-2 log is folded, and so checked, by `analyze_trajectory`."""
+    """Returns (scenario, trajectory, score table or None), and collects
+    every issue of a damaged file's structure. The event log is folded, and
+    so checked, by `analyze_trajectory`."""
     data = _json_object(text, source)
     if data.get("kind") != "trajectory-file":
         raise ModelFileError([Issue("parse-error", source, "not a trajectory file")])
     version = data.get("format_version")
-    if version not in (1, TRAJECTORY_VERSION):
+    if version != TRAJECTORY_VERSION:
         raise ModelFileError([Issue("unknown-version", source, f"format_version {version!r} is not supported")])
     out = _Collector()
     sid = _typed(data, "scenario_id", str, "scenario_id", out)
@@ -970,17 +955,12 @@ def load_trajectory_text(text: str, source: str = "<string>"):
         horizon = _typed(traw, "horizon", int, "trajectory.horizon", out)
         if horizon is not None and horizon < 0:
             out.invalid("trajectory.horizon", f"must be >= 0, got {horizon}")
-        where = "trajectory.initial"
-        initial = _typed(traw, "initial", dict, where, out)
-        if version == 1 and initial is not None:
-            where += ".states"
-            initial = _typed(initial, "states", dict, where, out)
         states = {}
-        for sub, item in (initial or {}).items():
+        for sub, item in (_typed(traw, "initial", dict, "trajectory.initial", out) or {}).items():
             if isinstance(item, list) and len(item) == 2 and type(item[0]) is str and type(item[1]) is int:
                 states[sub] = tuple(item)
             else:
-                out.invalid(f"{where}.{sub}", "expected [state, entry tick]")
+                out.invalid(f"trajectory.initial.{sub}", "expected [state, entry tick]")
         events = []
         for i, item in enumerate(_typed(traw, "events", list, "trajectory.events", out) or ()):
             try:
@@ -990,16 +970,9 @@ def load_trajectory_text(text: str, source: str = "<string>"):
     scores = data.get("scores")
     if scores is not None:
         scores = _parse_score_table(scores, "scores", out)
-    if not out.issues:
-        tr = Trajectory(sid, horizon, states, tuple(events))
-        if version == 1:
-            try:
-                _check_stored_configs(tr, traw.get("configs"), out)
-            except EventLogError as exc:
-                out.invalid("trajectory.events", str(exc))
     if out.issues:
         raise ModelFileError(out.issues)
-    return scenarios[sid], tr, scores
+    return scenarios[sid], Trajectory(sid, horizon, states, tuple(events)), scores
 
 
 def load_trajectory_file(path: str):

@@ -631,7 +631,8 @@ def analyze_trajectory(
     """Recount the event log into the scenario quality figures, in one fold
     that also replays the log. A log that does not replay raises
     EventLogError, and is named before a trajectory that does not fit the
-    scenario or a score table that lacks a state."""
+    scenario, a score table that lacks a state of a diagram, or a state,
+    initial or logged, outside its subsystem's diagram."""
     subs = sc.subsystems()
     unfit: Union[StatedevError, None] = None
     if tr.scenario_id != sc.id:
@@ -649,14 +650,15 @@ def analyze_trajectory(
     # One fold gives the final configuration, the counts and the efficiency
     # series: w(t) per subsystem (score of the state held after tick t) and
     # the per-tick sum across subsystems in sorted order. `row` holds the
-    # current scores and changes only where a subsystem moves; a logged
-    # state outside the score table is reported once the whole log replays.
+    # current scores and changes only where a subsystem moves; the first
+    # state outside its diagram is reported once the whole log replays.
     scored = tuple(sorted(subs))
     column = {sub: i for i, sub in enumerate(scored)}
     states = dict(tr.initial)
+    known = {sub: frozenset(sc.diagram_of(sub).states) for sub in subs}
+    stray = next(((sub, state) for sub, (state, _) in states.items() if state not in known[sub]), None)
     row = None if scores is None else [scores[sub].get(states[sub][0]) for sub in scored]
     rows: list[tuple[float, ...]] = []
-    unscored: Union[MissingScoreError, None] = None
     delivered: dict[str, dict[str, list[int]]] = {}
     backsteps: dict[str, int] = {sub: 0 for sub in subs}
     coupled: dict[str, int] = {sub: 0 for sub in subs}
@@ -675,16 +677,14 @@ def analyze_trajectory(
             else:
                 coupled[event.subsystem] += event[1:5] in coupled_arcs  # (subsystem, src, dst, symbol)
                 propagated[event.subsystem] += event.cause != "direct"
+            if stray is None and event.dst not in known[event.subsystem]:
+                stray = event.subsystem, event.dst
             if row is not None:
                 row[column[event.subsystem]] = scores[event.subsystem].get(event.dst)
-        if row is not None and unscored is None:
-            if None in row:
-                sub = scored[row.index(None)]
-                unscored = MissingScoreError(f"no score for state {states[sub][0]!r} of {sub!r}")
-            else:
-                rows.append(tuple(row))
-    if unscored is not None:
-        raise unscored
+        if row is not None:
+            rows.append(tuple(row))
+    if stray is not None:
+        raise TrajectoryScenarioMismatchError(f"state {stray[1]!r} of {stray[0]!r} is not a state of its diagram")
     non_final = tuple(sub for sub in subs if states[sub][0] != sc.diagram_of(sub).final)
 
     incidents = []

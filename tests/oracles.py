@@ -10,7 +10,9 @@ stepper that `scenario.run_scenario` must agree with event for event.
 `evaluate` is the tree-walking predicate evaluator that every compiled
 predicate must agree with, and `reference_classify_series` and
 `reference_parallel_profile` are the trend classifier and the profile that
-fold every series twice and search every cycle period directly.
+fold every series twice and search every cycle period directly, one
+`reference_estimate_state` per step: the estimator's rule written out case
+by case, which `estimate_state` must agree with.
 `reference_intensity_report` is the intensity report that keys its counters
 by arc, which `canonical.intensity_report` must agree with, and
 `sorted_arcs` the arc order that `check_consistency` expands in.
@@ -57,6 +59,7 @@ from statedev.composition import (
     _validate_refs,
 )
 from statedev.dynamics import (
+    DynamicsKind,
     DynamicsState,
     EmptyOverlapError,
     ParallelProfile,
@@ -64,7 +67,6 @@ from statedev.dynamics import (
     SeriesTooShortError,
     TrendClass,
     _direction,
-    estimate_state,
 )
 from statedev.errors import IncomparableValuesError, MissingParameterError, StatedevError
 from statedev.predicates import And, Comparison, Node, Not, Number, Text
@@ -574,13 +576,32 @@ def evaluate(
     return any(evaluate(item, assignment, orders) for item in node.items)
 
 
+def reference_estimate_state(prev: DynamicsState, x_prev, x_curr, epsilon: float = 0.0) -> DynamicsState:
+    """One estimation step, the rule written out case by case."""
+    d = _direction(x_prev, x_curr, epsilon)
+    if d == 0:
+        streak = prev.streak + 1 if prev.kind is DynamicsKind.STEADY else 1
+        return DynamicsState(DynamicsKind.STEADY, streak)
+    if d > 0:
+        if prev.kind is DynamicsKind.GROWTH:
+            return DynamicsState(DynamicsKind.GROWTH, prev.streak + 1)
+        if prev.kind in (DynamicsKind.DECLINE, DynamicsKind.TURN_MAX):
+            return DynamicsState(DynamicsKind.TURN_MIN, 1)
+        return DynamicsState(DynamicsKind.GROWTH, 1)
+    if prev.kind is DynamicsKind.DECLINE:
+        return DynamicsState(DynamicsKind.DECLINE, prev.streak + 1)
+    if prev.kind in (DynamicsKind.GROWTH, DynamicsKind.TURN_MIN):
+        return DynamicsState(DynamicsKind.TURN_MAX, 1)
+    return DynamicsState(DynamicsKind.DECLINE, 1)
+
+
 def reference_fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, ...]:
-    """States after each observation, one estimate_state per step."""
+    """States after each observation, one reference_estimate_state per step."""
     if not values:
         return ()
     out = [DynamicsState.INITIAL]
     for i in range(1, len(values)):
-        out.append(estimate_state(out[-1], values[i - 1], values[i], epsilon))
+        out.append(reference_estimate_state(out[-1], values[i - 1], values[i], epsilon))
     return tuple(out)
 
 

@@ -120,11 +120,16 @@ def test_classify_object_exit_codes(capsys):
     assert code == 1
 
 
-def test_classify_bad_object_syntax_is_usage_error(capsys):
-    code, _, err = run(capsys, "classify", BASIC_S, "--object", "x",
-                       "--classificator", "growth")
+@pytest.mark.parametrize("obj, reason", [
+    ("x", "object entries must look like name=value, got 'x'"),
+    ("x=7,x=1", "object parameter 'x' appears more than once"),
+])
+def test_classify_bad_object_syntax_is_usage_error(capsys, obj, reason):
+    code, out, err = run(capsys, "classify", BASIC_S, "--object", obj,
+                         "--classificator", "growth")
     assert code == 2
-    assert "usage error" in err
+    assert "usage error" in err and reason in err
+    assert out == ""
 
 
 def test_profile_over_series_csv(capsys):
@@ -403,9 +408,6 @@ def test_round_trip_serialized_model_validates_identically(tmp_path, capsys):
     assert a["body"]["passed"] == b["body"]["passed"]
 
 
-V1_TRAJECTORY = BASIC.parent / "coordinated_v1_trajectory.json"
-
-
 def _first(data, kind):
     return next(e for e in data["trajectory"]["events"] if e["kind"] == kind)
 
@@ -470,29 +472,6 @@ def test_simulate_writes_a_compact_version_2_trajectory_file(tmp_path, capsys):
     assert data["format_version"] == 2
     assert sorted(data["trajectory"]) == ["events", "horizon", "initial"]
     assert data["trajectory"]["initial"] == {"left": ["L0", 0], "right": ["R0", 0], "top": ["T0", 0]}
-
-
-def test_analyze_reads_a_version_1_trajectory_file(capsys):
-    code, simulated, _ = run_json(capsys, "simulate", TWO_LEVEL_S, "--scenario", "coordinated",
-                                  "--scores", "default")
-    assert code == 0
-    code, analyzed, _ = run_json(capsys, "analyze", str(V1_TRAJECTORY))
-    assert code == 0
-    assert analyzed["body"] == simulated["body"]
-
-
-def test_analyze_rejects_a_version_1_file_whose_configs_disagree(tmp_path, capsys):
-    data = json.loads(V1_TRAJECTORY.read_text())
-    assert data["format_version"] == 1
-    data["trajectory"]["configs"][1]["states"]["left"] = ["L1", 0]
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "analyze", str(path))
-    assert code == 1
-    assert out.count("\n") == 1
-    assert json.loads(out)["body"]["violations"] == [
-        "trajectory.configs[1]: stored configuration disagrees with the event log"
-    ]
 
 
 def test_consist_interval_beyond_the_horizon_is_a_model_issue(tmp_path, capsys):
@@ -745,7 +724,7 @@ def test_analyze_reports_a_logged_state_without_a_score(tmp_path, capsys):
     data["trajectory"]["initial"]["left"][0] = "L9"
     data["trajectory"]["events"] = []
     traj.write_text(json.dumps(data))
-    assert _failure(capsys, "analyze", str(traj)) == ["no score for state 'L9' of 'left'"]
+    assert _failure(capsys, "analyze", str(traj)) == ["state 'L9' of 'left' is not a state of its diagram"]
 
 
 def _events(data):
@@ -758,7 +737,7 @@ def _unreplayable(data):
 
 # A file with several faults names the first one the reader meets: the event
 # log, which replays over the whole horizon before the trajectory is fitted
-# to its scenario and its score table.
+# to its scenario, its score table and its diagrams.
 @pytest.mark.parametrize("mutate, violations", [
     pytest.param(lambda d: (_unreplayable(d), d["trajectory"]["initial"].update(extra=["X0", 0])),
                  ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"],
@@ -766,8 +745,13 @@ def _unreplayable(data):
     pytest.param(lambda d: (_unreplayable(d), d["scores"]["left"].pop("L3")),
                  ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"],
                  id="unreplayable-and-scores-lack-a-state"),
-    pytest.param(lambda d: _events(d)[8].update(dst="T9"), ["no score for state 'T9' of 'top'"],
+    pytest.param(lambda d: _events(d)[8].update(dst="T9"), ["state 'T9' of 'top' is not a state of its diagram"],
                  id="logged-state-without-score"),
+    pytest.param(lambda d: (_events(d)[8].update(dst="T9"), d.update(scores=None)),
+                 ["state 'T9' of 'top' is not a state of its diagram"], id="logged-state-outside-diagram"),
+    pytest.param(lambda d: (d["trajectory"]["initial"]["top"].__setitem__(0, "ZZ"), d.update(scores=None),
+                            d["trajectory"].update(events=[e for e in _events(d) if e["subsystem"] != "top"])),
+                 ["state 'ZZ' of 'top' is not a state of its diagram"], id="initial-state-outside-diagram"),
     pytest.param(lambda d: _events(d)[2].update(dst="L9"),
                  ["trajectory.events: event 5 leaves 'L1', where 'left' is not at tick 1"],
                  id="unscored-state-then-unreplayable"),
@@ -785,20 +769,6 @@ def test_analyze_names_the_first_fault_of_a_damaged_file(tmp_path, capsys, mutat
     mutate(data)
     traj.write_text(json.dumps(data))
     assert _failure(capsys, "analyze", str(traj)) == violations
-
-
-@pytest.mark.parametrize("mutate, violations", [
-    pytest.param(lambda d: d["trajectory"].update(configs={}),
-                 ["trajectory.configs: expected a list of 3 configurations"], id="configs-not-a-list"),
-    pytest.param(_unreplayable,
-                 ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"], id="unreplayable"),
-])
-def test_analyze_reports_a_damaged_version_1_file(tmp_path, capsys, mutate, violations):
-    data = json.loads(V1_TRAJECTORY.read_text())
-    mutate(data)
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(data))
-    assert _failure(capsys, "analyze", str(path)) == violations
 
 
 @pytest.mark.parametrize("change, message", [

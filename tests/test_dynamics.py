@@ -20,7 +20,7 @@ from statedev.dynamics import (
     parallel_profile,
 )
 from statedev.errors import IncomparableValuesError
-from tests.oracles import reference_classify_series, reference_parallel_profile
+from tests.oracles import reference_classify_series, reference_estimate_state, reference_parallel_profile
 
 
 def series(*values, start=0):
@@ -61,6 +61,27 @@ def test_negative_epsilon_rejected():
 def test_incomparable_values():
     with pytest.raises(IncomparableValuesError):
         estimate_state(DynamicsState.INITIAL, 1.0, "b", epsilon=0.5)
+
+
+def _outcome(estimate, *args):
+    """The state estimate gives, or the type and message of what it raises."""
+    try:
+        return estimate(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_estimate_state_equals_the_rule_written_case_by_case():
+    prevs = [DynamicsState(kind, streak) for kind in DynamicsKind
+             for streak in ((0,) if kind is DynamicsKind.UNKNOWN else (1, 2, 5))]
+    moves = [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (5.0, 5.3), (5.3, 5.0), (1.0, "b"), ("a", 1.0), ("a", "b")]
+    cases = [(prev, a, b, epsilon) for prev in prevs for a, b in moves for epsilon in (0.0, 0.5, -0.1)]
+    outcomes = [_outcome(estimate_state, *case) for case in cases]
+    assert outcomes == [_outcome(reference_estimate_state, *case) for case in cases]
+    # Every kind is reached, and both errors are raised.
+    assert {o.kind for o in outcomes if isinstance(o, DynamicsState)} == set(DynamicsKind) - {
+        DynamicsKind.CYCLE_SUSPECT, DynamicsKind.UNKNOWN}
+    assert {o[0] for o in outcomes if isinstance(o, tuple)} == {ValueError, IncomparableValuesError}
 
 
 def test_fold_is_deterministic():
