@@ -145,9 +145,6 @@ class CanonicalDiagram:
             leaving[arc.src].append(arc)
         return {state: tuple(arcs) for state, arcs in leaving.items()}
 
-    def order(self, state: str) -> int:
-        return self.position[state]
-
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -164,10 +161,10 @@ def validate_canonical(d: CanonicalDiagram) -> DiagramReport:
     """Check the order discipline, delta ranges, and dev-arc reachability."""
     order_violations = []
     for arc in d.dev_arcs:
-        if d.order(arc.src) >= d.order(arc.dst):
+        if d.position[arc.src] >= d.position[arc.dst]:
             order_violations.append(arc)
     for arc in d.back_arcs:
-        if d.order(arc.dst) >= d.order(arc.src):
+        if d.position[arc.dst] >= d.position[arc.src]:
             order_violations.append(arc)
     delta_violations = [a for a in d.arcs if not 0 <= a.delta <= d.horizon]
     reached = {d.initial}
@@ -187,30 +184,6 @@ def validate_canonical(d: CanonicalDiagram) -> DiagramReport:
     )
 
 
-@dataclass(frozen=True)
-class ObjectDistribution:
-    """Objects placed on states, each with its entry tick."""
-
-    assignment: Mapping[str, tuple[str, int]]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "assignment",
-            {obj: (state, int(entry)) for obj, (state, entry) in self.assignment.items()},
-        )
-
-    @classmethod
-    def initial(cls, placement: Mapping[str, str]) -> "ObjectDistribution":
-        return cls({obj: (state, 0) for obj, state in placement.items()})
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for state, _ in self.assignment.values():
-            out[state] = out.get(state, 0) + 1
-        return out
-
-
 class TransitionEvent(NamedTuple):
     object: str
     arc: Arc
@@ -219,9 +192,9 @@ class TransitionEvent(NamedTuple):
 
 def replay_script(
     d: CanonicalDiagram,
-    initial: ObjectDistribution,
+    initial: Mapping[str, tuple[str, int]],
     script: Sequence[tuple[str, Arc, int]],
-) -> tuple[ObjectDistribution, tuple[TransitionEvent, ...]]:
+) -> tuple[dict[str, tuple[str, int]], tuple[TransitionEvent, ...]]:
     """Move objects along a scripted transition list, one entry at a time.
 
     Each entry is (object, arc, tick) and is checked in this order: its
@@ -230,11 +203,12 @@ def replay_script(
     [0, horizon] (BeyondHorizonError), the object must sit in the arc's
     source (ObjectNotInFromStateError), and it must have stayed there for
     the arc's delay (TooEarlyError). The first illegal entry raises;
-    `initial` is never modified. Returns the final distribution and one
-    event per entry; arc counts are read back from the events.
+    `initial`, a mapping object -> (state, entry tick), is never modified.
+    Returns the final placement and one event per entry; arc counts are
+    read back from the events.
     """
     arcs = d.arc_position
-    assignment = dict(initial.assignment)
+    assignment = dict(initial)
     events = []
     last_tick = None
     for obj, arc, tick in script:
@@ -258,7 +232,7 @@ def replay_script(
             )
         assignment[obj] = (arc.dst, tick)
         events.append(TransitionEvent(obj, arc, tick))
-    return ObjectDistribution(assignment), tuple(events)
+    return assignment, tuple(events)
 
 
 @dataclass(frozen=True)
@@ -280,7 +254,7 @@ def intensity_report(
     history: Sequence[TransitionEvent],
     d: CanonicalDiagram,
     window: tuple[int, int],
-    initial: ObjectDistribution,
+    initial: Mapping[str, tuple[str, int]],
     target: Mapping[str, int] | None = None,
 ) -> IntensityReport:
     """Reconstruct N_i(t) and cumulative arc counters over a window.
@@ -303,10 +277,10 @@ def intensity_report(
         by_tick.setdefault(ev.tick, []).append((position[ev.arc.src], position[ev.arc.dst], i))
 
     counts = [0] * len(d.states)
-    for state, n in initial.counts().items():
+    for state, _ in initial.values():
         if state not in position:
             raise ValueError(f"initial distribution places objects on unknown state {state!r}")
-        counts[position[state]] = n
+        counts[position[state]] += 1
     cumulative = [0] * len(d.arcs)
     dev_count = len(d.dev_arcs)  # arcs before this position are dev arcs
     occupancy_rows, arc_rows = [], []  # one row of counts per tick in the window

@@ -363,7 +363,7 @@ def _cmd_replay(args) -> tuple[dict, int]:
     d = entry.diagram
     window = _parse_interval(args.window) if args.window else (0, d.horizon)
     script = _read_event_csv(args.events, d)
-    initial = canonical.ObjectDistribution.initial(entry.initial_distribution)
+    initial = {obj: (state, 0) for obj, state in entry.initial_distribution.items()}
     _, history = canonical.replay_script(d, initial, script)
     report_data = canonical.intensity_report(
         history, d, window, initial, target=entry.target_distribution
@@ -584,10 +584,9 @@ def _cmd_compare(args) -> tuple[dict, int]:
             raise StatedevError(f"{path!r} is not a trajectory report: no key {exc}") from exc
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise StatedevError(f"{path!r} is not a trajectory report: {exc}") from exc
-    result = scenario.compare_scenarios(loaded)
     body = {
         "compared": [r.scenario_id for r in loaded],
-        "ranking": [list(group) for group in result.groups],
+        "ranking": [list(group) for group in scenario.compare_scenarios(loaded)],
     }
     return body, 0
 

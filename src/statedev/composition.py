@@ -265,7 +265,7 @@ def generalize(
         )
 
     def tie_key(i: int) -> tuple[int, ...]:
-        return tuple(d.order(s) for d, s in zip(diagrams, chosen[i]))
+        return tuple(d.position[s] for d, s in zip(diagrams, chosen[i]))
 
     remaining = set(range(n))
     extension: list[int] = []

@@ -587,12 +587,12 @@ def _parse_scenario(sid, raw, where, out, done) -> Union[Scenario, None]:
         if did not in by_id:
             out.unresolved(f"{where}.assignment", f"diagram {did!r} is not declared")
             ok = False
-        if sub not in hierarchy.preorder():
+        if sub not in hierarchy.preorder:
             out.unresolved(f"{where}.assignment", f"subsystem {sub!r} is not in the hierarchy")
             ok = False
 
     entries: list[TimeDiagramEntry] = []
-    subsystems = set(hierarchy.preorder())
+    subsystems = set(hierarchy.preorder)
     for i, item in enumerate(_expect_list(raw.get("time_diagram"), f"{where}.time_diagram", out)):
         if type(item) is dict:  # an int tick, a str symbol and no target or a known one
             tick, target, symbol = item.get("tick"), item.get("target"), item.get("symbol")

@@ -81,8 +81,9 @@ class HypothesisDiagram:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"back arc ({src},{dst}) leaves the states of {self.id!r}")
 
-    def order(self, state: str) -> int:
-        return self.states.index(state)
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {state: i for i, state in enumerate(self.states)}
 
 
 class ArcRef(NamedTuple):
@@ -126,10 +127,11 @@ class AfterEffectScheme:
 
 @dataclass(frozen=True)
 class HierarchicalStructure:
-    """Rooted tree of subsystem ids."""
+    """Rooted tree of subsystem ids; `preorder` lists them root first."""
 
     root: str
     children: Mapping[str, tuple[str, ...]]
+    preorder: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -148,13 +150,7 @@ class HierarchicalStructure:
         for parent in self.children:
             if parent not in seen:
                 raise ValueError(f"children listed for unreachable subsystem {parent!r}")
-        object.__setattr__(self, "_preorder", tuple(order))
-
-    def preorder(self) -> tuple[str, ...]:
-        return self._preorder  # type: ignore[attr-defined]
-
-    def children_of(self, subsystem: str) -> tuple[str, ...]:
-        return self.children.get(subsystem, ())
+        object.__setattr__(self, "preorder", tuple(order))
 
 
 @dataclass(frozen=True)
@@ -190,9 +186,6 @@ class Scenario:
     def diagram_of(self, subsystem: str) -> HypothesisDiagram:
         return self._by_id[self.assignment[subsystem]]  # type: ignore[attr-defined]
 
-    def subsystems(self) -> tuple[str, ...]:
-        return self.hierarchy.preorder()
-
     @cached_property
     def step_index(self) -> "StepIndex":
         """Built on first use, which `run_scenario` makes after validation."""
@@ -214,7 +207,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
     """Check the full cross-structure wiring; report, never raise."""
     bad: list[str] = []
     warn: list[str] = []
-    subs = sc.hierarchy.preorder()
+    subs = sc.hierarchy.preorder
     ids = {d.id for d in sc.diagrams}
 
     for sub in subs:
@@ -249,7 +242,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
         pairs: set[tuple[str, str]] = set()
         edges: dict[str, list[str]] = {}
         for src, dst, sym in d.labeled_arcs:
-            if d.order(src) >= d.order(dst):
+            if d.position[src] >= d.position[dst]:
                 bad.append(
                     f"{sub}: labeled arc ({src},{dst},{sym}) does not increase state order"
                 )
@@ -257,7 +250,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
             pairs.add((src, dst))
             edges.setdefault(src, []).append(dst)
         for src, dst in d.back_arcs:
-            if d.order(dst) >= d.order(src):
+            if d.position[dst] >= d.position[src]:
                 bad.append(f"{sub}: back arc ({src},{dst}) does not decrease state order")
             edges.setdefault(src, []).append(dst)
         for src, dst in d.back_arcs:
@@ -315,7 +308,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
     for parent_ref, link in ae.parent_links.items():
         if parent_ref not in ae.coupled:
             bad.append(f"parent link key {parent_ref} is not a coupled arc")
-        kids = set(sc.hierarchy.children_of(parent_ref.subsystem))
+        kids = set(sc.hierarchy.children.get(parent_ref.subsystem, ()))
         linked_subs = []
         for child_ref in link:
             if child_ref not in ae.coupled:
@@ -369,7 +362,7 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
 def initial_configuration(sc: Scenario) -> dict[str, tuple[str, int]]:
     """A configuration maps each subsystem to (state, entry tick). The entry
     tick is the last activity, so it also runs the backstep clock."""
-    return {sub: (sc.diagram_of(sub).initial, 0) for sub in sc.subsystems()}
+    return {sub: (sc.diagram_of(sub).initial, 0) for sub in sc.hierarchy.preorder}
 
 
 class Delivery(NamedTuple):
@@ -441,7 +434,7 @@ class StepIndex:
         enabled: dict[tuple[str, str, str], list[ArcRef]] = {}
         knowers: dict[str, list[str]] = {}
         self.backsteps: dict[tuple[str, str], str] = {}
-        for sub in sc.subsystems():
+        for sub in sc.hierarchy.preorder:
             d = sc.diagram_of(sub)
             for arc in d.labeled_arcs:
                 ref = ArcRef(sub, *arc)
@@ -451,11 +444,11 @@ class StepIndex:
                 knowers.setdefault(symbol, []).append(sub)
             for here, _ in d.back_arcs:
                 if (sub, here) not in self.backsteps:
-                    drops = [(d.order(here) - d.order(dst), dst) for src, dst in d.back_arcs if src == here]
+                    drops = [(d.position[here] - d.position[dst], dst) for src, dst in d.back_arcs if src == here]
                     self.backsteps[sub, here] = min(drops, key=lambda drop: drop[0])[1]
         self.fires = {key: refs[0] for key, refs in enabled.items() if len(refs) == 1}
         self.knowers = {symbol: tuple(subs) for symbol, subs in knowers.items()}
-        self.position = {sub: i for i, sub in enumerate(sc.subsystems())}
+        self.position = {sub: i for i, sub in enumerate(sc.hierarchy.preorder)}
         self.links = tuple((parent, link, ae.required_count(link)) for parent, link in ae.parent_links.items())
 
 
@@ -631,9 +624,10 @@ def analyze_trajectory(
     """Recount the event log into the scenario quality figures, in one fold
     that also replays the log. A log that does not replay raises
     EventLogError, and is named before a trajectory that does not fit the
-    scenario, a score table that lacks a state of a diagram, or a state,
-    initial or logged, outside its subsystem's diagram."""
-    subs = sc.subsystems()
+    scenario, a score table that lacks a state of a diagram, an initial
+    state outside its subsystem's diagram, or a logged firing or backstep
+    along an arc that diagram does not have."""
+    subs = sc.hierarchy.preorder
     unfit: Union[StatedevError, None] = None
     if tr.scenario_id != sc.id:
         unfit = TrajectoryScenarioMismatchError(f"trajectory belongs to {tr.scenario_id!r}, not {sc.id!r}")
@@ -650,13 +644,16 @@ def analyze_trajectory(
     # One fold gives the final configuration, the counts and the efficiency
     # series: w(t) per subsystem (score of the state held after tick t) and
     # the per-tick sum across subsystems in sorted order. `row` holds the
-    # current scores and changes only where a subsystem moves; the first
-    # state outside its diagram is reported once the whole log replays.
+    # current scores and changes only where a subsystem moves. An initial
+    # state outside its diagram, else the first move along an arc the
+    # diagram does not have, is reported once the whole log replays.
     scored = tuple(sorted(subs))
     column = {sub: i for i, sub in enumerate(scored)}
     states = dict(tr.initial)
-    known = {sub: frozenset(sc.diagram_of(sub).states) for sub in subs}
-    stray = next(((sub, state) for sub, (state, _) in states.items() if state not in known[sub]), None)
+    stray = next((f"state {state!r} of {sub!r} is not a state of its diagram"
+                  for sub, (state, _) in states.items() if state not in sc.diagram_of(sub).position), None)
+    labeled = {sub: frozenset(sc.diagram_of(sub).labeled_arcs) for sub in subs}
+    back = {sub: frozenset(sc.diagram_of(sub).back_arcs) for sub in subs}
     row = None if scores is None else [scores[sub].get(states[sub][0]) for sub in scored]
     rows: list[tuple[float, ...]] = []
     delivered: dict[str, dict[str, list[int]]] = {}
@@ -672,19 +669,23 @@ def analyze_trajectory(
                 continue
             if kind == "skipped":
                 continue
+            sub = event.subsystem
             if kind == "backstep":
-                backsteps[event.subsystem] += 1
+                backsteps[sub] += 1
+                if stray is None and event[2:4] not in back[sub]:  # (src, dst)
+                    stray = f"backstep {event.src}->{event.dst} of {sub!r} is not an arc of its diagram"
             else:
-                coupled[event.subsystem] += event[1:5] in coupled_arcs  # (subsystem, src, dst, symbol)
-                propagated[event.subsystem] += event.cause != "direct"
-            if stray is None and event.dst not in known[event.subsystem]:
-                stray = event.subsystem, event.dst
+                coupled[sub] += event[1:5] in coupled_arcs  # (subsystem, src, dst, symbol)
+                propagated[sub] += event.cause != "direct"
+                if stray is None and event[2:5] not in labeled[sub]:  # (src, dst, symbol)
+                    stray = (f"firing {event.src}->{event.dst} on {event.symbol!r} of {sub!r} "
+                             "is not an arc of its diagram")
             if row is not None:
-                row[column[event.subsystem]] = scores[event.subsystem].get(event.dst)
+                row[column[sub]] = scores[sub].get(event.dst)
         if row is not None:
             rows.append(tuple(row))
     if stray is not None:
-        raise TrajectoryScenarioMismatchError(f"state {stray[1]!r} of {stray[0]!r} is not a state of its diagram")
+        raise TrajectoryScenarioMismatchError(stray)
     non_final = tuple(sub for sub in subs if states[sub][0] != sc.diagram_of(sub).final)
 
     incidents = []
@@ -720,17 +721,11 @@ def analyze_trajectory(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Scenario ids best first; ids sharing a group are declared ties."""
-
-    groups: tuple[tuple[str, ...], ...]
-
-
-def compare_scenarios(reports: Sequence[ScenarioReport]) -> ComparisonResult:
-    """Rank lexicographically: completeness, then final aggregate
-    efficiency (missing series counts as 0), then fewer backsteps, then
-    fewer redundancy incidents."""
+def compare_scenarios(reports: Sequence[ScenarioReport]) -> tuple[tuple[str, ...], ...]:
+    """Group scenario ids best first; ids sharing a group are declared ties.
+    Rank lexicographically: completeness, then final aggregate efficiency
+    (missing series counts as 0), then fewer backsteps, then fewer
+    redundancy incidents."""
     if len(reports) < 2:
         raise ValueError("need at least two reports to compare")
     base = set(reports[0].subsystems)
@@ -748,4 +743,4 @@ def compare_scenarios(reports: Sequence[ScenarioReport]) -> ComparisonResult:
                 len(r.redundancy_incidents))
 
     ordered = sorted(reports, key=key)
-    return ComparisonResult(tuple(tuple(r.scenario_id for r in tied) for _, tied in groupby(ordered, key)))
+    return tuple(tuple(r.scenario_id for r in tied) for _, tied in groupby(ordered, key))

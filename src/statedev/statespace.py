@@ -208,6 +208,7 @@ class Classificator:
     id: str
     root: Scale
     refinements: Mapping[tuple[str, int], Scale] = field(default_factory=dict)
+    scales: Mapping[str, Scale] = field(init=False, repr=False, compare=False)  # by id, root first
 
     def __post_init__(self):
         object.__setattr__(self, "refinements", dict(self.refinements))
@@ -236,10 +237,7 @@ class Classificator:
             raise ValueError(
                 f"classificator {self.id!r}: refinements dangle from unknown scale(s) {bad}"
             )
-        object.__setattr__(self, "_scales_by_id", scales)
-
-    def scale_by_id(self, sid: str) -> Scale:
-        return self._scales_by_id[sid]
+        object.__setattr__(self, "scales", scales)
 
 
 def classify_hierarchical(
@@ -368,7 +366,7 @@ def validate_classificator(
     violations = []
     unsampled = []
     for (sid, pos), child in sorted(classificator.refinements.items()):
-        parent_pred = classificator.scale_by_id(sid).predicates[pos - 1]
+        parent_pred = classificator.scales[sid].predicates[pos - 1]
         parent_holds = parent_pred.compiled(orders)
         tests = child.compiled(orders)
         names = _sampled_names((parent_pred, *child.predicates), parameters, orders)

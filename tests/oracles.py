@@ -47,7 +47,6 @@ from statedev.canonical import (
     ArcKind,
     CanonicalDiagram,
     IntensityReport,
-    ObjectDistribution,
     TransitionEvent,
     WindowOutOfRangeError,
 )
@@ -360,7 +359,7 @@ def reference_due(sc: Scenario, tick: int) -> list[tuple[str, str]]:
     time diagram: broadcasts fan out to every subsystem knowing the
     symbol; order is hierarchy preorder of the target, then declaration
     order."""
-    pre = {sub: i for i, sub in enumerate(sc.subsystems())}
+    pre = {sub: i for i, sub in enumerate(sc.hierarchy.preorder)}
     out: list[tuple[int, int, str, str]] = []
     for idx, entry in enumerate(sc.time_diagram):
         if entry.tick != tick:
@@ -368,7 +367,7 @@ def reference_due(sc: Scenario, tick: int) -> list[tuple[str, str]]:
         if entry.target is not None:
             out.append((pre[entry.target], idx, entry.target, entry.symbol))
         else:
-            for sub in sc.subsystems():
+            for sub in sc.hierarchy.preorder:
                 if entry.symbol in sc.diagram_of(sub).alphabet:
                     out.append((pre[sub], idx, sub, entry.symbol))
     out.sort(key=lambda item: (item[0], item[1]))
@@ -435,7 +434,7 @@ def reference_step(
             fire(parent_ref, "upward-propagation")
             changed = True
 
-    for sub in sc.subsystems():
+    for sub in sc.hierarchy.preorder:
         if tick - states[sub][1] < sc.backstep_timeout:
             continue
         d = sc.diagram_of(sub)
@@ -443,7 +442,7 @@ def reference_step(
         options = [(src, dst) for src, dst in d.back_arcs if src == here]
         if not options:
             continue
-        src, dst = min(options, key=lambda arc: d.order(arc[0]) - d.order(arc[1]))
+        src, dst = min(options, key=lambda arc: d.position[arc[0]] - d.position[arc[1]])
         states[sub] = (dst, tick)
         events.append(Backstep(tick, sub, src, dst))
 
@@ -700,7 +699,7 @@ def reference_intensity_report(
     history: Sequence[TransitionEvent],
     d: CanonicalDiagram,
     window: tuple[int, int],
-    initial: ObjectDistribution,
+    initial: Mapping[str, tuple[str, int]],
     target: Mapping[str, int] | None = None,
 ) -> IntensityReport:
     """Reconstruct N_i(t) and cumulative arc counters over a window, with
@@ -720,10 +719,10 @@ def reference_intensity_report(
         by_tick.setdefault(ev.tick, []).append(ev)
 
     counts = {state: 0 for state in d.states}
-    for state, n in initial.counts().items():
+    for state, _ in initial.values():
         if state not in counts:
             raise ValueError(f"initial distribution places objects on unknown state {state!r}")
-        counts[state] = n
+        counts[state] += 1
     cumulative = {arc: 0 for arc in d.arcs}
     occupancy: dict[str, list[int]] = {state: [] for state in d.states}
     arc_series: dict[Arc, list[int]] = {arc: [] for arc in d.arcs}

@@ -11,7 +11,6 @@ from statedev.canonical import (
     ArcKind,
     BeyondHorizonError,
     CanonicalDiagram,
-    ObjectDistribution,
     ObjectNotInFromStateError,
     ScriptOrderError,
     TooEarlyError,
@@ -98,10 +97,10 @@ def test_unreachable_state_is_reported():
 
 def test_apply_transition_moves_object_and_counts():
     d = chain(3, delta=3, horizon=10)
-    dist = ObjectDistribution.initial({"o": "s1"})
+    dist = {"o": ("s1", 0)}
     step = d.dev_arcs[0]
     dist, events = replay_script(d, dist, [("o", step, 3)])
-    assert dist.assignment["o"] == ("s2", 3)
+    assert dist["o"] == ("s2", 3)
     assert sum(1 for e in events if e.arc == step) == 1
     (event,) = events
     assert event.tick == 3
@@ -109,28 +108,28 @@ def test_apply_transition_moves_object_and_counts():
 
 def test_apply_transition_too_early():
     d = chain(3, delta=3, horizon=10)
-    dist = ObjectDistribution.initial({"o": "s1"})
+    dist = {"o": ("s1", 0)}
     with pytest.raises(TooEarlyError):
         replay_script(d, dist, [("o", d.dev_arcs[0], 2)])
 
 
 def test_apply_transition_wrong_source():
     d = chain(3, horizon=10)
-    dist = ObjectDistribution.initial({"o": "s1"})
+    dist = {"o": ("s1", 0)}
     with pytest.raises(ObjectNotInFromStateError):
         replay_script(d, dist, [("o", d.dev_arcs[1], 4)])
 
 
 def test_apply_transition_beyond_horizon():
     d = chain(3, horizon=4)
-    dist = ObjectDistribution.initial({"o": "s1"})
+    dist = {"o": ("s1", 0)}
     with pytest.raises(BeyondHorizonError):
         replay_script(d, dist, [("o", d.dev_arcs[0], 5)])
 
 
 def test_apply_transition_unknown_arc():
     d = chain(3, horizon=10)
-    dist = ObjectDistribution.initial({"o": "s1"})
+    dist = {"o": ("s1", 0)}
     with pytest.raises(UnknownArcError):
         replay_script(d, dist, [("o", arc("s1", "s3", 0), 1)])
 
@@ -138,7 +137,7 @@ def test_apply_transition_unknown_arc():
 def test_same_arc_twice_by_different_objects():
     d = chain(2, horizon=6)
     step = d.dev_arcs[0]
-    dist = ObjectDistribution.initial({"a": "s1", "b": "s1"})
+    dist = {"a": ("s1", 0), "b": ("s1", 0)}
     final, events = replay_script(d, dist, [("a", step, 1), ("b", step, 2)])
     assert sum(1 for e in events if e.arc == step) == 2
     assert [e.object for e in events] == ["a", "b"]
@@ -148,11 +147,11 @@ def test_same_arc_twice_by_different_objects():
 def test_replay_conserves_object_count():
     d = chain(4, horizon=40, back=True)
     rng = random.Random(5)
-    initial = ObjectDistribution.initial({f"o{i}": "s1" for i in range(10)})
+    initial = {f"o{i}": ("s1", 0) for i in range(10)}
     by_src: dict[str, list[Arc]] = {}
     for a in d.dev_arcs + d.back_arcs:
         by_src.setdefault(a.src, []).append(a)
-    where = dict(initial.assignment)
+    where = dict(initial)
     script = []
     for tick in range(1, d.horizon + 1):
         obj = f"o{rng.randrange(10)}"
@@ -165,9 +164,9 @@ def test_replay_conserves_object_count():
         where[obj] = (step.dst, tick)
     for k in range(1, len(script) + 1):
         dist, _ = replay_script(d, initial, script[:k])
-        assert sum(dist.counts().values()) == 10
+        assert len(dist) == 10
     dist, events = replay_script(d, initial, script)
-    assert dist.assignment == where
+    assert dist == where
     assert len(events) == len(script)
 
 
@@ -177,7 +176,7 @@ def _reference_apply_transition(dist, counts, d, obj, arc, tick):
         raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
     if not 0 <= tick <= d.horizon:
         raise BeyondHorizonError(f"tick {tick} outside [0, {d.horizon}]")
-    entry = dist.assignment.get(obj)
+    entry = dist.get(obj)
     if entry is None or entry[0] != arc.src:
         where = "nowhere" if entry is None else f"in {entry[0]!r}"
         raise ObjectNotInFromStateError(
@@ -188,11 +187,11 @@ def _reference_apply_transition(dist, counts, d, obj, arc, tick):
             f"object {obj!r} entered {arc.src!r} at {entry[1]}, "
             f"arc delay {arc.delta} blocks firing before {entry[1] + arc.delta}"
         )
-    assignment = dict(dist.assignment)
+    assignment = dict(dist)
     assignment[obj] = (arc.dst, tick)
     counts = dict(counts)
     counts[arc] = counts.get(arc, 0) + 1
-    return ObjectDistribution(assignment), counts, TransitionEvent(object=obj, arc=arc, tick=tick)
+    return assignment, counts, TransitionEvent(object=obj, arc=arc, tick=tick)
 
 
 def _reference_replay(d, initial, script):
@@ -233,13 +232,11 @@ def _random_replay_case(rng):
         initial=states[0], final=states[-1], horizon=rng.randint(4, 20),
     )
     objects = [f"o{i}" for i in range(rng.randint(1, 6))]
-    initial = ObjectDistribution(
-        {obj: (rng.choice(states), rng.randint(0, 2)) for obj in objects}
-    )
+    initial = {obj: (rng.choice(states), rng.randint(0, 2)) for obj in objects}
     by_src: dict[str, list[Arc]] = {}
     for a in d.arcs:
         by_src.setdefault(a.src, []).append(a)
-    where = dict(initial.assignment)
+    where = dict(initial)
     illegal = rng.choice((None,) + _ILLEGAL)
     at = rng.randrange(25)
     script = []
@@ -278,7 +275,7 @@ def test_replay_equals_the_copy_per_step_reference_on_random_scripts():
     seen = set()
     for _ in range(1500):
         d, initial, script = _random_replay_case(rng)
-        before = dict(initial.assignment)
+        before = dict(initial)
         expected = _outcome(_reference_replay, d, initial, script)
         got = _outcome(replay_script, d, initial, script)
         if isinstance(expected[0], type):
@@ -287,14 +284,14 @@ def test_replay_equals_the_copy_per_step_reference_on_random_scripts():
         else:
             reference, reference_counts, reference_events = expected
             final, events = got
-            assert final.assignment == reference.assignment
+            assert final == reference
             assert events == reference_events
             counts: dict[Arc, int] = {}
             for event in events:
                 counts[event.arc] = counts.get(event.arc, 0) + 1
             assert counts == reference_counts
             seen.add(None)
-        assert initial.assignment == before
+        assert initial == before
     assert seen == {
         None, UnknownArcError, BeyondHorizonError, ObjectNotInFromStateError,
         TooEarlyError, ScriptOrderError,
@@ -304,7 +301,7 @@ def test_replay_equals_the_copy_per_step_reference_on_random_scripts():
 def test_replay_is_linear_in_the_script_length():
     d = chain(7, delta=1, back=True)
     objects = [f"o{i:04d}" for i in range(1000)]
-    initial = ObjectDistribution.initial({obj: "s1" for obj in objects})
+    initial = {obj: ("s1", 0) for obj in objects}
     arcs_from: dict[str, list[Arc]] = {}
     for a in d.arcs:
         arcs_from.setdefault(a.src, []).append(a)
@@ -320,7 +317,7 @@ def test_replay_is_linear_in_the_script_length():
     final, events = replay_script(d, initial, script)
     elapsed = perf_counter() - started
     assert len(events) == 8000
-    assert {obj: state for obj, (state, _) in final.assignment.items()} == position
+    assert {obj: state for obj, (state, _) in final.items()} == position
     assert elapsed < 0.5
 
 
@@ -354,7 +351,7 @@ def _random_intensity_case(rng):
     if rng.random() < 0.7:
         history.sort(key=lambda ev: ev.tick)
     places = states + (("elsewhere",) if rng.random() < 0.05 else ())
-    initial = ObjectDistribution.initial({f"o{i}": rng.choice(places) for i in range(rng.randint(0, 5))})
+    initial = {f"o{i}": (rng.choice(places), 0) for i in range(rng.randint(0, 5))}
     lo = rng.randint(-1, horizon + 1) if rng.random() < 0.1 else rng.randint(0, horizon)
     hi = rng.randint(-1, horizon + 1) if rng.random() < 0.1 else rng.randint(lo, horizon) if lo <= horizon else lo
     target = None
@@ -393,7 +390,7 @@ def test_intensity_equals_the_arc_keyed_reference_on_random_diagrams():
 
 def test_intensity_flat_without_events():
     d = chain(2, horizon=4)
-    initial = ObjectDistribution.initial({f"o{i}": "s1" for i in range(10)})
+    initial = {f"o{i}": ("s1", 0) for i in range(10)}
     report = intensity_report([], d, (0, 4), initial)
     assert report.occupancy["s1"] == (10, 10, 10, 10, 10)
     assert report.development == 0
@@ -403,7 +400,7 @@ def test_intensity_flat_without_events():
 
 def test_intensity_single_event_bookkeeping():
     d = chain(2, horizon=6)
-    initial = ObjectDistribution.initial({"o": "s1"})
+    initial = {"o": ("s1", 0)}
     _, events = replay_script(d, initial, [("o", d.dev_arcs[0], 3)])
     report = intensity_report(events, d, (0, 6), initial)
     assert report.occupancy["s1"] == (1, 1, 1, 0, 0, 0, 0)
@@ -414,7 +411,7 @@ def test_intensity_development_degradation_ratio():
     d = chain(4, horizon=10, back=True)
     f1, f2, f3 = d.dev_arcs
     b43 = d.back_arcs[2]
-    initial = ObjectDistribution.initial({"o": "s1"})
+    initial = {"o": ("s1", 0)}
     script = [
         ("o", f1, 1), ("o", f2, 2), ("o", f3, 3), ("o", b43, 4),
         ("o", f3, 5), ("o", b43, 6), ("o", f3, 7),
@@ -428,7 +425,7 @@ def test_intensity_development_degradation_ratio():
 
 def test_intensity_counts_only_window_events():
     d = chain(4, horizon=10)
-    initial = ObjectDistribution.initial({"o": "s1"})
+    initial = {"o": ("s1", 0)}
     script = [("o", d.dev_arcs[0], 1), ("o", d.dev_arcs[1], 2), ("o", d.dev_arcs[2], 6)]
     _, events = replay_script(d, initial, script)
     report = intensity_report(events, d, (0, 4), initial)
@@ -437,7 +434,7 @@ def test_intensity_counts_only_window_events():
 
 def test_intensity_target_delta():
     d = chain(2, horizon=5)
-    initial = ObjectDistribution.initial({"a": "s1", "b": "s1"})
+    initial = {"a": ("s1", 0), "b": ("s1", 0)}
     _, events = replay_script(d, initial, [("a", d.dev_arcs[0], 1)])
     report = intensity_report(events, d, (0, 5), initial, target={"s2": 2})
     assert report.target_delta == {"s1": 1, "s2": -1}
@@ -445,7 +442,7 @@ def test_intensity_target_delta():
 
 def test_intensity_window_must_fit_horizon():
     d = chain(2, horizon=4)
-    initial = ObjectDistribution.initial({"o": "s1"})
+    initial = {"o": ("s1", 0)}
     with pytest.raises(WindowOutOfRangeError):
         intensity_report([], d, (0, 9), initial)
 

@@ -674,6 +674,32 @@ def test_profile_reports_a_malformed_series_or_interval(tmp_path, capsys, text, 
     assert violations == [message]
 
 
+@pytest.mark.parametrize("interval, message", [
+    ("5", "interval must look like a:b, got '5'"),
+    ("a:b", "interval bounds must be integers, got 'a:b'"),
+], ids=["no-colon", "not-integers"])
+def test_profile_malformed_interval_is_usage_error(capsys, interval, message):
+    code, out, err = run(capsys, "profile", BASIC_S, "--series", str(X_SERIES), "--interval", interval)
+    assert (code, out) == (2, "")
+    assert "usage error" in err and message in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,o1,s1", "expected 5 columns"),
+    ("x,o1,s1,s2,dev", "bad tick 'x'"),
+], ids=["short-row", "bad-tick"])
+def test_replay_reports_a_malformed_event_row(tmp_path, capsys, row, message):
+    events = tmp_path / "e.csv"
+    events.write_text(f"tick,object,from,to,arc_kind\n{row}\n")
+    violations = _failure(capsys, "replay", BASIC_S, "--diagram", "dev3", "--events", str(events))
+    assert violations == [f"{events}:2: {message}"]
+
+
+def test_classify_rejects_a_categorical_value_of_a_numeric_parameter(capsys):
+    violations = _failure(capsys, "classify", BASIC_S, "--object", "x=abc")
+    assert violations == ["cannot compare a number with a categorical value"]
+
+
 def test_replay_gives_a_repeated_arc_one_series(tmp_path, capsys):
     def repeat_arc(raw):
         raw["canonical_diagrams"]["dev3"]["dev_arcs"] += [{"from": "negative", "to": "high", "delta": 0}] * 2
@@ -745,10 +771,14 @@ def _unreplayable(data):
     pytest.param(lambda d: (_unreplayable(d), d["scores"]["left"].pop("L3")),
                  ["trajectory.events: event 1 leaves 'T2', where 'top' is not at tick 0"],
                  id="unreplayable-and-scores-lack-a-state"),
-    pytest.param(lambda d: _events(d)[8].update(dst="T9"), ["state 'T9' of 'top' is not a state of its diagram"],
-                 id="logged-state-without-score"),
+    pytest.param(lambda d: _events(d)[8].update(dst="T9"),
+                 ["firing T1->T9 on 'finish' of 'top' is not an arc of its diagram"], id="logged-state-without-score"),
     pytest.param(lambda d: (_events(d)[8].update(dst="T9"), d.update(scores=None)),
-                 ["state 'T9' of 'top' is not a state of its diagram"], id="logged-state-outside-diagram"),
+                 ["firing T1->T9 on 'finish' of 'top' is not an arc of its diagram"], id="logged-state-outside-diagram"),
+    pytest.param(lambda d: _events(d)[8].update(dst="T0"),  # T1 -> T0 is a back arc, not a labeled one
+                 ["firing T1->T0 on 'finish' of 'top' is not an arc of its diagram"], id="logged-firing-off-its-diagram"),
+    pytest.param(lambda d: _events(d).__setitem__(8, dict(kind="backstep", subsystem="top", src="T1", dst="T2", tick=1)),
+                 ["backstep T1->T2 of 'top' is not an arc of its diagram"], id="logged-backstep-off-its-diagram"),
     pytest.param(lambda d: (d["trajectory"]["initial"]["top"].__setitem__(0, "ZZ"), d.update(scores=None),
                             d["trajectory"].update(events=[e for e in _events(d) if e["subsystem"] != "top"])),
                  ["state 'ZZ' of 'top' is not a state of its diagram"], id="initial-state-outside-diagram"),

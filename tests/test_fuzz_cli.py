@@ -6,12 +6,17 @@ The mutants come from the operators of ``tests/mutants.py`` plus two more:
 non-finite numbers and deep nesting (of JSON lists and of predicate
 parentheses). Horizons and intervals are capped at 200 and sampling at 50
 so that no example runs long.
+
+The same command lists also run on copies of the fixtures whose JSON object
+keys are shuffled: key order must change no exit code, report body or
+written file.
 """
 
 import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -81,8 +86,9 @@ def mutant_text(doc, rng) -> str:
     return text
 
 
-def check_run(argv) -> int:
-    """Run the CLI once and check the one-report contract; returns the exit code."""
+def check_run(argv) -> tuple[int, str]:
+    """Run the CLI once and check the one-report contract; returns the exit
+    code and the report printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -97,7 +103,7 @@ def check_run(argv) -> int:
         else:
             assert out.count("\n") == 1, (argv, out[:200])
             assert isinstance(json.loads(out), dict)
-    return code
+    return code, out
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +157,52 @@ def test_analyze_and_compare_survive_mutated_files(workdir, clean_run, rng):
     check_run(["analyze", str(path)])
     path.write_text(mutant_text(report, rng))
     check_run(["compare", str(path), str(other)])
+
+
+def _shuffled(node, rng):
+    """node with the keys of every JSON object in a seeded random order."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {key: _shuffled(node[key], rng) for key in keys}
+    if isinstance(node, list):
+        return [_shuffled(item, rng) for item in node]
+    return node
+
+
+def _outcomes(text, commands, workdir):
+    """Per command: the exit code, the report body (a text report without
+    its input digest lines) and the bytes of the files written so far."""
+    model = workdir / "model.json"
+    model.write_text(text)
+    for written in workdir.iterdir():
+        if written != model:
+            written.unlink()
+    outcomes = []
+    for argv in commands:
+        if argv[0] == "analyze" and not (workdir / "run.json").exists():
+            continue
+        code, out = check_run([a.format(model=model, dir=workdir) for a in argv])
+        if "--format" in argv:
+            body = [line for line in out.splitlines() if not line.startswith("input: ")]
+        else:
+            body = json.loads(out)["body"] if out else None
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir()) if p != model}
+        outcomes.append((code, body, files))
+    return outcomes
+
+
+@pytest.mark.parametrize("fixture, commands", [
+    ("basic.json", "basic.json"),
+    ("flawed.json", "basic.json"),
+    ("two_level.json", "two_level.json"),
+    ("flawed_scenario.json", "two_level.json"),
+])
+def test_json_key_order_changes_no_report(tmp_path, fixture, commands):
+    text = (FIXTURES / fixture).read_text()
+    expected = _outcomes(text, COMMANDS[commands], tmp_path)
+    for seed in range(5):
+        shuffled = json.dumps(_shuffled(json.loads(text), random.Random(seed)))
+        assert json.loads(shuffled) == json.loads(text)
+        assert shuffled != json.dumps(json.loads(text))
+        assert _outcomes(shuffled, COMMANDS[commands], tmp_path) == expected

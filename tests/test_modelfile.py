@@ -36,7 +36,7 @@ def test_two_level_fixture_parses_fully(two_level_model):
     assert set(m.scenarios) == {"coordinated", "neglected"}
     assert set(m.score_tables) == {"default"}
     sc = m.scenarios["coordinated"]
-    assert sc.hierarchy.preorder() == ("top", "left", "right")
+    assert sc.hierarchy.preorder == ("top", "left", "right")
     assert len(sc.after_effect.parent_links) == 2
 
 

@@ -463,16 +463,16 @@ def test_compare_prefers_completeness_then_efficiency():
     idle_sc = scenario([], horizon=3)
     idle = analyze_trajectory(run_scenario(idle_sc), idle_sc)
     result = compare_scenarios([idle, complete])
-    assert result.groups[0] == ("s",) or result.groups[0][0] == complete.scenario_id
+    assert result[0] == ("s",) or result[0][0] == complete.scenario_id
     # the complete run wins regardless of listing order
-    assert complete.scenario_id in result.groups[0]
+    assert complete.scenario_id in result[0]
 
 
 def test_compare_groups_exact_ties():
     a = analyze_trajectory(run_scenario(done_scenario()), done_scenario())
     b = dataclasses.replace(a, scenario_id="twin")
     result = compare_scenarios([a, b])
-    assert result.groups == ((a.scenario_id, "twin"),)
+    assert result == ((a.scenario_id, "twin"),)
 
 
 def test_compare_needs_matching_subsystems():
@@ -489,7 +489,7 @@ def test_compare_breaks_ties_on_backsteps():
     noisy = analyze_trajectory(run_scenario(sc_noisy), sc_noisy)
     assert noisy.backstep_total > 0
     result = compare_scenarios([noisy, clean])
-    assert result.groups[0] == ("clean",)
+    assert result[0] == ("clean",)
 
 
 def random_scenario(seed: int) -> Scenario:
@@ -603,9 +603,9 @@ def test_indexed_step_equals_the_reference_step():
             for _ in range(10):
                 tick = rng.randrange(sc.horizon + 5)
                 config = {sub: (rng.choice(sc.diagram_of(sub).states), rng.randint(0, tick))
-                          for sub in sc.subsystems()}
+                          for sub in sc.hierarchy.preorder}
                 deliveries = reference_due(sc, tick) + [
-                    (rng.choice(sc.subsystems()), rng.choice(symbols)) for _ in range(rng.randint(0, 6))
+                    (rng.choice(sc.hierarchy.preorder), rng.choice(symbols)) for _ in range(rng.randint(0, 6))
                 ]
                 rng.shuffle(deliveries)
                 expected_config, expected_events = reference_step(config, deliveries, sc, tick)

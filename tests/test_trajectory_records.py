@@ -92,7 +92,7 @@ def scores_for(sc: Scenario, rng: random.Random):
     if rng.random() < 0.3:
         return None
     return {sub: {s: rng.choice((0.0, 1.5, -2.0, 1e-7, 3e20)) for s in sc.diagram_of(sub).states}
-            for sub in sc.subsystems()}
+            for sub in sc.hierarchy.preorder}
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -114,7 +114,7 @@ def test_writers_and_readers_equal_the_references(seed, tmp_path):
     data = json.loads(text)
     out = _Collector()
     events = reference_read_events(data["trajectory"]["events"], out)
-    entries = reference_read_time_diagram(data["scenario"]["time_diagram"], "", sc.subsystems(), out)
+    entries = reference_read_time_diagram(data["scenario"]["time_diagram"], "", sc.hierarchy.preorder, out)
     assert not out.issues
     assert typed(sc2.time_diagram, tr2.events) == typed(entries, events)
 
@@ -173,7 +173,7 @@ def expected(events: list, entries: list):
     """What the record-by-record readers make of the same lists."""
     out = _Collector()
     found = reference_read_events(events, out)
-    made = reference_read_time_diagram(entries, f"scenarios.{SCENARIO.id}", SCENARIO.subsystems(), out)
+    made = reference_read_time_diagram(entries, f"scenarios.{SCENARIO.id}", SCENARIO.hierarchy.preorder, out)
     if out.issues:
         return "issues", tuple(out.issues)
     return "records", typed(made, found)
