@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, Union
 
 from . import canonical, composition, dynamics, modelfile, scenario, statespace
 from .errors import StatedevError
-from .reports import Report, emit_report, make_provenance
+from .reports import Encoded, Report, emit_report, make_provenance
 
 
 def _at_least(low, convert):
@@ -130,9 +130,6 @@ def _parse_object(text: str, parameters) -> dict:
             raise StatedevError(f"object value of {name!r}: {value!r} is not a finite number")
         assignment[name] = number
     return assignment
-
-
-_KIND_TEXT = {kind: kind.value for kind in dynamics.DynamicsKind}
 
 
 def _arc_key(arc: canonical.Arc) -> str:
@@ -280,6 +277,26 @@ def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.Par
     return out
 
 
+def _profile_rows(profile: dynamics.ParallelProfile) -> Encoded:
+    """The profile's rows as canonical JSON: one {"cells", "tick"} object
+    per grid tick, its cells in sorted name order. Every row fills one
+    template, whose columns each run fills at once."""
+    names = sorted(profile.parameters)
+    # json.dumps escapes a name as canonical_json does; a % in it is doubled
+    # so that the template reads it as text.
+    cells = ",".join(json.dumps(name).replace("%", "%%") + ':{"kind":"%s","streak":%d}' for name in names)
+    template = '{"cells":{' + cells + '},"tick":%d}'
+    columns = []
+    for name in names:
+        kinds, streaks = [], []
+        for kind, first, n in profile.rows[name]:
+            kinds += [kind.value] * n
+            streaks += [0] * n if kind is dynamics.DynamicsKind.UNKNOWN else range(first, first + n)
+        columns += kinds, streaks
+    ticks = range(profile.start, profile.end + 1)
+    return Encoded("[%s]" % ",".join(map(template.__mod__, zip(*columns, ticks))))
+
+
 def _cmd_profile(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     interval = _parse_interval(args.interval)
@@ -287,15 +304,6 @@ def _cmd_profile(args) -> tuple[dict, int]:
         raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
     series_set = _read_series_csv(args.series, model)
     profile = dynamics.parallel_profile(series_set, interval, args.epsilon)
-    names = profile.parameters
-    columns = [
-        [{"kind": _KIND_TEXT[state.kind], "streak": state.streak} for state in profile.rows[name]]
-        for name in names
-    ]
-    rows = [
-        {"tick": t, "cells": dict(zip(names, cells))}
-        for t, cells in zip(range(profile.start, profile.end + 1), zip(*columns))
-    ]
     trends: dict[str, Union[dict, None]] = {}
     for s in series_set:
         try:
@@ -315,7 +323,7 @@ def _cmd_profile(args) -> tuple[dict, int]:
         "parameters": list(profile.parameters),
         "start": profile.start,
         "end": profile.end,
-        "rows": rows,
+        "rows": _profile_rows(profile),
         "trends": trends,
     }
     return body, 0

@@ -4,8 +4,9 @@ The estimator answers "what is the parameter doing right now" from the
 previous qualitative state and two consecutive values; the classifier
 answers the retrospective questions (monotone? turning points? bounded?
 inflexion? cyclic?) over a whole observation window. A parallel profile
-lays per-tick states for several parameters on one tick grid so that
-classification rules can read a full system snapshot.
+lays the states of several parameters on one tick grid so that
+classification rules can read a full system snapshot; it keeps each row,
+and the fold, as runs of equal directions, not one state per tick.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import ClassVar, Mapping, Sequence
 
 from .errors import IncomparableValuesError, StatedevError
@@ -145,34 +147,83 @@ def estimate_state(
     return DynamicsState(kind, prev.streak + 1 if kind is prev.kind else 1)
 
 
+# A run of equal states in a row: (kind, streak of its first tick, length).
+# The streak grows by one each tick, except in a run of Unknown, which keeps 0.
+Run = tuple[DynamicsKind, int, int]
+
+
 def fold_states(values: Sequence, epsilon: float = 0.0) -> tuple[DynamicsState, ...]:
     """States after each observation; the first is always the initial Unknown.
 
     Equal to chaining estimate_state over the values: a state's streak
-    grows while its kind repeats, and a turn never follows itself. Every
-    state is legal by construction, so none goes through the checks of
-    DynamicsState.__post_init__, and the states are immutable, so one
-    object serves every position with the same kind and streak.
+    grows while its kind repeats, and a turn never follows itself.
     """
-    return _fold(_signs(values, epsilon)) if values else ()
+    return tuple(_states(_fold(_signs(values, epsilon)))) if values else ()
 
 
-def _fold(signs: Sequence[int]) -> tuple[DynamicsState, ...]:
-    """fold_states of the values whose directions are signs."""
-    out = [DynamicsState.INITIAL]
-    kind, streak, prev = DynamicsKind.UNKNOWN, 0, 0
-    new = object.__new__
+def _sign_runs(signs: Sequence[int]) -> list[int]:
+    """The index where each run of equal signs starts."""
+    return [0, *compress(range(1, len(signs)), map(operator.ne, signs[1:], signs))] if signs else []
+
+
+def _fold(signs: Sequence[int]) -> list[Run]:
+    """fold_states of the values whose directions are signs, as maximal runs.
+
+    Within a run of sign s that follows sign p, the first kind is
+    _NEXT_KIND[p, s] and the rest are _NEXT_KIND[s, s]. The kind changes
+    at every run boundary, so the streak restarts there.
+    """
+    runs = [(DynamicsKind.UNKNOWN, 0, 1)]
+    starts = _sign_runs(signs)
+    prev = 0
+    for start, end in zip(starts, [*starts[1:], len(signs)]):
+        sign = signs[start]
+        first, rest = _NEXT_KIND[prev, sign], _NEXT_KIND[sign, sign]
+        if first is rest:
+            runs.append((first, 1, end - start))
+        else:
+            runs.append((first, 1, 1))
+            if end - start > 1:
+                runs.append((rest, 1, end - start - 1))
+        prev = sign
+    return runs
+
+
+def _states(runs: Sequence[Run]) -> list[DynamicsState]:
+    """The state at each tick the runs cover. Every state is legal by
+    construction, so none goes through the checks of
+    DynamicsState.__post_init__, and the states are immutable, so one
+    object serves every tick with the same kind and streak."""
     made: dict[tuple[DynamicsKind, int], DynamicsState] = {}
-    for sign in signs:
-        next_kind = _NEXT_KIND[prev, sign]
-        streak = streak + 1 if next_kind is kind else 1
-        kind, prev = next_kind, sign
-        state = made.get((kind, streak))
-        if state is None:
-            state = made[kind, streak] = new(DynamicsState)
-            state.__dict__.update(kind=kind, streak=streak)
-        out.append(state)
-    return tuple(out)
+
+    def state(kind: DynamicsKind, streak: int) -> DynamicsState:
+        made[kind, streak] = one = object.__new__(DynamicsState)
+        one.__dict__.update(kind=kind, streak=streak)
+        return one
+
+    out: list[DynamicsState] = []
+    for kind, first, n in runs:
+        if kind is DynamicsKind.UNKNOWN:
+            out += [DynamicsState.INITIAL] * n
+        else:
+            out += [made.get((kind, streak)) or state(kind, streak) for streak in range(first, first + n)]
+    return out
+
+
+def _runs_of(states: Sequence[DynamicsState]) -> list[Run]:
+    """The maximal runs of a row of states: a state continues the run
+    before it when it has the run's kind and the next streak."""
+    runs: list[Run] = []
+    kind, first, n = None, 0, 0
+    for state in states:
+        if state.kind is kind and (state.streak == first + n or kind is DynamicsKind.UNKNOWN):
+            n += 1
+        else:
+            if n:
+                runs.append((kind, first, n))
+            kind, first, n = state.kind, state.streak, 1
+    runs.append((kind, first, n))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -249,9 +300,17 @@ def _cycle_period(values: Sequence, epsilon: float) -> int | None:
 
 
 def _reversals(signs: Sequence[int]) -> list[int]:
-    """The index of every nonzero sign that differs from the nonzero sign before it."""
-    nonzero = [(i, s) for i, s in enumerate(signs) if s]
-    return [j for (_, before), (j, s) in zip(nonzero, nonzero[1:]) if s != before]
+    """The index of every nonzero sign that differs from the nonzero sign
+    before it: the start of a run of nonzero signs whose sign differs from
+    that of the last nonzero run."""
+    out, before = [], 0
+    for start in _sign_runs(signs):
+        sign = signs[start]
+        if sign:
+            if sign != before and before:
+                out.append(start)
+            before = sign
+    return out
 
 
 def classify_series(series: ParameterSeries, epsilon: float = 0.0, signs: Sequence[int] | None = None) -> TrendClass:
@@ -315,12 +374,13 @@ def current_symbol(trend: TrendClass) -> DynamicsKind:
 
 @dataclass(frozen=True)
 class ParallelProfile:
-    """Per-tick dynamics states of several parameters on one grid."""
+    """Dynamics states of several parameters on one tick grid."""
 
     parameters: tuple[str, ...]
     start: int
     end: int
-    rows: Mapping[str, tuple[DynamicsState, ...]]
+    # parameter -> its states on the grid, as maximal runs
+    rows: Mapping[str, tuple[Run, ...]]
     # parameter -> the direction of each consecutive pair of its values
     signs: Mapping[str, Sequence[int]] = field(default_factory=dict, compare=False, repr=False)
 
@@ -335,7 +395,7 @@ def parallel_profile(
     A grid tick carries the fold state over all of that series' values
     up to and including it; ticks the series never observed are Unknown.
     Every series must overlap the interval. A series that observes
-    exactly the grid's ticks passes its fold through as its row.
+    exactly the grid's ticks keeps the runs of its fold as its row.
     """
     a, b = int(interval[0]), int(interval[1])
     if a > b:
@@ -343,7 +403,7 @@ def parallel_profile(
     names = [s.parameter for s in series_set]
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter in series set")
-    rows: dict[str, tuple[DynamicsState, ...]] = {}
+    rows: dict[str, tuple[Run, ...]] = {}
     signs: dict[str, list[int]] = {}
     for series in series_set:
         ticks = series.ticks
@@ -351,12 +411,9 @@ def parallel_profile(
         if i == len(ticks) or ticks[i] > b:
             raise EmptyOverlapError(series.parameter)
         signs[series.parameter] = _signs(series.values, epsilon)
-        folded = _fold(signs[series.parameter])
-        if ticks[0] == a and ticks[-1] == b and len(ticks) == b - a + 1:
-            rows[series.parameter] = folded  # the series observes exactly the grid
-        else:
-            by_tick = dict(zip(ticks, folded))
-            rows[series.parameter] = tuple(
-                by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
-            )
+        runs = _fold(signs[series.parameter])
+        if not (ticks[0] == a and ticks[-1] == b and len(ticks) == b - a + 1):
+            by_tick = dict(zip(ticks, _states(runs)))
+            runs = _runs_of([by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)])
+        rows[series.parameter] = tuple(runs)
     return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows, signs=signs)

@@ -39,6 +39,14 @@ SCHEMAS: dict[str, frozenset[str]] = {
 }
 
 
+class Encoded(str):
+    """A report body value that already holds its canonical JSON text.
+
+    machine-json splices the text in as it stands, and human-text renders
+    what it decodes to. It stands at the top level of a body, and no body
+    value whose key sorts before its own holds a mapping."""
+
+
 @dataclass(frozen=True)
 class Report:
     kind: str
@@ -149,12 +157,26 @@ def canonical_json(payload: Any) -> str:
 def emit_report(report: Report, format: str = "machine-json") -> str:
     """Serialize one report; identical reports give identical bytes."""
     check_schema(report)
+    encoded = sorted(key for key, value in report.body.items() if isinstance(value, Encoded))
     if format == "machine-json":
-        return canonical_json({"kind": report.kind, "body": report.body, "provenance": report.provenance})
+        body = {**report.body, **dict.fromkeys(encoded, [])}
+        text = canonical_json({"kind": report.kind, "body": body, "provenance": report.provenance})
+        # "body" sorts first, so the text opens with {"body":{ and the body's
+        # keys follow in sorted order. Any quote inside a string is escaped,
+        # so "key":[] can only be a key and its value, and the keys that sort
+        # before an encoded one hold no mapping: its first match is the key.
+        parts, at = [], 0
+        for key in encoded:
+            name = json.dumps(key) + ":"
+            start = text.index(name + "[]", at) + len(name)
+            parts += text[at:start], report.body[key]
+            at = start + 2
+        return "".join([*parts, text[at:]])
     if format == "human-text":
+        body = {**report.body, **{key: json.loads(report.body[key]) for key in encoded}}
         lines = [f"report: {report.kind}"]
-        for key in sorted(report.body):
-            _render_human(report.body[key], 0, lines, key)
+        for key in sorted(body):
+            _render_human(body[key], 0, lines, key)
         prov = report.provenance
         lines.append(f"tool: {prov.get('tool', '-')}")
         if prov.get("seed") is not None:

@@ -12,7 +12,11 @@ predicate must agree with, and `reference_classify_series` and
 `reference_parallel_profile` are the trend classifier and the profile that
 fold every series twice and search every cycle period directly, one
 `reference_estimate_state` per step: the estimator's rule written out case
-by case, which `estimate_state` must agree with.
+by case, which `estimate_state` must agree with. The reference profile
+cuts its per-tick rows into runs with `runs_of_states`, and
+`reference_profile_rows` builds the profile report's rows as a tree of
+dicts, one per tick and cell, which the row text of `cli._profile_rows`
+must encode to byte for byte.
 `reference_intensity_report` is the intensity report that keys its counters
 by arc, which `canonical.intensity_report` must agree with, and
 `sorted_arcs` the arc order that `check_consistency` expands in.
@@ -674,10 +678,10 @@ def reference_classify_series(series: ParameterSeries, epsilon: float = 0.0) -> 
     )
 
 
-def reference_parallel_profile(
+def reference_grid_states(
     series_set: Sequence[ParameterSeries], interval: tuple[int, int], epsilon: float = 0.0
-) -> ParallelProfile:
-    """The parallel profile, one reference fold per series."""
+) -> dict[str, tuple[DynamicsState, ...]]:
+    """Each series' state at every grid tick, one reference fold per series."""
     a, b = int(interval[0]), int(interval[1])
     if a > b:
         raise ValueError("interval start exceeds its end")
@@ -692,7 +696,52 @@ def reference_parallel_profile(
         rows[series.parameter] = tuple(
             by_tick.get(t, DynamicsState.INITIAL) for t in range(a, b + 1)
         )
-    return ParallelProfile(parameters=tuple(names), start=a, end=b, rows=rows)
+    return rows
+
+
+def runs_of_states(states: Iterable[DynamicsState]) -> list[tuple[DynamicsKind, int, int]]:
+    """The maximal runs (kind, first streak, length) of a row of states,
+    taken one state at a time: a state extends the last run when it has
+    its kind and the streak after it (Unknown's streak stays 0)."""
+    runs: list[tuple[DynamicsKind, int, int]] = []
+    for state in states:
+        if runs:
+            kind, first, n = runs[-1]
+            if state.kind is kind and state.streak == first + (0 if kind is DynamicsKind.UNKNOWN else n):
+                runs[-1] = (kind, first, n + 1)
+                continue
+        runs.append((state.kind, state.streak, 1))
+    return runs
+
+
+def reference_parallel_profile(
+    series_set: Sequence[ParameterSeries], interval: tuple[int, int], epsilon: float = 0.0
+) -> ParallelProfile:
+    """The parallel profile, one reference fold per series, its rows cut into runs."""
+    rows = reference_grid_states(series_set, interval, epsilon)
+    return ParallelProfile(
+        parameters=tuple(s.parameter for s in series_set),
+        start=int(interval[0]),
+        end=int(interval[1]),
+        rows={name: tuple(runs_of_states(states)) for name, states in rows.items()},
+    )
+
+
+def reference_profile_rows(
+    series_set: Sequence[ParameterSeries], interval: tuple[int, int], epsilon: float = 0.0
+) -> list[dict]:
+    """The profile report's rows as a tree: one dict per grid tick, one
+    dict per cell, built from the reference states."""
+    rows = reference_grid_states(series_set, interval, epsilon)
+    names = [s.parameter for s in series_set]
+    columns = [
+        [{"kind": state.kind.value, "streak": state.streak} for state in rows[name]]
+        for name in names
+    ]
+    return [
+        {"tick": t, "cells": dict(zip(names, cells))}
+        for t, cells in zip(range(int(interval[0]), int(interval[1]) + 1), zip(*columns))
+    ]
 
 
 def reference_intensity_report(

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import statedev
-from statedev import cli
+from statedev import cli, dynamics
 from statedev.cli import main
 from statedev.errors import StatedevError
 from statedev.modelfile import parse_model
-from statedev.reports import Report, emit_report
+from statedev.reports import Report, canonical_json, emit_report
 from tests.conftest import BASIC, DEV3_EVENTS, TWO_LEVEL, X_SERIES
-from tests.oracles import reference_read_series_csv
+from tests.oracles import reference_profile_rows, reference_read_series_csv
 
 BASIC_S = str(BASIC)
 TWO_LEVEL_S = str(TWO_LEVEL)
@@ -140,6 +140,78 @@ def test_profile_over_series_csv(capsys):
     kinds = [row["cells"]["x"]["kind"] for row in report["body"]["rows"]]
     assert kinds == ["Unknown", "Growth", "Growth", "TurnMax", "Decline"]
     assert report["body"]["trends"]["x"]["critical_points"] == [2]
+
+
+# Names a template could misread: a % (read as a conversion unless doubled),
+# a quote and a backslash (escaped by JSON) and a non-ASCII letter.
+_AWKWARD_NAMES = ["x", "%", "a%d", "50%s", 'q"uote', "back\\slash", "\u00e9t\u00e9", "B"]
+
+
+def _row_series(rng, name):
+    """A series of runs of equal steps, on a tick range or gapped."""
+    n, start = rng.randint(1, 60), rng.randint(-3, 8)
+    if rng.random() < 0.4:
+        ticks = sorted(rng.sample(range(start, start + n + 12), n))
+    else:
+        ticks = list(range(start, start + n))
+    values, x = [], 0.0
+    while len(values) < n:
+        step = rng.choice((1.0, -1.0, 0.0, 0.25))
+        for _ in range(rng.randint(1, 15)):
+            x += step
+            values.append(x)
+    return dynamics.ParameterSeries(name, tuple(ticks), tuple(values[:n]))
+
+
+def _profile_body(profile, rows):
+    return {"parameters": list(profile.parameters), "start": profile.start, "end": profile.end,
+            "rows": rows, "trends": {}}
+
+
+def test_profile_rows_text_equals_the_reference_tree():
+    rng = random.Random(41)
+    seen = {"unsorted": 0, "gap": 0, "past": 0, "percent": 0}
+    for _ in range(400):
+        names = rng.sample(_AWKWARD_NAMES, rng.randint(1, 4))
+        series_set = [_row_series(rng, name) for name in names]
+        a = rng.randint(-6, 10)
+        interval = (a, a + rng.randint(0, 80))
+        epsilon = rng.choice((0.0, 0.5))
+        try:
+            profile = dynamics.parallel_profile(series_set, interval, epsilon)
+        except dynamics.EmptyOverlapError:
+            continue
+        provenance = {"tool": "t"}
+        report = Report("profile", _profile_body(profile, cli._profile_rows(profile)), provenance)
+        rows = reference_profile_rows(series_set, interval, epsilon)
+        want = {"kind": "profile", "body": _profile_body(profile, rows), "provenance": provenance}
+        assert emit_report(report) == canonical_json(want)
+        # human-text lists each row's cells, in sorted name order, before its tick.
+        sorted_rows = [{"cells": dict(sorted(row["cells"].items())), "tick": row["tick"]} for row in rows]
+        text = Report("profile", _profile_body(profile, sorted_rows), provenance)
+        assert emit_report(report, "human-text") == emit_report(text, "human-text")
+        seen["unsorted"] += names != sorted(names)
+        inside = [range(max(s.ticks[0], a), min(s.ticks[-1], interval[1]) + 1) for s in series_set]
+        seen["gap"] += any(set(ticks) - set(s.ticks) for s, ticks in zip(series_set, inside))
+        seen["past"] += any(s.ticks[0] > a or s.ticks[-1] < interval[1] for s in series_set)
+        seen["percent"] += any("%" in name for name in names)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_profile_of_columns_with_awkward_names(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    with open(series, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tick", *_AWKWARD_NAMES])
+        for t in range(6):
+            writer.writerow([t, *(((t * (i + 1)) % 4) for i in range(len(_AWKWARD_NAMES)))])
+    code, out, _ = run(capsys, "profile", BASIC_S, "--series", str(series), "--interval=-1:7")
+    assert code == 0
+    report = json.loads(out)
+    set_ = cli._read_series_csv(str(series), parse_model(BASIC_S))
+    report["body"]["rows"] = reference_profile_rows(set_, (-1, 7))
+    assert out == canonical_json(report)
+    assert list(report["body"]["rows"][3]["cells"]) == _AWKWARD_NAMES
 
 
 def test_replay_intensity_report(capsys):

@@ -16,6 +16,7 @@ from statedev.dynamics import (
     classify_series,
     current_symbol,
     estimate_state,
+    _states,
     fold_states,
     parallel_profile,
 )
@@ -160,14 +161,14 @@ def test_profile_identical_series_give_identical_rows():
     b = ParameterSeries("b", (0, 1, 2), (1.0, 2.0, 3.0))
     profile = parallel_profile([a, b], (0, 2))
     assert profile.rows["a"] == profile.rows["b"]
-    assert all(s.kind is DynamicsKind.GROWTH for s in profile.rows["a"][1:])
+    assert all(s.kind is DynamicsKind.GROWTH for s in _states(profile.rows["a"])[1:])
 
 
 def test_profile_opposite_series():
     a = ParameterSeries("a", (0, 1, 2), (1.0, 2.0, 3.0))
     b = ParameterSeries("b", (0, 1, 2), (3.0, 2.0, 1.0))
     profile = parallel_profile([a, b], (0, 2))
-    for ka, kb in zip(profile.rows["a"][1:], profile.rows["b"][1:]):
+    for ka, kb in zip(_states(profile.rows["a"])[1:], _states(profile.rows["b"])[1:]):
         assert ka.kind is DynamicsKind.GROWTH
         assert kb.kind is DynamicsKind.DECLINE
 
@@ -175,7 +176,8 @@ def test_profile_opposite_series():
 def test_profile_marks_ticks_before_series_start_unknown():
     late = ParameterSeries("p", tuple(range(5, 10)), (1.0, 2.0, 3.0, 4.0, 5.0))
     profile = parallel_profile([late], (0, 9))
-    row = profile.rows["p"]
+    assert profile.rows["p"] == ((DynamicsKind.UNKNOWN, 0, 6), (DynamicsKind.GROWTH, 1, 4))
+    row = _states(profile.rows["p"])
     assert all(s.kind is DynamicsKind.UNKNOWN for s in row[:5])
     assert row[6].kind is DynamicsKind.GROWTH
 
@@ -220,6 +222,30 @@ def _random_series(rng, name):
     return ParameterSeries(name, tuple(ticks), _random_values(rng, n))
 
 
+def _long_values(rng, n):
+    """n values in monotone runs and plateaus of up to 300 ticks each; a
+    step of 0.25 reads as a plateau at epsilon 0.5."""
+    values, x = [], 0.0
+    while len(values) < n:
+        step = rng.choice((1.0, -1.0, 2.0, 0.0, 0.25, -0.25))
+        for _ in range(rng.randint(1, 300)):
+            x += step
+            values.append(x)
+    return tuple(values[:n])
+
+
+def _long_series(rng, name, ticks):
+    values = _long_values(rng, len(ticks))
+    if rng.random() < 0.3:  # ordinal, one level per distinct value in value order
+        order = [f"L{v}" for v in sorted(set(values))]
+        return ParameterSeries.from_ordinal(name, ticks, [f"L{v}" for v in values], order)
+    return ParameterSeries(name, tuple(ticks), values)
+
+
+def _longest_run(profile):
+    return max(n for runs in profile.rows.values() for _, _, n in runs)
+
+
 def test_classify_and_profile_equal_the_two_fold_reference():
     # Errors first: a negative epsilon, values that do not compare or subtract.
     for values, epsilon in [((1.0, 2.0), -1.0), ((1.0,), -1.0), ((1.0, "a", 2.0), 0.0),
@@ -238,6 +264,25 @@ def test_classify_and_profile_equal_the_two_fold_reference():
         interval = (a, a + rng.randint(0, 60))
         got = _outcome(parallel_profile, series_set, interval, epsilon)
         assert got == _outcome(reference_parallel_profile, series_set, interval, epsilon)
+    # Long runs, on the grid's ticks or gapped, and intervals past either end.
+    longest = 0
+    for _ in range(40):
+        epsilon = rng.choice((0.0, 0.5))
+        series_set = []
+        for name in ("a", "b", "c")[:rng.randint(1, 3)]:
+            n, start = rng.randint(2, 600), rng.randint(-5, 5)
+            gapped = rng.random() < 0.5
+            ticks = sorted(rng.sample(range(start, start + n + 60), n)) if gapped else range(start, start + n)
+            series_set.append(_long_series(rng, name, list(ticks)))
+        for s in series_set:
+            assert classify_series(s, epsilon) == reference_classify_series(s, epsilon)
+        a = rng.randint(-10, 20)
+        interval = (a, a + rng.randint(0, 700))
+        got = _outcome(parallel_profile, series_set, interval, epsilon)
+        assert got == _outcome(reference_parallel_profile, series_set, interval, epsilon)
+        if not isinstance(got, tuple):
+            longest = max(longest, _longest_run(got))
+    assert longest >= 200
 
 
 def test_a_series_on_the_grid_passes_its_fold_through():
@@ -254,8 +299,24 @@ def test_a_series_on_the_grid_passes_its_fold_through():
         epsilon = rng.choice((0.0, 0.5))
         got = _outcome(parallel_profile, [s], (a, b), epsilon)
         assert got == _outcome(reference_parallel_profile, [s], (a, b), epsilon), (s, a, b)
+    longest = 0
+    for _ in range(40):
+        n, start = rng.randint(2, 600), rng.randint(-5, 10)
+        ticks = list(range(start, start + n + 1))
+        del ticks[rng.randrange(1, n) if rng.random() < 0.3 else n]
+        s = _long_series(rng, "p", ticks)
+        a = rng.choice((start, start, start - rng.randint(1, 5), start + rng.randint(0, n)))
+        b = rng.choice((ticks[-1], ticks[-1], a + rng.randint(0, 700)))
+        epsilon = rng.choice((0.0, 0.5))
+        got = _outcome(parallel_profile, [s], (a, b), epsilon)
+        assert got == _outcome(reference_parallel_profile, [s], (a, b), epsilon), (s, a, b)
+        if not isinstance(got, tuple):
+            longest = max(longest, _longest_run(got))
+    assert longest >= 200
     exact = ParameterSeries("p", (3, 4, 5), (1.0, 2.0, 1.0))
-    assert parallel_profile([exact], (3, 5)).rows["p"] == fold_states(exact.values)
+    runs = ((DynamicsKind.UNKNOWN, 0, 1), (DynamicsKind.GROWTH, 1, 1), (DynamicsKind.TURN_MAX, 1, 1))
+    assert parallel_profile([exact], (3, 5)).rows["p"] == runs
+    assert tuple(_states(runs)) == fold_states(exact.values)
 
 
 def test_cycle_search_equals_the_direct_search():

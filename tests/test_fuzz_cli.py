@@ -206,3 +206,30 @@ def test_json_key_order_changes_no_report(tmp_path, fixture, commands):
         assert json.loads(shuffled) == json.loads(text)
         assert shuffled != json.dumps(json.loads(text))
         assert _outcomes(shuffled, COMMANDS[commands], tmp_path) == expected
+
+
+def _arcs_shuffled(model, rng):
+    """model with the dev_arcs and back_arcs of every diagram in a seeded random order."""
+    model = json.loads(json.dumps(model))
+    for diagram in model["canonical_diagrams"].values():
+        for key in ("dev_arcs", "back_arcs"):
+            rng.shuffle(diagram.get(key, []))
+    return model
+
+
+@pytest.mark.parametrize("fixture", ["basic.json", "flawed.json"])
+def test_arc_list_order_changes_no_report(tmp_path, fixture):
+    model = json.loads((FIXTURES / fixture).read_text())
+    requests = json.loads((FIXTURES / "basic.json").read_text())["composition_requests"]
+    commands = [["validate", "{model}", "--samples", "50"],
+                *(["consist", "{model}", "--request", r] for r in requests)]
+    for diagram in model["canonical_diagrams"]:
+        for window in ([], ["--window", "1:3"]):
+            commands.append(["replay", "{model}", "--diagram", diagram, "--events", str(DEV3_EVENTS), *window])
+    expected = _outcomes(json.dumps(model), commands, tmp_path)
+    texts = {json.dumps(model)}
+    for seed in range(6):
+        text = json.dumps(_arcs_shuffled(model, random.Random(seed)))
+        texts.add(text)
+        assert _outcomes(text, commands, tmp_path) == expected, seed
+    assert len(texts) > 1

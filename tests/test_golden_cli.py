@@ -93,6 +93,8 @@ CASES = [
     {"name": "validate-flawed-scenario", "argv": ["validate", "fixtures/flawed_scenario.json"]},
     {"name": "simulate-error-horizon", "argv": ["simulate", _TWO_LEVEL, "--scenario", "coordinated",
                                                 "--horizon", "-1"]},
+    {"name": "profile-text", "argv": ["profile", _BASIC, "--series", "fixtures/x_series.csv",
+                                      "--interval", "0:4", "--format", "text"]},
 ]
 
 
