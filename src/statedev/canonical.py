@@ -208,6 +208,9 @@ def replay_script(
     read back from the events.
     """
     arcs = d.arc_position
+    # Ids of the script's arc objects found in the diagram, so each object
+    # is hashed once; the script keeps them alive, so no id is reused.
+    known: set[int] = set()
     assignment = dict(initial)
     events = []
     last_tick = None
@@ -215,8 +218,10 @@ def replay_script(
         if last_tick is not None and tick < last_tick:
             raise ScriptOrderError(f"script ticks go backwards at tick {tick}")
         last_tick = tick
-        if arc not in arcs:
-            raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
+        if id(arc) not in known:
+            if arc not in arcs:
+                raise UnknownArcError(f"arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
+            known.add(id(arc))
         if not 0 <= tick <= d.horizon:
             raise BeyondHorizonError(f"tick {tick} outside [0, {d.horizon}]")
         entry = assignment.get(obj)
@@ -266,15 +271,21 @@ def intensity_report(
     if t_lo > t_hi or t_lo < 0 or t_hi > d.horizon:
         raise WindowOutOfRangeError(f"window [{t_lo}, {t_hi}] outside [0, {d.horizon}]")
     position, where = d.position, d.arc_position
-    # tick -> (source position, destination position, arc position) per event
-    by_tick: dict[int, list[tuple[int, int, int]]] = {}
+    # id of an event's arc object -> (source position, destination position,
+    # arc position), resolved once per object; the history keeps them alive.
+    steps: dict[int, tuple[int, int, int]] = {}
+    by_tick: dict[int, list[tuple[int, int, int]]] = {}  # tick -> the steps of its events
     for ev in history:
         if not 0 <= ev.tick <= d.horizon:
             raise ValueError(f"event at tick {ev.tick} outside the diagram horizon")
-        i = where.get(ev.arc)
-        if i is None:
-            raise ValueError(f"event arc {ev.arc.src}->{ev.arc.dst} not in diagram {d.id!r}")
-        by_tick.setdefault(ev.tick, []).append((position[ev.arc.src], position[ev.arc.dst], i))
+        arc = ev.arc
+        step = steps.get(id(arc))
+        if step is None:
+            i = where.get(arc)
+            if i is None:
+                raise ValueError(f"event arc {arc.src}->{arc.dst} not in diagram {d.id!r}")
+            step = steps[id(arc)] = (position[arc.src], position[arc.dst], i)
+        by_tick.setdefault(ev.tick, []).append(step)
 
     counts = [0] * len(d.states)
     for state, _ in initial.values():

@@ -52,8 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", "check a model file end to end")
     p.add_argument("model")
-    p.add_argument("--samples", type=_at_least(1, int), default=1000, help="sampling checks per scale")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampling checks")
+    p.add_argument("--samples", type=_at_least(1, int), default=1000,
+                   help="samples per scale or refinement that cells do not decide "
+                   f"(a chain of two parameters, or over {statespace.CELL_CAP} cells)")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
 
     p = add("classify", "classify one object through a classificator")
     p.add_argument("model")
@@ -149,6 +151,9 @@ def _cmd_validate(args) -> tuple[dict, int]:
     violations: list[str] = []
     warnings: list[str] = []
     spec = statespace.SampleSpec(samples=args.samples, seed=args.seed)
+    # A refinement's child needs to cover only its parent's region, which
+    # the classificator check does.
+    children = {child.id for cl in model.classificators.values() for child in cl.refinements.values()}
     for sid, scale in sorted(model.scales.items()):
         try:
             report = statespace.validate_scale_disjointness(scale, spec, model.parameters)
@@ -157,14 +162,21 @@ def _cmd_validate(args) -> tuple[dict, int]:
             continue
         violations += _first_five(f"scale {sid!r}", report.overlaps, "overlaps",
                                   lambda at, positions: f"predicates {list(positions)} overlap at {at}")
+        if sid not in children:
+            warnings += _first_five(f"scale {sid!r}", [(at,) for at in report.gaps], "gaps",
+                                    lambda at: f"no predicate holds at {at}")
     for cid, cl in sorted(model.classificators.items()):
         report = statespace.validate_classificator(cl, spec, model.parameters)
         warnings += (f"classificator {cid!r}: refinement not sampled ({exc})" for exc in report.unsampled)
         violations += _first_five(
             f"classificator {cid!r}", report.violations, "escapes",
             lambda sid, pos, j, at: f"child predicate {j} of ({sid!r}, {pos}) escapes its parent at {at}")
+        warnings += _first_five(
+            f"classificator {cid!r}", report.gaps, "gaps",
+            lambda sid, pos, at: f"no child predicate of ({sid!r}, {pos}) holds at {at}")
     for did, entry in sorted(model.canonical.items()):
-        report = canonical.validate_canonical(entry.diagram)
+        d = entry.diagram
+        report = canonical.validate_canonical(d)
         for arc in report.order_violations:
             violations.append(f"diagram {did!r}: arc {_arc_key(arc)} breaks the order discipline")
         for arc in report.delta_violations:
@@ -173,6 +185,18 @@ def _cmd_validate(args) -> tuple[dict, int]:
             violations.append(f"diagram {did!r}: state {state!r} unreachable on development arcs")
         if not report.final_reachable:
             violations.append(f"diagram {did!r}: final state unreachable on development arcs")
+        if d.scale_id is not None:
+            # The diagram's states are states of its scale, in scale order.
+            place = {state.id: state.scale_position for state in model.scales[d.scale_id].states}
+            top = None  # the state with the highest scale position so far
+            for state in d.states:
+                if state not in place:
+                    violations.append(f"diagram {did!r}: state {state!r} is not a state of scale {d.scale_id!r}")
+                elif top is not None and place[state] < place[top]:
+                    violations.append(
+                        f"diagram {did!r}: state {state!r} follows {top!r}, which comes later in scale {d.scale_id!r}")
+                else:
+                    top = state
     for sid, sc in sorted(model.scenarios.items()):
         report = scenario.validate_scenario(sc)
         violations.extend(f"scenario {sid!r}: {v}" for v in report.violations)

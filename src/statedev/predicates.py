@@ -221,18 +221,19 @@ def parse(text: str) -> Node:
 def referenced_names(node: Node) -> frozenset[str]:
     """All identifiers appearing in the expression (parameters or bare levels)."""
     return frozenset(
-        op.ident for comp in _comparisons(node) for op in comp.operands if isinstance(op, Name)
+        op.ident for comp in comparisons(node) for op in comp.operands if isinstance(op, Name)
     )
 
 
-def _comparisons(node: Node):
+def comparisons(node: Node):
+    """Every comparison chain of the expression, in source order."""
     if isinstance(node, Comparison):
         yield node
     elif isinstance(node, Not):
-        yield from _comparisons(node.item)
+        yield from comparisons(node.item)
     else:
         for item in node.items:
-            yield from _comparisons(item)
+            yield from comparisons(item)
 
 
 # Compiled evaluation. Each operand of a chain resolves to a (domain, key)
@@ -278,7 +279,7 @@ def required_names(node: Node, orders: Mapping[str, Sequence] | None = None) -> 
     that each of their chains reads as a level of a declared order."""
     ranks = _rank_maps(orders)
     out: set[str] = set()
-    for comp in _comparisons(node):
+    for comp in comparisons(node):
         literals = _chain_literals(comp, ranks)
         out.update(op.ident for op in comp.operands if isinstance(op, Name) and op.ident not in literals)
     return frozenset(out)

@@ -7,13 +7,18 @@ Classificators refine single states with child scales, giving
 multi-level classification paths. Rule matrices map a vector of
 per-parameter dynamics symbols onto classification classes.
 
-Disjointness of predicates and the child-implies-parent property of
-refinements are undecidable for the open predicate grammar, so both are
-checked by seeded sampling over declared parameter ranges.
+The soundness checks (no overlap, no gap, no child escaping its parent)
+evaluate each predicate at one point per cell of the declared parameter
+domains. The grammar is closed, so a comparison chain that reads one
+parameter is constant between the numbers it holds: the cells decide all
+three checks exactly. A chain that reads two parameters, or more than
+CELL_CAP cells, falls back to seeded sampling, which can miss a fault.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -263,8 +268,9 @@ def classify_hierarchical(
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """How many assignments the statistical soundness checks sample, and
-    the seed; each parameter's domain comes from its declaration."""
+    """How many assignments a soundness check samples where cells do not
+    decide it, and the seed; each parameter's domain comes from its
+    declaration."""
 
     samples: int = 1000
     seed: int = 0
@@ -272,6 +278,18 @@ class SampleSpec:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+
+
+def _domains(names: Sequence[str], parameters: Parameters | None) -> list[ParameterDecl]:
+    """Each name's declaration; a name without a sampling range raises."""
+    decls = [(parameters or {}).get(name) for name in names]
+    unresolved = [
+        name for name, decl in zip(names, decls)
+        if decl is None or (decl.levels is None and decl.bounds is None)
+    ]
+    if unresolved:
+        raise MissingParameterRangeError(unresolved)
+    return decls
 
 
 def sample_assignments(
@@ -282,13 +300,7 @@ def sample_assignments(
     no names give one empty assignment. A name without a sampling range
     raises here, not at the first draw."""
     names = sorted(names)
-    decls = [(parameters or {}).get(name) for name in names]
-    unresolved = [
-        name for name, decl in zip(names, decls)
-        if decl is None or (decl.levels is None and decl.bounds is None)
-    ]
-    if unresolved:
-        raise MissingParameterRangeError(unresolved)
+    decls = _domains(names, parameters)
     rng = random.Random(spec.seed)
     draws = [
         (name, partial(rng.choice, decl.levels) if decl.levels is not None
@@ -309,11 +321,61 @@ def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[st
     return sorted(names)
 
 
+# The most points one check evaluates cell by cell; a larger product of
+# cells is sampled instead.
+CELL_CAP = 4096
+
+
+def _cell_values(predicates, names: Sequence[str], decls) -> list | None:
+    """Per name, one value in each cell of its domain, or None where cells
+    do not decide: a chain reads two of the names, or the product of the
+    cells exceeds CELL_CAP.
+
+    A chain that reads one name is constant between the numbers it holds.
+    A numeric's values are therefore its bounds, each number of its chains
+    strictly inside them, and the midpoint of each pair of neighbours; an
+    ordinal's are its levels."""
+    cuts: dict[str, set] = {name: set() for name in names}
+    for p in predicates:
+        for comp in pred.comparisons(p.ast):
+            read = {op.ident for op in comp.operands if isinstance(op, pred.Name) and op.ident in cuts}
+            if len(read) > 1:
+                return None
+            for name in read:
+                cuts[name].update(op.value for op in comp.operands if isinstance(op, pred.Number))
+    values = []
+    for name, decl in zip(names, decls):
+        if decl.levels is not None:
+            values.append(decl.levels)
+            continue
+        lo, hi = decl.bounds
+        edges = sorted({lo, hi, *(c for c in cuts[name] if lo < c < hi)})
+        # Halved before the sum, which then cannot overflow; between two
+        # neighbouring floats the midpoint is one of them, and the set drops it.
+        values.append(sorted({*edges, *(a / 2 + b / 2 for a, b in zip(edges, edges[1:]))}))
+    if math.prod(map(len, values)) > CELL_CAP:
+        return None
+    return values
+
+
+def _check_points(predicates, spec: SampleSpec, parameters: Parameters | None, orders):
+    """The assignments a check evaluates over the names the predicates read:
+    one per cell, or the spec's samples where cells do not decide. A name
+    without a sampling range raises here."""
+    names = _sampled_names(predicates, parameters, orders)
+    decls = _domains(names, parameters)
+    values = _cell_values(predicates, names, decls)
+    if values is None:
+        return sample_assignments(spec, names, parameters)
+    return (dict(zip(names, point)) for point in itertools.product(*values))
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     scale_id: str
-    samples: int
+    samples: int  # points evaluated
     overlaps: tuple  # (assignment, 1-based predicate positions) pairs
+    gaps: tuple = ()  # assignments where no predicate holds
 
     @property
     def passed(self) -> bool:
@@ -325,27 +387,32 @@ def validate_scale_disjointness(
     spec: SampleSpec,
     parameters: Parameters | None = None,
 ) -> DisjointnessReport:
-    """Sample the parameter space and report every point where two or
-    more predicates hold at once. Statistical, not a proof."""
+    """Report every point where two or more predicates hold at once, and
+    every point where none holds. The points are one per cell, which
+    decides both exactly; where cells do not decide, they are the spec's
+    samples, and the check is statistical, not a proof."""
     orders = _orders(parameters)
     tests = tuple(enumerate(scale.compiled(orders), start=1))
-    names = _sampled_names(scale.predicates, parameters, orders)
     count = 0
     overlaps = []
-    for assignment in sample_assignments(spec, names, parameters):
+    gaps = []
+    for assignment in _check_points(scale.predicates, spec, parameters, orders):
         count += 1
         hits = [position for position, holds in tests if holds(assignment)]
         if len(hits) > 1:
             overlaps.append((assignment, tuple(hits)))
-    return DisjointnessReport(scale_id=scale.id, samples=count, overlaps=tuple(overlaps))
+        elif not hits:
+            gaps.append(assignment)
+    return DisjointnessReport(scale.id, count, tuple(overlaps), tuple(gaps))
 
 
 @dataclass(frozen=True)
 class RefinementReport:
     classificator_id: str
-    samples: int
+    samples: int  # points evaluated
     violations: tuple  # (scale id, position, child predicate position, assignment)
-    unsampled: tuple = ()  # a MissingParameterRangeError per refinement not sampled
+    unsampled: tuple = ()  # a MissingParameterRangeError per refinement not checked
+    gaps: tuple = ()  # (scale id, position, assignment): the parent holds, no child predicate does
 
     @property
     def passed(self) -> bool:
@@ -357,31 +424,35 @@ def validate_classificator(
     spec: SampleSpec,
     parameters: Parameters | None = None,
 ) -> RefinementReport:
-    """Sampling check of the refinement property: every point accepted
-    by a child predicate must satisfy the parent predicate it refines.
-    Each refinement is sampled on its own; one that reads a name without
-    a sampling range is listed in `unsampled` and the others are checked."""
+    """Check of the refinement property: every point accepted by a child
+    predicate must satisfy the parent predicate it refines, and every
+    point of the parent must be accepted by some child predicate. Each
+    refinement is checked on its own points, as in
+    validate_scale_disjointness; one that reads a name without a sampling
+    range is listed in `unsampled` and the others are checked."""
     orders = _orders(parameters)
     total = 0
     violations = []
     unsampled = []
+    gaps = []
     for (sid, pos), child in sorted(classificator.refinements.items()):
         parent_pred = classificator.scales[sid].predicates[pos - 1]
         parent_holds = parent_pred.compiled(orders)
         tests = child.compiled(orders)
-        names = _sampled_names((parent_pred, *child.predicates), parameters, orders)
         try:
-            assignments = sample_assignments(spec, names, parameters)
+            assignments = _check_points((parent_pred, *child.predicates), spec, parameters, orders)
         except MissingParameterRangeError as exc:
             unsampled.append(exc)
             continue
         for assignment in assignments:
             total += 1
             parent_ok = parent_holds(assignment)
-            for j, holds in enumerate(tests):
-                if holds(assignment) and not parent_ok:
-                    violations.append((sid, pos, j + 1, assignment))
-    return RefinementReport(classificator.id, total, tuple(violations), tuple(unsampled))
+            held = [j for j, holds in enumerate(tests, start=1) if holds(assignment)]
+            if not parent_ok:
+                violations.extend((sid, pos, j, assignment) for j in held)
+            elif not held:
+                gaps.append((sid, pos, assignment))
+    return RefinementReport(classificator.id, total, tuple(violations), tuple(unsampled), tuple(gaps))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ two clock vectors for one states and prefix.
 column-wise `cli._read_series_csv` must agree with, and
 `reference_sample_assignments` the sampler that tests each declaration's
 kind per name per sample, which `statespace.sample_assignments` must draw
-exactly as.
+exactly as. `reference_validate_scale_disjointness` and
+`reference_validate_classificator` are the soundness checks on sampled
+points; every fault they sample must lie in a cell, as
+`reference_cell_key` names it, where the checks on cells find it.
 `reference_serialize_trajectory` and `reference_write_events_csv` write a
 run as the whole JSON object and as `csv.writer` rows, which the template
 writers must match byte for byte; `reference_read_events` and
@@ -40,6 +43,7 @@ records and the same issues.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import random
@@ -72,7 +76,7 @@ from statedev.dynamics import (
     _direction,
 )
 from statedev.errors import IncomparableValuesError, MissingParameterError, StatedevError
-from statedev.predicates import And, Comparison, Node, Not, Number, Text
+from statedev.predicates import And, Comparison, Name, Node, Not, Number, Text
 from statedev.reports import canonical_json
 from statedev.scenario import (
     EVENT_KINDS,
@@ -87,7 +91,17 @@ from statedev.scenario import (
     Trajectory,
     initial_configuration,
 )
-from statedev.statespace import MissingParameterRangeError, Parameters, SampleSpec
+from statedev.statespace import (
+    Classificator,
+    DisjointnessReport,
+    MissingParameterRangeError,
+    Parameters,
+    RefinementReport,
+    SampleSpec,
+    Scale,
+    _orders,
+    _sampled_names,
+)
 
 
 class SpaceBoundExceededError(StatedevError):
@@ -878,6 +892,95 @@ def reference_sample_assignments(
             name: rng.choice(decl.levels) if decl.levels is not None else rng.uniform(*decl.bounds)
             for name, decl in zip(names, decls)
         }
+
+
+def reference_validate_scale_disjointness(
+    scale: Scale, spec: SampleSpec, parameters: Parameters | None = None
+) -> DisjointnessReport:
+    """The sampled disjointness check: every sampled point where two or
+    more predicates hold, and every one where none holds."""
+    orders = _orders(parameters)
+    names = _sampled_names(scale.predicates, parameters, orders)
+    count = 0
+    overlaps, gaps = [], []
+    for assignment in reference_sample_assignments(spec, names, parameters):
+        count += 1
+        hits = [i for i, p in enumerate(scale.predicates, start=1) if p.holds(assignment, orders)]
+        if len(hits) > 1:
+            overlaps.append((assignment, tuple(hits)))
+        elif not hits:
+            gaps.append(assignment)
+    return DisjointnessReport(scale.id, count, tuple(overlaps), tuple(gaps))
+
+
+def reference_validate_classificator(
+    classificator: Classificator, spec: SampleSpec, parameters: Parameters | None = None
+) -> RefinementReport:
+    """The sampled refinement check: per refinement, every sampled point
+    where a child predicate holds and its parent does not, and every one
+    where the parent holds and no child predicate does."""
+    orders = _orders(parameters)
+    total = 0
+    violations, unsampled, gaps = [], [], []
+    for (sid, pos), child in sorted(classificator.refinements.items()):
+        parent = classificator.scales[sid].predicates[pos - 1]
+        names = _sampled_names((parent, *child.predicates), parameters, orders)
+        try:
+            assignments = list(reference_sample_assignments(spec, names, parameters))
+        except MissingParameterRangeError as exc:
+            unsampled.append(exc)
+            continue
+        for assignment in assignments:
+            total += 1
+            parent_ok = parent.holds(assignment, orders)
+            held = [j for j, p in enumerate(child.predicates, start=1) if p.holds(assignment, orders)]
+            if not parent_ok:
+                violations.extend((sid, pos, j, assignment) for j in held)
+            elif not held:
+                gaps.append((sid, pos, assignment))
+    return RefinementReport(classificator.id, total, tuple(violations), tuple(unsampled), tuple(gaps))
+
+
+def _chains(node: Node):
+    if isinstance(node, Comparison):
+        yield node
+    elif isinstance(node, Not):
+        yield from _chains(node.item)
+    else:
+        for item in node.items:
+            yield from _chains(item)
+
+
+def reference_cell_key(predicates, parameters: Parameters):
+    """The cell of an assignment, as a function of the assignment, for
+    predicates whose chains each read one name: per name in sorted order,
+    the ordinal's level, or for a numeric ("at", c) on a bound or a number
+    of its chains and ("in", a, b) strictly between two neighbouring ones."""
+    edges = {}
+    for name, decl in parameters.items():
+        if decl.bounds is None:
+            continue
+        lo, hi = decl.bounds
+        found = {lo, hi}
+        for p in predicates:
+            for comp in _chains(p.ast):
+                if any(isinstance(op, Name) and op.ident == name for op in comp.operands):
+                    found.update(op.value for op in comp.operands if isinstance(op, Number) and lo < op.value < hi)
+        edges[name] = sorted(found)
+
+    def key(assignment: Mapping) -> tuple:
+        out = []
+        for name in sorted(assignment):
+            value = assignment[name]
+            if parameters[name].levels is not None:
+                out.append(value)
+            elif value in edges[name]:
+                out.append(("at", value))
+            else:
+                i = bisect.bisect(edges[name], value)
+                out.append(("in", edges[name][i - 1], edges[name][i]))
+        return tuple(out)
+    return key
 
 
 def reference_trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores=None) -> dict:

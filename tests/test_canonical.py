@@ -321,6 +321,47 @@ def test_replay_is_linear_in_the_script_length():
     assert elapsed < 0.5
 
 
+def test_replay_and_intensity_hash_each_arc_object_once(monkeypatch):
+    # The event CSV resolves every row to one of the diagram's arc objects;
+    # an equal copy is a second object, and resolves to the same place.
+    d = chain(4, horizon=60, back=True)
+    rng = random.Random(11)
+    objects = [f"o{i}" for i in range(6)]
+    initial = {obj: ("s1", 0) for obj in objects}
+    where = dict(initial)
+    copies = {a: arc(a.src, a.dst, a.delta, a.kind) for a in d.arcs}
+    script = []
+    for tick in range(1, d.horizon + 1):
+        obj = rng.choice(objects)
+        state, entered = where[obj]
+        options = [a for a in d.out_arcs[state] if entered + a.delta <= tick]
+        if options:
+            a = rng.choice(options)
+            script.append((obj, copies[a] if rng.random() < 0.3 else a, tick))
+            where[obj] = (a.dst, tick)
+    assert len(script) > 40 and d.arc_position  # the diagram's index is built before counting
+    hashed: dict[int, int] = {}
+    unhashed = Arc.__hash__
+
+    def counted(self):
+        hashed[id(self)] = hashed.get(id(self), 0) + 1
+        return unhashed(self)
+
+    monkeypatch.setattr(Arc, "__hash__", counted)
+    final, events = replay_script(d, initial, script)
+    assert max(hashed.values()) == 1 and len(hashed) <= 2 * len(d.arcs)
+    hashed.clear()
+    report = intensity_report(events, d, (0, d.horizon), initial)
+    # Each object once, and the diagram's arcs again as the keys of the report.
+    assert sum(hashed.values()) <= len(hashed) + len(d.arcs) and len(hashed) <= 2 * len(d.arcs)
+    monkeypatch.undo()
+    assert final == where
+    originals = [(obj, d.arcs[d.arc_position[a]], tick) for obj, a, tick in script]
+    assert replay_script(d, initial, originals) == (final, events)
+    want = reference_intensity_report(events, d, (0, d.horizon), initial)
+    assert _intensity_outcome(lambda *case: report) == _intensity_outcome(lambda *case: want)
+
+
 def _random_intensity_case(rng):
     """A diagram without repeated arcs, a history of its events that may be
     out of order, off the horizon or carry a foreign arc, an initial

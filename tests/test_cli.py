@@ -18,10 +18,12 @@ from statedev.errors import StatedevError
 from statedev.modelfile import parse_model
 from statedev.reports import Report, canonical_json, emit_report
 from tests.conftest import BASIC, DEV3_EVENTS, TWO_LEVEL, X_SERIES
-from tests.oracles import reference_profile_rows, reference_read_series_csv
+from statedev.statespace import SampleSpec
+from tests.oracles import reference_profile_rows, reference_read_series_csv, reference_sample_assignments
 
 BASIC_S = str(BASIC)
 TWO_LEVEL_S = str(TWO_LEVEL)
+UNSOUND_S = str(BASIC.parent / "unsound.json")
 
 
 def run(capsys, *argv):
@@ -71,9 +73,59 @@ def test_validate_checks_the_other_refinements_of_an_unsampled_one(tmp_path, cap
     code, after, _ = run_json(capsys, "validate", str(path))
     assert code == 1
     assert after["body"]["violations"] == before["body"]["violations"]
-    assert any("sparse': 666 further escapes" in line for line in after["body"]["violations"])
+    # One line per escaping cell of x in [-10, 20] cut at 0 and 10.
+    assert [line for line in after["body"]["violations"] if "'sparse'" in line] == [
+        f"classificator 'sparse': child predicate {j} of ('gap', 1) escapes its parent at {{'x': {x}}}"
+        for j, x in ((1, 0.0), (1, 5.0), (2, 10.0), (2, 15.0), (2, 20.0))
+    ]
     assert after["body"]["warnings"] == before["body"]["warnings"] + [
         "classificator 'sparse': refinement not sampled (no sampling range for parameter(s): y)"
+    ]
+    # A child that compares x with a second bounded name is sampled: every
+    # sample with x >= 0 escapes the parent x < 0 once.
+    model["parameters"]["z"] = {"kind": "numeric", "bounds": [0, 20]}
+    model["scales"]["wide"]["states"] = [{"id": "under", "predicate": "x < z"}, {"id": "over", "predicate": "x >= z"}]
+    path.write_text(json.dumps(model))
+    code, sampled, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    draws = reference_sample_assignments(SampleSpec(samples=1000, seed=0), ["x", "z"], parse_model(path).parameters)
+    escapes = sum(draw["x"] >= 0 for draw in draws)
+    assert f"classificator 'sparse': {escapes - 5} further escapes" in sampled["body"]["violations"]
+
+
+def test_validate_flags_the_points_where_classify_fails(capsys):
+    # unsound.json: `touching` overlaps at 5, `holey` has no state on [4, 6].
+    code, report, _ = run_json(capsys, "validate", UNSOUND_S)
+    assert code == 1
+    assert report["body"]["violations"][0] == "scale 'touching': predicates [1, 2] overlap at {'x': 5.0}"
+    assert report["body"]["warnings"] == [f"scale 'holey': no predicate holds at {{'x': {x}}}" for x in (4.0, 5.0, 6.0)]
+    for cid, x, outcome in (
+        ("by_touching", 5, "multiple-match in scale 'touching' at positions [1, 2]"),
+        ("by_touching", 4.5, "classified"),
+        *(("by_holey", x, "no-match in scale 'holey'") for x in (4, 5.5, 6)),
+        ("by_holey", 6.5, "classified"),
+    ):
+        report = run_json(capsys, "classify", UNSOUND_S, "--object", f"x={x}", "--classificator", cid)[1]
+        assert report["body"]["outcome"] == outcome, (cid, x)
+
+
+@pytest.mark.parametrize("states, lines", [
+    (["lo", "hi"], []),
+    (["hi"], []),
+    (["hi", "lo"], ["state 'lo' follows 'hi', which comes later in scale 'split'"]),
+    (["lo", "zz", "hi"], ["state 'zz' is not a state of scale 'split'"]),
+    (["zz", "hi", "lo", "yy"], ["state 'zz' is not a state of scale 'split'",
+                                "state 'lo' follows 'hi', which comes later in scale 'split'",
+                                "state 'yy' is not a state of scale 'split'"]),
+])
+def test_validate_requires_a_diagram_to_follow_its_scale(tmp_path, capsys, states, lines):
+    model = json.loads(Path(UNSOUND_S).read_text())
+    model["canonical_diagrams"]["reversed"].update(states=states, initial=states[0], final=states[-1], dev_arcs=[])
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(model))
+    violations = run_json(capsys, "validate", str(path))[1]["body"]["violations"]
+    assert [v for v in violations if v.endswith("scale 'split'")] == [
+        f"diagram 'reversed': {line}" for line in lines
     ]
 
 
@@ -466,6 +518,8 @@ def test_validation_seed_flag_changes_samples_but_not_verdict(capsys):
     assert pa["provenance"]["seed"] == 1
     assert pb["provenance"]["seed"] == 2
     assert pa["body"]["passed"] and pb["body"]["passed"]
+    # Every check of basic.json is decided on cells, which no seed moves.
+    assert pa["body"] == pb["body"]
 
 
 def test_round_trip_serialized_model_validates_identically(tmp_path, capsys):

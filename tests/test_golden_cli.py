@@ -29,6 +29,7 @@ TMP = "{tmp}"
 _BASIC = "fixtures/basic.json"
 _TWO_LEVEL = "fixtures/two_level.json"
 _FLAWED = "fixtures/flawed.json"
+_UNSOUND = "fixtures/unsound.json"
 
 
 def _simulate(name, *extra, scenario=None):
@@ -95,6 +96,9 @@ CASES = [
                                                 "--horizon", "-1"]},
     {"name": "profile-text", "argv": ["profile", _BASIC, "--series", "fixtures/x_series.csv",
                                       "--interval", "0:4", "--format", "text"]},
+    # A boundary overlap, a gap and a diagram out of its scale's order.
+    {"name": "validate-unsound", "argv": ["validate", _UNSOUND]},
+    {"name": "validate-unsound-text", "argv": ["validate", _UNSOUND, "--format", "text"]},
 ]
 
 

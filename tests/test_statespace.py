@@ -2,20 +2,23 @@
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from statedev.errors import MissingParameterError
+from statedev.errors import IncomparableValuesError, MissingParameterError, StatedevError
 from statedev.modelfile import parse_model
 from statedev.statespace import (
+    CELL_CAP,
     Classificator,
     MissingParameterRangeError,
     MultipleMatchError,
     NoMatchError,
     ParameterDecl,
     Predicate,
+    RefinementReport,
     RuleMatrix,
     SampleSpec,
     Scale,
@@ -28,7 +31,12 @@ from statedev.statespace import (
     validate_scale_disjointness,
 )
 from tests.conftest import BASIC
-from tests.oracles import reference_sample_assignments
+from tests.oracles import (
+    reference_cell_key,
+    reference_sample_assignments,
+    reference_validate_classificator,
+    reference_validate_scale_disjointness,
+)
 
 
 def scale(sid, *exprs, ids=None):
@@ -105,8 +113,13 @@ def test_refinement_position_must_exist():
 def test_disjointness_pass_on_partition():
     spec = SampleSpec(samples=10_000, seed=7)
     report = validate_scale_disjointness(X3, spec, bounds(x=(-20.0, 20.0)))
-    assert report.passed
-    assert report.samples == 10_000
+    assert report.passed and not report.gaps
+    # One point per cell: -20, -10, 0, 5, 10, 15, 20.
+    assert report.samples == 7
+    # A chain that reads two names is sampled.
+    sampled = validate_scale_disjointness(scale("xy", "x < y", "x >= y"), spec, bounds(x=(-20.0, 20.0), y=(-20.0, 20.0)))
+    assert sampled.passed and not sampled.gaps
+    assert sampled.samples == 10_000
 
 
 def test_disjointness_finds_overlap_point():
@@ -147,9 +160,16 @@ def test_disjointness_requires_ranges():
 
 
 def test_disjointness_samples_an_ordinal_scale(basic_model):
-    # phase3 compares the declared ordinal `phase` with bare level names.
+    # phase3 compares the declared ordinal `phase` with bare level names:
+    # one point per level.
     report = validate_scale_disjointness(basic_model.scales["phase3"], SampleSpec(samples=50), basic_model.parameters)
-    assert report.passed
+    assert report.passed and not report.gaps
+    assert report.samples == 3
+    # Two ordinals of one level order compared with each other are sampled.
+    levels = basic_model.parameters["phase"].levels
+    both = {name: ParameterDecl(name, "ordinal", levels=levels) for name in ("phase", "stage")}
+    report = validate_scale_disjointness(scale("ps", "phase < stage", "phase >= stage"), SampleSpec(samples=50), both)
+    assert report.passed and not report.gaps
     assert report.samples == 50
 
 
@@ -158,7 +178,10 @@ def test_only_declared_parameters_are_sampled():
     # where it does not; z is declared nowhere.
     phase = {"phase": ParameterDecl("phase", "ordinal", levels=("Seed", "Sprout", "Plant"))}
     literal = scale("lit", "phase = Seed", "phase > Seed")
-    assert validate_scale_disjointness(literal, SampleSpec(samples=20), phase).samples == 20
+    assert validate_scale_disjointness(literal, SampleSpec(samples=20), phase).samples == 3
+    both = {**phase, "stage": ParameterDecl("stage", "ordinal", levels=("Seed", "Sprout", "Plant"))}
+    sampled = scale("lit2", "phase = Seed or phase < stage", "phase > Seed and phase >= stage")
+    assert validate_scale_disjointness(sampled, SampleSpec(samples=20), both).samples == 20
     for exprs, missing in ((("phase = Seed", "Seed < 3"), ("Seed",)), (("phase = Seed", "z < 1"), ("z",))):
         with pytest.raises(MissingParameterRangeError) as err:
             validate_scale_disjointness(scale("s", *exprs), SampleSpec(samples=5), phase)
@@ -191,9 +214,178 @@ def test_each_refinement_is_sampled_on_its_own():
     leaky = scale("leak", "x > -5", "x <= -5")
     c = Classificator(id="c", root=root, refinements={("sign", 1): on_y, ("sign", 2): leaky})
     report = validate_classificator(c, SampleSpec(samples=500, seed=3), bounds(x=(-4.0, 4.0)))
+    # Cells of x in [-4, 4] cut at 0 (-5 lies outside): -4, -2, 0, 2, 4.
+    assert report.samples == 5
+    assert report.violations == (("sign", 2, 1, {"x": -4.0}), ("sign", 2, 1, {"x": -2.0}))
+    assert [(type(exc), exc.names) for exc in report.unsampled] == [(MissingParameterRangeError, ("y",))]
+    # A leaky child that compares two names is sampled.
+    c = Classificator(id="c", root=root, refinements={
+        ("sign", 1): on_y, ("sign", 2): scale("leak2", "x > z", "x <= z")})
+    report = validate_classificator(c, SampleSpec(samples=500, seed=3), bounds(x=(-4.0, 4.0), z=(-4.0, 4.0)))
     assert report.samples == 500
     assert report.violations and {v[:2] for v in report.violations} == {("sign", 2)}
     assert [(type(exc), exc.names) for exc in report.unsampled] == [(MissingParameterRangeError, ("y",))]
+
+
+def test_cells_decide_boundary_overlaps_and_gaps():
+    # The overlap is the single point 5, which sampling misses; the gap is
+    # the cells 4, (4, 6) and 6.
+    x = bounds(x=(0.0, 10.0))
+    touch = validate_scale_disjointness(scale("t", "x <= 5", "x >= 5"), SampleSpec(), x)
+    assert (touch.overlaps, touch.gaps, touch.samples) == ((({"x": 5.0}, (1, 2)),), (), 5)
+    holey = validate_scale_disjointness(scale("h", "x < 4", "x > 6"), SampleSpec(), x)
+    assert (holey.overlaps, holey.gaps) == ((), ({"x": 4.0}, {"x": 5.0}, {"x": 6.0}))
+    # A child's gaps count only where its parent holds: on [0, 5), not at 6.
+    root = scale("r", "x < 5", "x >= 5")
+    child = scale("k", "x < 2", "2 < x < 6")
+    report = validate_classificator(Classificator(id="c", root=root, refinements={("r", 1): child}), SampleSpec(), x)
+    assert report.gaps == (("r", 1, {"x": 2.0}),)
+    assert report.violations == (("r", 1, 2, {"x": 5.0}), ("r", 1, 2, {"x": 5.5}))
+
+
+def test_cells_of_the_widest_bounds_stay_finite():
+    wide = bounds(x=(-1.7e308, 1.7e308))
+    report = validate_scale_disjointness(scale("s", "x < 0", "x > 0"), SampleSpec(), wide)
+    assert report.samples == 5
+    assert report.gaps == ({"x": 0.0},)
+
+
+def test_a_scale_over_the_cell_cap_is_sampled():
+    # On [0, 41] the cuts 1..40 leave 42 edges and 41 midpoints per name:
+    # 83 * 83 points for x and y.
+    big = scale("big", *(f"x = {k} or y = {k}" for k in range(1, 41)), "x < 0")
+    decls = bounds(x=(0.0, 41.0), y=(0.0, 41.0))
+    assert 83 * 83 > CELL_CAP
+    spec = SampleSpec(samples=300, seed=4)
+    report = validate_scale_disjointness(big, spec, decls)
+    assert report == reference_validate_scale_disjointness(big, spec, decls)
+    assert report.samples == 300
+    # On [0, 21] y keeps the cuts 1..20: 83 * 43 points, under the cap.
+    assert 83 * 43 <= CELL_CAP
+    assert validate_scale_disjointness(big, spec, bounds(x=(0.0, 41.0), y=(0.0, 21.0))).samples == 83 * 43
+
+
+_NUMBERS = ("-2", "0", "1", "2.5", "3", "5", "7.5", "10", "12")
+_LEVELS = ("a", "b", "'b'", "c")
+
+
+def _random_chain(rng, shape):
+    """A comparison chain that reads one of x, y, p; or, at a small rate,
+    two names, an undeclared name, or a number against a level."""
+    roll = rng.random()
+    if roll < 0.04:
+        shape.add("two names")
+        return f"x {rng.choice(('<', '<=', '>='))} y"
+    if roll < 0.06:
+        return rng.choice(("p < 3", "x = 'a'"))
+    if roll < 0.07:
+        return rng.choice(("z < 1", "w >= 0"))
+    name = rng.choice("xyp")
+    pool = _LEVELS if name == "p" else _NUMBERS
+    ops = ("<", "<=", "=", ">=", ">")
+    if rng.random() < 0.3:
+        lo, hi = sorted(rng.sample(range(len(pool)), 2))
+        return f"{pool[lo]} {rng.choice(('<', '<='))} {name} {rng.choice(('<', '<='))} {pool[hi]}"
+    if rng.random() < 0.5:
+        return f"{name} {rng.choice(ops)} {rng.choice(pool)}"
+    return f"{rng.choice(pool)} {rng.choice(ops)} {name}"
+
+
+def _random_predicate(rng, shape, depth=0):
+    roll = rng.random()
+    if depth >= 2 or roll < 0.5:
+        return _random_chain(rng, shape)
+    if roll < 0.6:
+        return f"not ({_random_predicate(rng, shape, depth + 1)})"
+    joined = rng.choice((" and ", " or "))
+    return "(" + joined.join(_random_predicate(rng, shape, depth + 1) for _ in range(2)) + ")"
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except StatedevError as exc:
+        return type(exc), str(exc)
+
+
+_SPACE = {
+    "x": ParameterDecl("x", bounds=(0.0, 10.0)),
+    "y": ParameterDecl("y", bounds=(-5.0, 5.0)),
+    "p": ParameterDecl("p", "ordinal", levels=("a", "b", "c")),
+    "w": ParameterDecl("w"),
+}
+
+
+def _compare_checks(want, got, shape, cells_of, seen):
+    """Every fault the samples find lies in a cell where the cells find it;
+    where cells do not decide, both checks are one sampling."""
+    if isinstance(want, tuple):
+        assert got == want
+        seen.add(want[0])
+    elif isinstance(got, tuple):
+        # A fault on cells that the samples missed.
+        assert got[0] is IncomparableValuesError
+        seen.add("raised on cells only")
+    elif "two names" in shape:
+        assert got == want
+        seen.add("sampled")
+    else:
+        assert got.samples <= CELL_CAP
+        for name, found, sampled in cells_of(want, got):
+            assert len(set(found)) == len(found), name  # one point per cell
+            assert set(sampled) <= set(found), name
+            seen.add(name if sampled else f"{name} on cells only" if found else "sound")
+
+
+def test_cells_find_every_sampled_fault_of_a_scale():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(700):
+        shape = set()
+        s = scale("s", *(_random_predicate(rng, shape) for _ in range(rng.randint(1, 4))))
+        spec = SampleSpec(samples=200, seed=rng.randrange(1000))
+        key = reference_cell_key(s.predicates, _SPACE)
+        cells_of = lambda want, got: (
+            ("overlaps", [(key(at), hits) for at, hits in got.overlaps], [(key(at), hits) for at, hits in want.overlaps]),
+            ("gaps", [key(at) for at in got.gaps], [key(at) for at in want.gaps]),
+        )
+        want = _outcome(reference_validate_scale_disjointness, s, spec, _SPACE)
+        got = _outcome(validate_scale_disjointness, s, spec, _SPACE)
+        _compare_checks(want, got, shape, cells_of, seen)
+    assert seen >= {
+        "overlaps", "gaps", "overlaps on cells only", "gaps on cells only", "sound", "sampled",
+        MissingParameterRangeError, IncomparableValuesError,
+    }
+
+
+def test_cells_find_every_sampled_fault_of_a_refinement():
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(400):
+        # One refinement, so that a chain of two names in its predicates
+        # makes the whole check sampled.
+        shapes = [set() for _ in range(rng.randint(1, 3))]
+        root = scale("r", *(_random_predicate(rng, shape) for shape in shapes))
+        pos = rng.randint(1, len(root.predicates))
+        shape = shapes[pos - 1]
+        refinements = {("r", pos): scale("k", *(_random_predicate(rng, shape) for _ in range(rng.randint(1, 3))))}
+        c = Classificator(id="c", root=root, refinements=refinements)
+        spec = SampleSpec(samples=200, seed=rng.randrange(1000))
+
+        key = reference_cell_key((root.predicates[pos - 1], *refinements["r", pos].predicates), _SPACE)
+        cells_of = lambda want, got: (
+            ("escapes", [(j, key(at)) for _, _, j, at in got.violations], [(j, key(at)) for _, _, j, at in want.violations]),
+            ("gaps", [key(at) for _, _, at in got.gaps], [key(at) for _, _, at in want.gaps]),
+        )
+        want, got = (
+            replace(r, unsampled=tuple((type(exc), str(exc)) for exc in r.unsampled)) if isinstance(r, RefinementReport) else r
+            for r in (_outcome(reference_validate_classificator, c, spec, _SPACE),
+                      _outcome(validate_classificator, c, spec, _SPACE))
+        )
+        if isinstance(want, RefinementReport) and isinstance(got, RefinementReport):
+            assert got.unsampled == want.unsampled
+        _compare_checks(want, got, shape, cells_of, seen)
+    assert seen >= {"escapes", "gaps", "escapes on cells only", "gaps on cells only", "sound", "sampled"}
 
 
 def test_a_missing_range_raises_at_the_call():
