@@ -27,7 +27,7 @@ from .canonical import Arc, ArcKind, CanonicalDiagram
 from .composition import PrescribedEntry, PrescribedSequence, TimedDiagramSet
 from .dynamics import ParameterSeries
 from .errors import StatedevError
-from .reports import canonical_json
+from .reports import Encoded, canonical_json
 from .scenario import (
     EVENT_KINDS,
     AfterEffectScheme,
@@ -675,9 +675,9 @@ def _parse_scenario(sid, raw, where, out, done) -> Union[Scenario, None]:
     )
 
 
-def scenario_to_dict(sc: Scenario, time_diagram: bool = True) -> dict:
-    """The scenario's JSON object; its time diagram is left empty unless
-    time_diagram is set."""
+def scenario_to_dict(sc: Scenario) -> dict:
+    """The scenario's JSON object but its "time_diagram", which model and
+    trajectory files each write in their own way."""
     ae = sc.after_effect
 
     def refs(found) -> list:
@@ -699,7 +699,6 @@ def scenario_to_dict(sc: Scenario, time_diagram: bool = True) -> dict:
             for d in sc.diagrams
         },
         "assignment": dict(sc.assignment),
-        "time_diagram": [_TIME_ENTRY.dump(e) for e in sc.time_diagram] if time_diagram else [],
         "after_effect": {
             "individual_symbols": sorted(ae.individual_symbols),
             "general_symbols": sorted(ae.general_symbols),
@@ -714,6 +713,10 @@ def scenario_to_dict(sc: Scenario, time_diagram: bool = True) -> dict:
         "backstep_timeout": sc.backstep_timeout,
         "horizon": sc.horizon,
     }
+
+
+def _dump_scenario(sc: Scenario, model) -> dict:
+    return {**scenario_to_dict(sc), "time_diagram": [_TIME_ENTRY.dump(e) for e in sc.time_diagram]}
 
 
 def _parse_score_table(raw: Any, where: str, out: _Collector) -> Union[dict, None]:
@@ -746,7 +749,7 @@ _SECTIONS = (
     _Section("series", "series", _parse_series, _dump_series),
     _Section("canonical_diagrams", "canonical", _parse_canonical, _dump_canonical),
     _Section("composition_requests", "composition_requests", _parse_request, _dump_request),
-    _Section("scenarios", "scenarios", _parse_scenario, lambda sc, model: scenario_to_dict(sc)),
+    _Section("scenarios", "scenarios", _parse_scenario, _dump_scenario),
     _Section(
         "score_tables", "score_tables",
         lambda tid, raw, where, out, done: _parse_score_table(raw, where, out),
@@ -824,10 +827,6 @@ def model_to_dict(model: ModelFile) -> dict:
     return data
 
 
-def serialize_model(model: ModelFile) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Trajectory files: self-contained runs (scenario + event log) for later
 # analysis. The configurations after each tick are not stored;
@@ -878,40 +877,23 @@ def event_from_dict(data: Any) -> Event:
     raise ValueError(f"{kind} event needs {_TYPE_NAMES[typ]} {name!r}")
 
 
-def _states_to_dict(config: Mapping[str, tuple[str, int]]) -> dict:
-    return {sub: [state, entry] for sub, (state, entry) in config.items()}
-
-
-def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> dict:
-    """The trajectory file with its two long lists, the scenario's time
-    diagram and the event log, left empty for `serialize_trajectory`."""
-    return {
-        "format_version": TRAJECTORY_VERSION,
-        "kind": "trajectory-file",
-        "scenario_id": sc.id,
-        "scenario": scenario_to_dict(sc, time_diagram=False),
-        "trajectory": {"horizon": tr.horizon, "initial": _states_to_dict(tr.initial), "events": []},
-        "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
-    }
-
-
 def _json_text(value: Union[str, bool]) -> str:
     """A string or a boolean as `canonical_json` writes it."""
     return ("false", "true")[value] if type(value) is bool else encode_basestring_ascii(value)
 
 
-def serialize_trajectory(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> str:
-    """The trajectory file in canonical JSON. Time-diagram entries and events
-    are written from templates, byte for byte as `canonical_json` writes
-    `_TIME_ENTRY.dump(entry)` and `event._asdict()`; an event's text up to its
-    tick is filled once per call for each distinct run of its other fields."""
-    text = canonical_json(trajectory_file_to_dict(tr, sc, scores))
+def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> dict:
+    """The trajectory file. Its two long lists, the scenario's time diagram
+    and the event log, are `Encoded` texts written from templates, byte for
+    byte as `canonical_json` writes `_TIME_ENTRY.dump(entry)` and
+    `event._asdict()`; an event's text up to its tick is filled once per
+    call for each distinct run of its other fields."""
     esc = encode_basestring_ascii
-    entries = ",".join([
+    entries = Encoded("[%s]" % ",".join([
         '{"symbol":%s,"tick":%d}' % (esc(e.symbol), e.tick) if e.target is None
         else '{"symbol":%s,"target":%s,"tick":%d}' % (esc(e.symbol), esc(e.target), e.tick)
         for e in sc.time_diagram
-    ])
+    ]))
     heads: dict[tuple, str] = {}
 
     def head(rest: tuple) -> str:
@@ -919,12 +901,21 @@ def serialize_trajectory(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable,
         filled = heads[rest] = codec.head % dict(zip(codec.make._fields[1:], map(_json_text, rest)))
         return filled
 
-    events = ",".join(["%s%d}" % (heads.get(e[1:]) or head(e[1:]), e.tick) for e in tr.events])
-    # "time_diagram" is the last key of "scenario", which "scenario_id"
-    # follows; "events" is the first key of "trajectory", the last top-level key.
-    at_entries = text.index('"time_diagram":[]},"scenario_id":') + len('"time_diagram":[')
-    at_events = text.rindex('"trajectory":{"events":[') + len('"trajectory":{"events":[')
-    return "".join((text[:at_entries], entries, text[at_entries:at_events], events, text[at_events:]))
+    events = Encoded("[%s]" % ",".join(["%s%d}" % (heads.get(e[1:]) or head(e[1:]), e.tick) for e in tr.events]))
+    return {
+        "format_version": TRAJECTORY_VERSION,
+        "kind": "trajectory-file",
+        "scenario_id": sc.id,
+        "scenario": {**scenario_to_dict(sc), "time_diagram": entries},
+        "trajectory": {"horizon": tr.horizon, "events": events,
+                       "initial": {sub: list(at) for sub, at in tr.initial.items()}},
+        "scores": {sub: dict(states) for sub, states in scores.items()} if scores else None,
+    }
+
+
+def serialize_trajectory(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> str:
+    """The trajectory file in canonical JSON."""
+    return canonical_json(trajectory_file_to_dict(tr, sc, scores))
 
 
 def _typed(data: dict, key: str, typ: type, where: str, out: _Collector) -> Any:

@@ -24,7 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ExpressionError, IncomparableValuesError, MissingParameterError
 
@@ -274,15 +274,20 @@ def _chain_literals(comp: Comparison, ranks: Mapping[str, dict]) -> dict[str, tu
     return out
 
 
-def required_names(node: Node, orders: Mapping[str, Sequence] | None = None) -> frozenset[str]:
-    """The names an assignment must bind: every referenced name but those
-    that each of their chains reads as a level of a declared order."""
+def chains(nodes: Iterable[Node], orders: Mapping[str, Sequence] | None = None) -> tuple[set[str], list]:
+    """Over every comparison chain of the expressions, in one walk: the
+    names an assignment must bind, which are every referenced name but
+    those that each of their chains reads as a level of a declared order;
+    and per chain, the set of names it reads and the numbers it holds."""
     ranks = _rank_maps(orders)
-    out: set[str] = set()
-    for comp in comparisons(node):
-        literals = _chain_literals(comp, ranks)
-        out.update(op.ident for op in comp.operands if isinstance(op, Name) and op.ident not in literals)
-    return frozenset(out)
+    required: set[str] = set()
+    found = []
+    for node in nodes:
+        for comp in comparisons(node):
+            read = {op.ident for op in comp.operands if isinstance(op, Name)}
+            required |= read - _chain_literals(comp, ranks).keys()
+            found.append((read, [op.value for op in comp.operands if isinstance(op, Number)]))
+    return required, found
 
 
 def compile(

@@ -39,12 +39,14 @@ SCHEMAS: dict[str, frozenset[str]] = {
 }
 
 
-class Encoded(str):
-    """A report body value that already holds its canonical JSON text.
+@dataclass(frozen=True)
+class Encoded:
+    """A JSON value already written as canonical JSON text, which
+    `canonical_json` writes as it stands where it is the payload or a
+    mapping's value; the JSON encoder refuses one anywhere else, such as
+    in a list. human-text renders what the text decodes to."""
 
-    machine-json splices the text in as it stands, and human-text renders
-    what it decodes to. It stands at the top level of a body, and no body
-    value whose key sorts before its own holds a mapping."""
+    text: str
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ def make_provenance(
 
 
 def _render_human(value: Any, indent: int, lines: list[str], label: str = "") -> None:
+    if isinstance(value, Encoded):
+        value = json.loads(value.text)
     pad = "  " * indent
     prefix = f"{pad}{label}: " if label else pad
     if isinstance(value, Mapping):
@@ -143,40 +147,47 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def canonical_json(payload: Any) -> str:
-    """The byte-stable JSON encoding: sorted keys, compact separators.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False).encode
 
-    Reports and trajectory files are trees the program builds afresh, so
-    the encoder skips its cycle bookkeeping; a cyclic payload still raises
-    (RecursionError) before anything is written."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
-    ) + "\n"
+
+def _holds_encoded(value: Any) -> bool:
+    """Whether value is an Encoded or a dict that holds one at any depth."""
+    return isinstance(value, Encoded) or isinstance(value, dict) and any(map(_holds_encoded, value.values()))
+
+
+def _pieces(value: Any):
+    """The canonical JSON text of value in pieces, which are joined once:
+    an Encoded text can be long, and each copy of it costs."""
+    if isinstance(value, Encoded):
+        yield value.text
+    elif isinstance(value, dict) and any(map(_holds_encoded, value.values())):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _ENCODE(key) + ":"
+            yield from _pieces(value[key])
+        yield "}"
+    else:
+        yield _ENCODE(value)
+
+
+def canonical_json(payload: Any) -> str:
+    """The byte-stable JSON encoding: sorted keys, compact separators. Each
+    Encoded value is written as it stands; the encoder walks down only the
+    dicts that hold one, whose keys are strings, and writes every other
+    value in one call. It skips the cycle bookkeeping, as reports and
+    trajectory files are trees the program builds afresh; a cyclic payload
+    still raises (RecursionError) before anything is written."""
+    return "".join([*_pieces(payload), "\n"])
 
 
 def emit_report(report: Report, format: str = "machine-json") -> str:
     """Serialize one report; identical reports give identical bytes."""
     check_schema(report)
-    encoded = sorted(key for key, value in report.body.items() if isinstance(value, Encoded))
     if format == "machine-json":
-        body = {**report.body, **dict.fromkeys(encoded, [])}
-        text = canonical_json({"kind": report.kind, "body": body, "provenance": report.provenance})
-        # "body" sorts first, so the text opens with {"body":{ and the body's
-        # keys follow in sorted order. Any quote inside a string is escaped,
-        # so "key":[] can only be a key and its value, and the keys that sort
-        # before an encoded one hold no mapping: its first match is the key.
-        parts, at = [], 0
-        for key in encoded:
-            name = json.dumps(key) + ":"
-            start = text.index(name + "[]", at) + len(name)
-            parts += text[at:start], report.body[key]
-            at = start + 2
-        return "".join([*parts, text[at:]])
+        return canonical_json({"kind": report.kind, "body": report.body, "provenance": report.provenance})
     if format == "human-text":
-        body = {**report.body, **{key: json.loads(report.body[key]) for key in encoded}}
         lines = [f"report: {report.kind}"]
-        for key in sorted(body):
-            _render_human(body[key], 0, lines, key)
+        for key in sorted(report.body):
+            _render_human(report.body[key], 0, lines, key)
         prov = report.provenance
         lines.append(f"tool: {prov.get('tool', '-')}")
         if prov.get("seed") is not None:

@@ -321,6 +321,13 @@ def validate_scenario(sc: Scenario) -> ScenarioValidationReport:
             linked_subs.append(child_ref.subsystem)
         if len(set(linked_subs)) != len(linked_subs):
             bad.append(f"parent link of {parent_ref} references one child subsystem twice")
+        if isinstance(ae.upward_threshold, int) and ae.upward_threshold > len(link):
+            warn.append(
+                f"parent link of {parent_ref} has {len(link)} child arc(s), fewer than "
+                f"the upward threshold {ae.upward_threshold}, so it never fires upward"
+            )
+        elif not link:
+            warn.append(f"parent link of {parent_ref} has no child arcs, so it fires upward with no child firing")
 
     # Every coupled arc must be reachable from its diagram's initial state.
     for ref in sorted(ae.coupled & all_arcs):

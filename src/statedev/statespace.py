@@ -182,19 +182,6 @@ def _check_missing(references, assignment, orders) -> None:
             raise MissingParameterError(missing)
 
 
-def evaluate_scale(
-    scale: Scale,
-    assignment: Mapping[str, object],
-    parameters: Parameters | None = None,
-) -> State:
-    """Classify one assignment on one scale.
-
-    Exactly one predicate is expected to hold. Zero matches raise
-    NoMatchError; several raise MultipleMatchError.
-    """
-    return _evaluate_scale(scale, assignment, _orders(parameters))
-
-
 def _evaluate_scale(scale: Scale, assignment, orders) -> State:
     _check_missing(scale.references, assignment, orders)
     hits = [i for i, holds in enumerate(scale.compiled(orders)) if holds(assignment)]
@@ -310,15 +297,14 @@ def sample_assignments(
     return ({name: draw() for name, draw in draws} for _ in range(spec.samples if names else 1))
 
 
-def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[str]:
+def _sampled_names(predicates, parameters: Parameters | None, orders) -> tuple[list[str], list]:
     """The names to sample: every declared parameter the predicates read,
-    and every other name not read as a level literal, which has no domain."""
+    and every other name not read as a level literal, which has no domain;
+    and the predicates' comparison chains as `pred.chains` gives them."""
     declared = parameters or {}
-    names: set[str] = set()
-    for p in predicates:
-        names.update(name for name in p.references if name in declared)
-        names |= pred.required_names(p.ast, orders)
-    return sorted(names)
+    names, found = pred.chains([p.ast for p in predicates], orders)
+    names.update(name for p in predicates for name in p.references if name in declared)
+    return sorted(names), found
 
 
 # The most points one check evaluates cell by cell; a larger product of
@@ -326,7 +312,7 @@ def _sampled_names(predicates, parameters: Parameters | None, orders) -> list[st
 CELL_CAP = 4096
 
 
-def _cell_values(predicates, names: Sequence[str], decls) -> list | None:
+def _cell_values(chains, names: Sequence[str], decls) -> list | None:
     """Per name, one value in each cell of its domain, or None where cells
     do not decide: a chain reads two of the names, or the product of the
     cells exceeds CELL_CAP.
@@ -336,13 +322,12 @@ def _cell_values(predicates, names: Sequence[str], decls) -> list | None:
     strictly inside them, and the midpoint of each pair of neighbours; an
     ordinal's are its levels."""
     cuts: dict[str, set] = {name: set() for name in names}
-    for p in predicates:
-        for comp in pred.comparisons(p.ast):
-            read = {op.ident for op in comp.operands if isinstance(op, pred.Name) and op.ident in cuts}
-            if len(read) > 1:
-                return None
-            for name in read:
-                cuts[name].update(op.value for op in comp.operands if isinstance(op, pred.Number))
+    for read, numbers in chains:
+        read = read & cuts.keys()
+        if len(read) > 1:
+            return None
+        for name in read:
+            cuts[name].update(numbers)
     values = []
     for name, decl in zip(names, decls):
         if decl.levels is not None:
@@ -362,9 +347,9 @@ def _check_points(predicates, spec: SampleSpec, parameters: Parameters | None, o
     """The assignments a check evaluates over the names the predicates read:
     one per cell, or the spec's samples where cells do not decide. A name
     without a sampling range raises here."""
-    names = _sampled_names(predicates, parameters, orders)
+    names, chains = _sampled_names(predicates, parameters, orders)
     decls = _domains(names, parameters)
-    values = _cell_values(predicates, names, decls)
+    values = _cell_values(chains, names, decls)
     if values is None:
         return sample_assignments(spec, names, parameters)
     return (dict(zip(names, point)) for point in itertools.product(*values))

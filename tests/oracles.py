@@ -99,6 +99,8 @@ from statedev.statespace import (
     RefinementReport,
     SampleSpec,
     Scale,
+    State,
+    _evaluate_scale,
     _orders,
     _sampled_names,
 )
@@ -871,6 +873,12 @@ def reference_read_series_csv(path: str, model: modelfile.ModelFile) -> list[dyn
     return out
 
 
+def evaluate_scale(scale: Scale, assignment, parameters: Parameters | None = None) -> State:
+    """Classify one assignment on one scale: the one state whose predicate
+    holds, or NoMatchError / MultipleMatchError."""
+    return _evaluate_scale(scale, assignment, _orders(parameters))
+
+
 def reference_sample_assignments(
     spec: SampleSpec, names: Sequence[str], parameters: Parameters | None = None
 ):
@@ -900,7 +908,7 @@ def reference_validate_scale_disjointness(
     """The sampled disjointness check: every sampled point where two or
     more predicates hold, and every one where none holds."""
     orders = _orders(parameters)
-    names = _sampled_names(scale.predicates, parameters, orders)
+    names = _sampled_names(scale.predicates, parameters, orders)[0]
     count = 0
     overlaps, gaps = [], []
     for assignment in reference_sample_assignments(spec, names, parameters):
@@ -924,7 +932,7 @@ def reference_validate_classificator(
     violations, unsampled, gaps = [], [], []
     for (sid, pos), child in sorted(classificator.refinements.items()):
         parent = classificator.scales[sid].predicates[pos - 1]
-        names = _sampled_names((parent, *child.predicates), parameters, orders)
+        names = _sampled_names((parent, *child.predicates), parameters, orders)[0]
         try:
             assignments = list(reference_sample_assignments(spec, names, parameters))
         except MissingParameterRangeError as exc:
@@ -983,6 +991,12 @@ def reference_cell_key(predicates, parameters: Parameters):
     return key
 
 
+def reference_scenario_to_dict(sc: Scenario) -> dict:
+    """The scenario's whole JSON object, each time-diagram entry through
+    `_TIME_ENTRY.dump`."""
+    return {**modelfile.scenario_to_dict(sc), "time_diagram": [modelfile._TIME_ENTRY.dump(e) for e in sc.time_diagram]}
+
+
 def reference_trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores=None) -> dict:
     """The whole trajectory file as one JSON object, each event as its
     `_asdict()` and each time-diagram entry through `_TIME_ENTRY.dump`."""
@@ -990,7 +1004,7 @@ def reference_trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores=None)
         "format_version": modelfile.TRAJECTORY_VERSION,
         "kind": "trajectory-file",
         "scenario_id": sc.id,
-        "scenario": modelfile.scenario_to_dict(sc),
+        "scenario": reference_scenario_to_dict(sc),
         "trajectory": {
             "horizon": tr.horizon,
             "initial": {sub: [state, entry] for sub, (state, entry) in tr.initial.items()},

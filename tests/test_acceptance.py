@@ -62,12 +62,18 @@ from statedev.statespace import (
     Scale,
     State,
     classify_hierarchical,
-    evaluate_scale,
     sample_assignments,
 )
 
 from tests.conftest import TWO_LEVEL, chain
-from tests.oracles import SpaceBoundExceededError, enumerate_attainable_sequences, execution_satisfies, replay_events
+from tests.oracles import (
+    SpaceBoundExceededError,
+    enumerate_attainable_sequences,
+    evaluate_scale,
+    execution_satisfies,
+    reference_scenario_to_dict,
+    replay_events,
+)
 
 # Pinned ceilings and corpus sizes.
 LIMIT_DETERMINISM_S = 1.0
@@ -671,7 +677,7 @@ def test_criterion_9_report_log_agreement(tmp_path):
         sc = _random_scenario(rng, f"rep{seed}", individual_only=False)
         model_path = tmp_path / f"rep{seed}.json"
         model_path.write_text(
-            json.dumps({"format_version": 1, "scenarios": {sc.id: modelfile.scenario_to_dict(sc)}})
+            json.dumps({"format_version": 1, "scenarios": {sc.id: reference_scenario_to_dict(sc)}})
         )
         events_path = tmp_path / f"rep{seed}.csv"
         code, text = _cli(

@@ -523,10 +523,10 @@ def test_validation_seed_flag_changes_samples_but_not_verdict(capsys):
 
 
 def test_round_trip_serialized_model_validates_identically(tmp_path, capsys):
-    from statedev.modelfile import parse_model, serialize_model
+    from statedev.modelfile import model_to_dict, parse_model
 
     copy = tmp_path / "copy.json"
-    copy.write_text(serialize_model(parse_model(BASIC_S)))
+    copy.write_text(json.dumps(model_to_dict(parse_model(BASIC_S)), indent=2))
     a = run_json(capsys, "validate", BASIC_S)[1]
     b = run_json(capsys, "validate", str(copy))[1]
     assert a["body"]["violations"] == b["body"]["violations"]
@@ -1111,3 +1111,35 @@ def test_column_series_reader_equals_the_row_reader(tmp_path):
                      "holds no observations", "not in declared order", "strictly increasing",
                      "is not a finite number", "could not convert"):
         assert any(fragment in str(o) for o in outcomes), fragment
+
+
+def test_validate_warns_on_parent_links_that_cannot_wait_or_cannot_fire(tmp_path, capsys):
+    def empty_link(raw):
+        sc = raw["scenarios"]["coordinated"]
+        sc["after_effect"]["parent_links"][0]["children"] = []
+        sc["time_diagram"] = [e for e in sc["time_diagram"] if e["symbol"] != "advance"]
+
+    advance = "ArcRef(subsystem='top', src='T0', dst='T1', symbol='advance')"
+    finish = "ArcRef(subsystem='top', src='T1', dst='T2', symbol='finish')"
+    path = _model(tmp_path, TWO_LEVEL, empty_link)
+    code, report, _ = run_json(capsys, "validate", path)
+    assert code == 0 and report["body"]["passed"]
+    assert report["body"]["warnings"][0] == (
+        f"scenario 'coordinated': parent link of {advance} has no child arcs, "
+        "so it fires upward with no child firing"
+    )
+    events = tmp_path / "events.csv"
+    code, _, _ = run(capsys, "simulate", path, "--scenario", "coordinated", "--events-out", str(events))
+    assert code == 0
+    assert events.read_text().splitlines()[1] == "0,0,firing,top,advance,T0,T1,upward-propagation,true"
+
+    def threshold_3(raw):
+        raw["scenarios"]["coordinated"]["after_effect"]["upward_threshold"] = 3
+
+    code, report, _ = run_json(capsys, "validate", _model(tmp_path, TWO_LEVEL, threshold_3))
+    assert code == 0 and report["body"]["passed"]
+    assert report["body"]["warnings"][:2] == [
+        f"scenario 'coordinated': parent link of {parent} has 2 child arc(s), fewer than "
+        "the upward threshold 3, so it never fires upward"
+        for parent in (advance, finish)
+    ]

@@ -210,6 +210,36 @@ def test_validate_warns_on_double_role_deliveries():
     assert report.warnings == ()
 
 
+def test_validate_warns_on_a_parent_link_with_no_child_arcs():
+    # "all" of no child arcs is none, so the parent fires with no delivery.
+    scheme = dataclasses.replace(SCHEME, parent_links={ADVANCE: (), FINISH: (LEFT_FIN, RIGHT_FIN)})
+    sc = scenario([], scheme=scheme)
+    report = validate_scenario(sc)
+    assert report.passed
+    assert report.warnings == (
+        f"parent link of {ADVANCE} has no child arcs, so it fires upward with no child firing",
+    )
+    assert firings(run_scenario(sc))[0] == (0, "top", "upward-propagation")
+
+
+def test_validate_warns_on_an_upward_threshold_above_a_link_size():
+    scheme = dataclasses.replace(SCHEME, upward_threshold=3)
+    sc = scenario([(0, "left", "left_go"), (0, "right", "right_go")], scheme=scheme)
+    report = validate_scenario(sc)
+    assert report.passed
+    for parent in (ADVANCE, FINISH):
+        assert (
+            f"parent link of {parent} has 2 child arc(s), fewer than the upward threshold 3, "
+            "so it never fires upward"
+        ) in report.warnings
+    # Both children fire, and the parent does not.
+    assert firings(run_scenario(sc)) == [(0, "left", "direct"), (0, "right", "direct")]
+    # A threshold the links can reach, and "all", warn about no link.
+    for threshold in (1, 2, "all"):
+        scheme = dataclasses.replace(SCHEME, upward_threshold=threshold)
+        assert not any("upward" in w for w in validate_scenario(scenario([], scheme=scheme)).warnings)
+
+
 def test_general_symbol_cascades_down_in_one_tick():
     sc = scenario([(1, "top", "advance")], horizon=2)
     tr = run_scenario(sc)

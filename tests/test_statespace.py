@@ -25,13 +25,13 @@ from statedev.statespace import (
     State,
     apply_rule_matrix,
     classify_hierarchical,
-    evaluate_scale,
     sample_assignments,
     validate_classificator,
     validate_scale_disjointness,
 )
 from tests.conftest import BASIC
 from tests.oracles import (
+    evaluate_scale,
     reference_cell_key,
     reference_sample_assignments,
     reference_validate_classificator,
