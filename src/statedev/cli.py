@@ -2,23 +2,26 @@
 
 Exit codes: 0 success, 1 model or validation failure, 2 usage error.
 All results go through emit_report; machine-json output is byte-stable
-for identical inputs, so repeated runs diff clean.
+for identical inputs, so repeated runs diff clean. Each command imports
+the domain modules it runs, so that a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import math
 import sys
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from . import canonical, composition, dynamics, modelfile, scenario, statespace
+from . import modelfile
 from .errors import StatedevError
 from .reports import Encoded, Report, emit_report, make_provenance
+
+if TYPE_CHECKING:  # the modules the annotations name
+    from . import canonical, dynamics, scenario
 
 
 def _at_least(low, convert):
@@ -54,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--samples", type=_at_least(1, int), default=1000,
                    help="samples per scale or refinement that cells do not decide "
-                   f"(a chain of two parameters, or over {statespace.CELL_CAP} cells)")
+                   "(a chain of two parameters, or over 4096 cells)")  # statespace.CELL_CAP
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
 
     p = add("classify", "classify one object through a classificator")
@@ -150,30 +153,36 @@ def _cmd_validate(args) -> tuple[dict, int]:
     model = modelfile.parse_model(args.model)
     violations: list[str] = []
     warnings: list[str] = []
-    spec = statespace.SampleSpec(samples=args.samples, seed=args.seed)
-    # A refinement's child needs to cover only its parent's region, which
-    # the classificator check does.
-    children = {child.id for cl in model.classificators.values() for child in cl.refinements.values()}
-    for sid, scale in sorted(model.scales.items()):
-        try:
-            report = statespace.validate_scale_disjointness(scale, spec, model.parameters)
-        except statespace.MissingParameterRangeError as exc:
-            warnings.append(f"scale {sid!r}: disjointness not sampled ({exc})")
-            continue
-        violations += _first_five(f"scale {sid!r}", report.overlaps, "overlaps",
-                                  lambda at, positions: f"predicates {list(positions)} overlap at {at}")
-        if sid not in children:
-            warnings += _first_five(f"scale {sid!r}", [(at,) for at in report.gaps], "gaps",
-                                    lambda at: f"no predicate holds at {at}")
-    for cid, cl in sorted(model.classificators.items()):
-        report = statespace.validate_classificator(cl, spec, model.parameters)
-        warnings += (f"classificator {cid!r}: refinement not sampled ({exc})" for exc in report.unsampled)
-        violations += _first_five(
-            f"classificator {cid!r}", report.violations, "escapes",
-            lambda sid, pos, j, at: f"child predicate {j} of ({sid!r}, {pos}) escapes its parent at {at}")
-        warnings += _first_five(
-            f"classificator {cid!r}", report.gaps, "gaps",
-            lambda sid, pos, at: f"no child predicate of ({sid!r}, {pos}) holds at {at}")
+    # Each check imports its module only for a model that has its section;
+    # a classificator refines scales, so a model without scales has none.
+    if model.scales:
+        from . import statespace
+        spec = statespace.SampleSpec(samples=args.samples, seed=args.seed)
+        # A refinement's child needs to cover only its parent's region, which
+        # the classificator check does.
+        children = {child.id for cl in model.classificators.values() for child in cl.refinements.values()}
+        for sid, scale in sorted(model.scales.items()):
+            try:
+                report = statespace.validate_scale_disjointness(scale, spec, model.parameters)
+            except statespace.MissingParameterRangeError as exc:
+                warnings.append(f"scale {sid!r}: disjointness not sampled ({exc})")
+                continue
+            violations += _first_five(f"scale {sid!r}", report.overlaps, "overlaps",
+                                      lambda at, positions: f"predicates {list(positions)} overlap at {at}")
+            if sid not in children:
+                warnings += _first_five(f"scale {sid!r}", [(at,) for at in report.gaps], "gaps",
+                                        lambda at: f"no predicate holds at {at}")
+        for cid, cl in sorted(model.classificators.items()):
+            report = statespace.validate_classificator(cl, spec, model.parameters)
+            warnings += (f"classificator {cid!r}: refinement not sampled ({exc})" for exc in report.unsampled)
+            violations += _first_five(
+                f"classificator {cid!r}", report.violations, "escapes",
+                lambda sid, pos, j, at: f"child predicate {j} of ({sid!r}, {pos}) escapes its parent at {at}")
+            warnings += _first_five(
+                f"classificator {cid!r}", report.gaps, "gaps",
+                lambda sid, pos, at: f"no child predicate of ({sid!r}, {pos}) holds at {at}")
+    if model.canonical:
+        from . import canonical
     for did, entry in sorted(model.canonical.items()):
         d = entry.diagram
         report = canonical.validate_canonical(d)
@@ -197,6 +206,8 @@ def _cmd_validate(args) -> tuple[dict, int]:
                         f"diagram {did!r}: state {state!r} follows {top!r}, which comes later in scale {d.scale_id!r}")
                 else:
                     top = state
+    if model.scenarios:
+        from . import scenario
     for sid, sc in sorted(model.scenarios.items()):
         report = scenario.validate_scenario(sc)
         violations.extend(f"scenario {sid!r}: {v}" for v in report.violations)
@@ -212,6 +223,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
+    from . import statespace
     model = modelfile.parse_model(args.model)
     cid = args.classificator
     if cid is None:
@@ -247,6 +259,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 
 def _nonblank_rows(path: str) -> list[list[str]]:
+    import csv
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return [row for row in csv.reader(fh) if any(map(str.strip, row))]
 
@@ -254,6 +267,7 @@ def _nonblank_rows(path: str) -> list[list[str]]:
 def _read_series_csv(path: str, model: modelfile.ModelFile) -> list[dynamics.ParameterSeries]:
     """One series per parameter column, read column by column. Line numbers
     count non-blank rows; a blank or missing cell is no observation."""
+    from . import dynamics
     rows = _nonblank_rows(path)
     if not rows:
         raise StatedevError(f"series file {path!r} is empty")
@@ -305,6 +319,7 @@ def _profile_rows(profile: dynamics.ParallelProfile) -> Encoded:
     """The profile's rows as canonical JSON: one {"cells", "tick"} object
     per grid tick, its cells in sorted name order. Every row fills one
     template, whose columns each run fills at once."""
+    from . import dynamics
     names = sorted(profile.parameters)
     # json.dumps escapes a name as canonical_json does; a % in it is doubled
     # so that the template reads it as text.
@@ -322,6 +337,7 @@ def _profile_rows(profile: dynamics.ParallelProfile) -> Encoded:
 
 
 def _cmd_profile(args) -> tuple[dict, int]:
+    from . import dynamics
     model = modelfile.parse_model(args.model)
     interval = _parse_interval(args.interval)
     if interval[0] > interval[1]:
@@ -354,6 +370,7 @@ def _cmd_profile(args) -> tuple[dict, int]:
 
 
 def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str, canonical.Arc, int]]:
+    from . import canonical
     rows = _nonblank_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["tick", "object", "from", "to", "arc_kind"]:
         raise StatedevError("event CSV must have the header tick,object,from,to,arc_kind")
@@ -386,6 +403,7 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
 
 
 def _cmd_replay(args) -> tuple[dict, int]:
+    from . import canonical
     model = modelfile.parse_model(args.model)
     if args.diagram not in model.canonical:
         raise StatedevError(f"diagram {args.diagram!r} is not declared")
@@ -432,6 +450,7 @@ def _diagram_summary(d: canonical.CanonicalDiagram) -> dict:
 
 
 def _cmd_consist(args) -> tuple[dict, int]:
+    from . import composition
     model = modelfile.parse_model(args.model)
     if args.request not in model.composition_requests:
         raise StatedevError(f"request {args.request!r} is not declared")
@@ -514,6 +533,7 @@ def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
     """One line per event: its seq and tick, then the rest of its row, which
     csv.writer writes once per file for each distinct run of the event's
     fields after the tick."""
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     tails: dict[tuple, str] = {}
@@ -532,6 +552,7 @@ def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    from . import scenario
     model = modelfile.parse_model(args.model)
     if args.scenario not in model.scenarios:
         raise StatedevError(f"scenario {args.scenario!r} is not declared")
@@ -552,6 +573,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
+    from . import scenario
     sc, tr, scores = modelfile.load_trajectory_file(args.trajectory)
     try:
         rep = scenario.analyze_trajectory(tr, sc, scores or None)
@@ -570,6 +592,7 @@ def _text(value) -> str:
 def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
     """A trajectory report body read back; a missing key or a value of the
     wrong type raises KeyError, TypeError, ValueError or OverflowError."""
+    from . import scenario
     efficiency = None
     if body.get("efficiency") is not None:
         eff = body["efficiency"]
@@ -599,6 +622,7 @@ def _report_from_body(body: Mapping) -> scenario.ScenarioReport:
 
 
 def _cmd_compare(args) -> tuple[dict, int]:
+    from . import scenario
     if len(args.reports) < 2:
         raise _Usage("compare needs at least two report files")
     loaded = []

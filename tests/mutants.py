@@ -28,7 +28,8 @@ import random
 import sys
 from pathlib import Path
 
-from statedev.modelfile import ModelFileError, model_to_dict, parse_model_text
+from statedev.modelfile import ModelFileError, parse_model_text
+from tests.oracles import model_to_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden_mutants.jsonl"

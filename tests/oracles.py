@@ -39,6 +39,9 @@ writers must match byte for byte; `reference_read_events` and
 `reference_read_time_diagram` read the event log and the time diagram
 record by record, and the loader's exact-type paths must give the same
 records and the same issues.
+`model_to_dict` writes a parsed model back as its JSON object, one dump
+function per section; the round-trip tests and the mutant corpus's model
+digests read a model through it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import itertools
 import random
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
-from statedev import dynamics, modelfile
+from statedev import dynamics, modelfile, scenariofile
 from statedev.canonical import (
     Arc,
     ArcKind,
@@ -58,6 +61,7 @@ from statedev.canonical import (
     TransitionEvent,
     WindowOutOfRangeError,
 )
+from statedev.canonicalfile import _ARC
 from statedev.composition import (
     ConsistencyVerdict,
     PrescribedSequence,
@@ -65,6 +69,7 @@ from statedev.composition import (
     TimedDiagramSet,
     _validate_refs,
 )
+from statedev.compositionfile import _PRESCRIBED
 from statedev.dynamics import (
     DynamicsKind,
     DynamicsState,
@@ -994,14 +999,14 @@ def reference_cell_key(predicates, parameters: Parameters):
 def reference_scenario_to_dict(sc: Scenario) -> dict:
     """The scenario's whole JSON object, each time-diagram entry through
     `_TIME_ENTRY.dump`."""
-    return {**modelfile.scenario_to_dict(sc), "time_diagram": [modelfile._TIME_ENTRY.dump(e) for e in sc.time_diagram]}
+    return {**scenariofile.scenario_to_dict(sc), "time_diagram": [scenariofile._TIME_ENTRY.dump(e) for e in sc.time_diagram]}
 
 
 def reference_trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores=None) -> dict:
     """The whole trajectory file as one JSON object, each event as its
     `_asdict()` and each time-diagram entry through `_TIME_ENTRY.dump`."""
     return {
-        "format_version": modelfile.TRAJECTORY_VERSION,
+        "format_version": scenariofile.TRAJECTORY_VERSION,
         "kind": "trajectory-file",
         "scenario_id": sc.id,
         "scenario": reference_scenario_to_dict(sc),
@@ -1085,7 +1090,103 @@ def reference_read_time_diagram(items: list, where: str, subsystems: Sequence[st
         target = item.get("target")
         if target is not None and str(target) not in subsystems:
             out.unresolved(wi, f"target {target!r} is not in the hierarchy")
-        entry = modelfile._TIME_ENTRY.read(item, wi, out)
+        entry = scenariofile._TIME_ENTRY.read(item, wi, out)
         if entry is not None:
             entries.append(entry)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# The model file writer: one dump function per section, (entity, model) ->
+# its JSON value.
+
+def _dump_parameter(decl, model) -> dict:
+    optional = {"levels": decl.levels, "bounds": decl.bounds}
+    return {"kind": decl.kind, **{key: list(value) for key, value in optional.items() if value is not None}}
+
+
+def _dump_scale(scale: Scale, model) -> dict:
+    return {
+        "states": [
+            {"id": state.id, "predicate": predicate.expression, **({"label": state.label} if state.label else {})}
+            for predicate, state in zip(scale.predicates, scale.states)
+        ]
+    }
+
+
+def _dump_classificator(cl, model) -> dict:
+    refinements = [
+        {"scale": sid, "position": pos, "child": child.id} for (sid, pos), child in sorted(cl.refinements.items())
+    ]
+    return {"root": cl.root.id, **({"refinements": refinements} if refinements else {})}
+
+
+def _dump_rule_matrix(m, model) -> dict:
+    return {
+        "parameters": list(m.parameters),
+        "classes": list(m.classes),
+        "cells": [[cell.expression for cell in row] for row in m.cells],
+    }
+
+
+def _dump_series(s: ParameterSeries, model) -> dict:
+    decl = model.parameters.get(s.parameter)
+    ordinal = decl is not None and decl.kind == "ordinal"
+    values = [decl.levels[int(v)] for v in s.values] if ordinal else list(s.values)
+    return {"parameter": s.parameter, "ticks": list(s.ticks), "values": values}
+
+
+def _dump_canonical(entry, model) -> dict:
+    d = entry.diagram
+    optional = {  # written only when set
+        "scale": d.scale_id,
+        "labels": dict(d.labels) or None,
+        "initial_distribution": dict(entry.initial_distribution) or None,
+        "target_distribution": None if entry.target_distribution is None else dict(entry.target_distribution),
+    }
+    return {
+        "states": list(d.states),
+        "initial": d.initial,
+        "final": d.final,
+        "horizon": d.horizon,
+        "dev_arcs": [_ARC.dump(a) for a in d.dev_arcs],
+        "back_arcs": [_ARC.dump(a) for a in d.back_arcs],
+        **{key: value for key, value in optional.items() if value is not None},
+    }
+
+
+def _dump_request(req, model) -> dict:
+    dset = req.diagram_set
+    item = {"kind": req.kind, "diagrams": [d.id for d in dset.diagrams], "intervals": list(dset.intervals)}
+    if req.sequence is not None:
+        item["sequence"] = [_PRESCRIBED.dump(e) for e in req.sequence.entries]
+    if req.selection:
+        item["selection"] = [list(t) for t in req.selection]
+    if req.order_pairs:
+        item["order"] = [[list(a), list(b)] for a, b in req.order_pairs]
+    return item
+
+
+# Section key -> its dump; `model_to_dict` writes the sections in
+# `modelfile._SECTIONS` order.
+_DUMPS = {
+    "parameters": _dump_parameter,
+    "scales": _dump_scale,
+    "classificators": _dump_classificator,
+    "rule_matrices": _dump_rule_matrix,
+    "series": _dump_series,
+    "canonical_diagrams": _dump_canonical,
+    "composition_requests": _dump_request,
+    "scenarios": lambda sc, model: reference_scenario_to_dict(sc),
+    "score_tables": lambda table, model: {sub: dict(states) for sub, states in table.items()},
+}
+
+
+def model_to_dict(model: modelfile.ModelFile) -> dict:
+    """The model's JSON object, every section it holds written back."""
+    data = {"format_version": model.format_version}
+    for section in modelfile._SECTIONS:
+        entities = getattr(model, section.field)
+        if entities:
+            data[section.key] = {eid: _DUMPS[section.key](entity, model) for eid, entity in entities.items()}
+    return data

@@ -18,7 +18,7 @@ from statedev.errors import StatedevError
 from statedev.modelfile import parse_model
 from statedev.reports import Report, canonical_json, emit_report
 from tests.conftest import BASIC, DEV3_EVENTS, TWO_LEVEL, X_SERIES
-from statedev.statespace import SampleSpec
+from statedev.statespace import CELL_CAP, SampleSpec
 from tests.oracles import reference_profile_rows, reference_read_series_csv, reference_sample_assignments
 
 BASIC_S = str(BASIC)
@@ -35,6 +35,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def test_validate_help_names_the_cell_cap(capsys):
+    code, out, _ = run(capsys, "validate", "--help")
+    assert code == 0
+    assert f"over {CELL_CAP} cells" in " ".join(out.split())
 
 
 def test_validate_passes_on_shipped_fixtures(capsys):
@@ -523,7 +529,8 @@ def test_validation_seed_flag_changes_samples_but_not_verdict(capsys):
 
 
 def test_round_trip_serialized_model_validates_identically(tmp_path, capsys):
-    from statedev.modelfile import model_to_dict, parse_model
+    from statedev.modelfile import parse_model
+    from tests.oracles import model_to_dict
 
     copy = tmp_path / "copy.json"
     copy.write_text(json.dumps(model_to_dict(parse_model(BASIC_S)), indent=2))

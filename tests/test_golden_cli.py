@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -142,6 +143,36 @@ def test_cli_outputs_equal_the_recorded_bytes(tmp_path):
     assert [case["name"] for case in actual] == [case["name"] for case in expected]
     for got, want in zip(actual, expected):
         assert got == want, want["name"]
+
+
+# One case per subcommand and one error report, each run again in a fresh
+# interpreter: in-process runs share every module the test session imported,
+# so only a fresh one shows a command that does not import what it runs.
+FRESH = ("validate-fixtures/basic.json", "classify", "profile", "replay", "consist-dev_then_boost",
+         "simulate-coordinated", "analyze-coordinated", "compare", "analyze-error")
+
+
+def test_cases_in_fresh_interpreters(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    tmp = str(tmp_path)
+    # Every file the in-order run leaves, from the recorded bytes.
+    for case, want in zip(CASES, expected):
+        for name, text in want["files"].items():
+            Path(tmp, name).write_bytes(text.replace(TMP, tmp).encode("utf-8"))
+        if "save_stdout" in case:
+            Path(tmp, case["save_stdout"]).write_text(want["stdout"], encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for want in (case for case in expected if case["name"] in FRESH):
+        for name in _written(want["argv"]):
+            Path(tmp, name).unlink()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from statedev.cli import main; sys.exit(main())",
+             *(arg.replace(TMP, tmp) for arg in want["argv"])],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout.replace(tmp, TMP)) == (want["exit"], want["stdout"]), want["name"]
+        for name, text in want["files"].items():
+            assert Path(tmp, name).read_bytes().decode("utf-8").replace(tmp, TMP) == text, (want["name"], name)
 
 
 if __name__ == "__main__":

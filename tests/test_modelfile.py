@@ -4,18 +4,12 @@ import json
 
 import pytest
 
-from statedev.modelfile import (
-    ModelFileError,
-    event_from_dict,
-    load_trajectory_text,
-    model_to_dict,
-    parse_model,
-    parse_model_text,
-    serialize_trajectory,
-)
+from statedev.modelfile import ModelFileError, parse_model, parse_model_text, serialize_trajectory
 from statedev.reports import canonical_json
 from statedev.scenario import Backstep, Delivery, Firing, Skipped, run_scenario, validate_scenario
+from statedev.scenariofile import event_from_dict, load_trajectory_text
 from tests.conftest import BASIC, TWO_LEVEL
+from tests.oracles import model_to_dict
 
 
 def test_basic_fixture_parses_fully(basic_model):

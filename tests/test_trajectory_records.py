@@ -12,7 +12,7 @@ import random
 import pytest
 
 from statedev import cli
-from statedev.modelfile import ModelFileError, _Collector, load_trajectory_text, parse_model, serialize_trajectory
+from statedev.modelfile import ModelFileError, _Collector, parse_model, serialize_trajectory
 from statedev.scenario import (
     AfterEffectScheme,
     ArcRef,
@@ -26,6 +26,7 @@ from statedev.scenario import (
     TimeDiagramEntry,
     run_scenario,
 )
+from statedev.scenariofile import load_trajectory_text
 from tests.oracles import (
     reference_read_events,
     reference_read_time_diagram,
