@@ -44,10 +44,6 @@ class DynamicsKind(Enum):
     CYCLE_SUSPECT = "CycleSuspect"
     UNKNOWN = "Unknown"
 
-    # Members are singletons, so identity hashing agrees with equality and
-    # a dict keyed by kind makes no Python-level call per lookup.
-    __hash__ = object.__hash__
-
 
 VOCABULARY: tuple[str, ...] = tuple(kind.value for kind in DynamicsKind)
 
@@ -190,23 +186,13 @@ def _fold(signs: Sequence[int]) -> list[Run]:
 
 
 def _states(runs: Sequence[Run]) -> list[DynamicsState]:
-    """The state at each tick the runs cover. Every state is legal by
-    construction, so none goes through the checks of
-    DynamicsState.__post_init__, and the states are immutable, so one
-    object serves every tick with the same kind and streak."""
-    made: dict[tuple[DynamicsKind, int], DynamicsState] = {}
-
-    def state(kind: DynamicsKind, streak: int) -> DynamicsState:
-        made[kind, streak] = one = object.__new__(DynamicsState)
-        one.__dict__.update(kind=kind, streak=streak)
-        return one
-
+    """The state at each tick the runs cover."""
     out: list[DynamicsState] = []
     for kind, first, n in runs:
         if kind is DynamicsKind.UNKNOWN:
             out += [DynamicsState.INITIAL] * n
         else:
-            out += [made.get((kind, streak)) or state(kind, streak) for streak in range(first, first + n)]
+            out += [DynamicsState(kind, streak) for streak in range(first, first + n)]
     return out
 
 

@@ -326,7 +326,7 @@ def _compile(node: Node, ranks: Mapping[str, dict]):
 
 
 def _chain(comp: Comparison, ranks: Mapping[str, dict]):
-    """A comparison chain: the full resolution, behind a fast path."""
+    """A comparison chain, resolved operand by operand."""
     literals = _chain_literals(comp, ranks)
     # Per operand: (name or None, its declared order, the constant pair or
     # the level it stands for when unbound).
@@ -371,7 +371,7 @@ def _chain(comp: Comparison, ranks: Mapping[str, dict]):
                 return False
         return True
 
-    return _fast_chain(specs, [fn for _, fn in ops], resolve)
+    return resolve
 
 
 def _compare(op: str, fn, left, right) -> bool:
@@ -400,55 +400,3 @@ def _text_rank(text: str, order: dict) -> int:
     if rank is None:
         raise IncomparableValuesError(f"{text!r} is not a level of the declared order")
     return rank
-
-
-def _fast_chain(specs, fns, resolve):
-    """resolve, behind a fast path for one name between constants of its
-    domain: a float-valued name against numbers, or a declared ordinal's
-    level against unbound level literals of its order. The fast path
-    reads that name's key, and resolve decides whenever it cannot.
-
-    A two-operand chain runs as a three-operand one whose missing side is
-    an open bound: "x op k" as "-inf <= x op k", "k op x" as "k op x <= inf".
-    Every float and every rank meets an open bound and NaN fails it, so
-    the result is that of the chain as written."""
-    named = [i for i, (ident, order, static) in enumerate(specs)
-             if ident is not None and (order is not None or static is None)]
-    if len(named) != 1:
-        return resolve
-    at = named[0]
-    ident, order, _ = specs[at]
-    domain = _NUM if order is None else order
-    if any(static[0] is not domain for i, (_, _, static) in enumerate(specs) if i != at):
-        return resolve
-    keys = [static[1] if i != at else None for i, (_, _, static) in enumerate(specs)]
-    if len(specs) == 2 and at == 0:
-        fns, keys, at = [operator.le, *fns], [-math.inf, *keys], 1
-    elif len(specs) == 2:
-        fns, keys = [*fns, operator.le], [*keys, math.inf]
-    if len(specs) > 3 or at != 1:
-        return resolve
-    (f0, f1), (k0, _, k2) = fns, keys
-    if order is None:
-        # A float-valued name: its key is read inline, in the closure's own frame.
-        def run(assignment):
-            x = assignment.get(ident, _ABSENT)
-            if type(x) is not float:
-                return resolve(assignment)
-            return f0(k0, x) and f1(x, k2)
-        return run
-
-    literals = tuple(name for name, _, _ in specs if name is not None and name != ident)
-
-    def run(assignment):
-        for literal in literals:  # a bound name is a parameter, not a level
-            if literal in assignment:
-                return resolve(assignment)
-        try:
-            x = order.get(assignment.get(ident, _ABSENT))
-        except TypeError:  # unhashable, so no level
-            return resolve(assignment)
-        if x is None:
-            return resolve(assignment)
-        return f0(k0, x) and f1(x, k2)
-    return run

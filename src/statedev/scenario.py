@@ -631,15 +631,18 @@ def analyze_trajectory(
     """Recount the event log into the scenario quality figures, in one fold
     that also replays the log. A log that does not replay raises
     EventLogError, and is named before a trajectory that does not fit the
-    scenario, a score table that lacks a state of a diagram, an initial
-    state outside its subsystem's diagram, or a logged firing or backstep
-    along an arc that diagram does not have."""
+    scenario, a subsystem the scenario assigns no diagram, a score table
+    that lacks a state of a diagram, an initial state outside its
+    subsystem's diagram, or a logged firing or backstep along an arc that
+    diagram does not have."""
     subs = sc.hierarchy.preorder
     unfit: Union[StatedevError, None] = None
     if tr.scenario_id != sc.id:
         unfit = TrajectoryScenarioMismatchError(f"trajectory belongs to {tr.scenario_id!r}, not {sc.id!r}")
     elif set(tr.initial) != set(subs):
         unfit = TrajectoryScenarioMismatchError("trajectory subsystems differ from the scenario's")
+    elif (bare := next((sub for sub in subs if sub not in sc.assignment), None)) is not None:
+        unfit = TrajectoryScenarioMismatchError(f"subsystem {bare!r} has no diagram in the scenario")
     elif scores is not None:
         unfit = next((MissingScoreError(f"no score for state {state!r} of {sub!r}")
                       for sub in subs for state in sc.diagram_of(sub).states

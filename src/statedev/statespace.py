@@ -25,7 +25,6 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from . import predicates as pred
-from .dynamics import VOCABULARY, DynamicsKind
 from .errors import MissingParameterError, StatedevError
 
 
@@ -456,6 +455,7 @@ class RuleMatrix:
     cells: tuple[tuple[Predicate, ...], ...]
 
     def __post_init__(self):
+        from .dynamics import VOCABULARY
         object.__setattr__(self, "parameters", tuple(self.parameters))
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
@@ -492,6 +492,7 @@ def apply_rule_matrix(
     dyn_states maps every row parameter to a DynamicsKind or its symbol
     string. The result may be empty and may hold several classes.
     """
+    from .dynamics import VOCABULARY, DynamicsKind
     missing = [p for p in matrix.parameters if p not in dyn_states]
     if missing:
         raise MissingParameterError(missing)

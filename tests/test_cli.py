@@ -894,6 +894,17 @@ def _unreplayable(data):
     _events(data)[1]["src"] = "T2"  # top's first firing leaves a state top is not in
 
 
+def _unassign_left(data):
+    """The scenario without left's diagram and the arc references into it."""
+    scenario = data["scenario"]
+    del scenario["assignment"]["left"]
+    effect = scenario["after_effect"]
+    for key in ("isolated", "coupled"):
+        effect[key] = [ref for ref in effect[key] if ref["subsystem"] != "left"]
+    for link in effect["parent_links"]:
+        link["children"] = [ref for ref in link["children"] if ref["subsystem"] != "left"]
+
+
 # A file with several faults names the first one the reader meets: the event
 # log, which replays over the whole horizon before the trajectory is fitted
 # to its scenario, its score table and its diagrams.
@@ -924,6 +935,10 @@ def _unreplayable(data):
     pytest.param(lambda d: (_events(d)[2].update(dst="L9"), d["trajectory"].update(horizon=1)),
                  ["trajectory.events: event 4 is out of tick order or past the horizon"],
                  id="unscored-state-then-past-horizon"),
+    pytest.param(_unassign_left, ["subsystem 'left' has no diagram in the scenario"],
+                 id="subsystem-without-diagram"),
+    pytest.param(lambda d: (_unassign_left(d), d.update(scores=None)),
+                 ["subsystem 'left' has no diagram in the scenario"], id="unscored-subsystem-without-diagram"),
 ])
 def test_analyze_names_the_first_fault_of_a_damaged_file(tmp_path, capsys, mutate, violations):
     traj = tmp_path / "t.json"

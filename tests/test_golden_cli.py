@@ -100,6 +100,16 @@ CASES = [
     # A boundary overlap, a gap and a diagram out of its scale's order.
     {"name": "validate-unsound", "argv": ["validate", _UNSOUND]},
     {"name": "validate-unsound-text", "argv": ["validate", _UNSOUND, "--format", "text"]},
+    # The human-text rendering of every other report kind.
+    {"name": "classify-text", "argv": ["classify", _BASIC, "--object", "x=7,phase=Seed", "--format", "text"]},
+    {"name": "replay-text", "argv": ["replay", _BASIC, "--diagram", "dev3", "--events",
+                                     "fixtures/dev3_events.csv", "--format", "text"]},
+    {"name": "consist-text", "argv": ["consist", _BASIC, "--request", "dev_then_boost", "--format", "text"]},
+    {"name": "simulate-text", "argv": ["simulate", _TWO_LEVEL, "--scenario", "coordinated", "--scores", "default",
+                                       "--format", "text"]},
+    {"name": "analyze-text", "argv": ["analyze", f"{TMP}/coordinated.json", "--format", "text"]},
+    {"name": "compare-text", "argv": ["compare", f"{TMP}/coordinated.report.json",
+                                      f"{TMP}/neglected.report.json", f"{TMP}/long.report.json", "--format", "text"]},
 ]
 
 

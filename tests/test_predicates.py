@@ -157,10 +157,10 @@ def test_compiled_predicates_equal_the_tree_walking_oracle():
     assert seen == {True, False, MissingParameterError, IncomparableValuesError}
 
 
-def test_compiled_fast_paths_fall_back_on_unusual_values():
+def test_compiled_chains_on_ints_bools_missing_names_and_bound_level_names():
     orders = {"phase": ("Seed", "Sprout", "Plant")}
     interval = compile(parse("0 <= x < 10"))
-    assert interval({"x": 5}) and not interval({"x": 10})  # ints take the full resolution
+    assert interval({"x": 5}) and not interval({"x": 10})  # ints compare as numbers
     with pytest.raises(MissingParameterError):
         interval({})
     with pytest.raises(IncomparableValuesError, match="non-comparable value True"):

@@ -21,6 +21,7 @@ from statedev.scenario import (
     Scenario,
     Skipped,
     TimeDiagramEntry,
+    TrajectoryScenarioMismatchError,
     analyze_trajectory,
     compare_scenarios,
     due_deliveries,
@@ -486,6 +487,15 @@ def test_efficiency_requires_total_score_table():
     tr = run_scenario(sc)
     with pytest.raises(MissingScoreError):
         analyze_trajectory(tr, sc, {"top": {"T0": 0.0}})
+
+
+@pytest.mark.parametrize("scores", [None, {"top": {"T0": 0.0}}], ids=["unscored", "scored"])
+def test_analysis_names_a_subsystem_without_a_diagram(scores):
+    sc = done_scenario()
+    tr = run_scenario(sc)
+    unassigned = dataclasses.replace(sc, assignment={"top": "D_top", "right": "D_right"})
+    with pytest.raises(TrajectoryScenarioMismatchError, match="subsystem 'left' has no diagram"):
+        analyze_trajectory(tr, unassigned, scores)
 
 
 def test_compare_prefers_completeness_then_efficiency():

@@ -43,7 +43,7 @@ def models(tmp_path_factory) -> dict:
     diagrams = {did: {k: v for k, v in d.items() if k != "scale"} for did, d in basic["canonical_diagrams"].items()}
     sections = {
         "requests": {"canonical_diagrams": diagrams, "composition_requests": basic["composition_requests"]},
-        "scales": {"parameters": basic["parameters"], "scales": basic["scales"]},
+        "scales": {key: basic[key] for key in ("parameters", "scales", "classificators")},
     }
     paths = {}
     for name, body in sections.items():
@@ -73,6 +73,9 @@ def test_simulate_and_analyze_load_no_scale_or_diagram_module(models):
 
 
 def test_validate_of_parameters_and_scales_loads_no_diagram_or_scenario_module(models):
-    found = loaded(f"assert cli.main(['validate', {models['scales']!r}]) == 0")
-    assert "statespace" in found
-    assert not found & {"scenario", "scenariofile", "composition", "canonical"}
+    path = models["scales"]
+    for step in (f"assert cli.main(['validate', {path!r}]) == 0",
+                 f"assert cli.main(['classify', {path!r}, '--object', 'x=7,phase=Seed']) == 0"):
+        found = loaded(step)
+        assert "statespace" in found
+        assert not found & {"scenario", "scenariofile", "composition", "canonical", "dynamics"}, step
