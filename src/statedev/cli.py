@@ -224,7 +224,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 def _cmd_classify(args) -> tuple[dict, int]:
     from . import statespace
-    model = modelfile.parse_model(args.model)
+    model = modelfile.parse_model(args.model, roots={"parameters": None, "classificators": None})
     cid = args.classificator
     if cid is None:
         if len(model.classificators) != 1:
@@ -338,7 +338,7 @@ def _profile_rows(profile: dynamics.ParallelProfile) -> Encoded:
 
 def _cmd_profile(args) -> tuple[dict, int]:
     from . import dynamics
-    model = modelfile.parse_model(args.model)
+    model = modelfile.parse_model(args.model, roots={"parameters": None})
     interval = _parse_interval(args.interval)
     if interval[0] > interval[1]:
         raise StatedevError(f"interval {args.interval!r}: start exceeds its end")
@@ -404,7 +404,7 @@ def _read_event_csv(path: str, d: canonical.CanonicalDiagram) -> list[tuple[str,
 
 def _cmd_replay(args) -> tuple[dict, int]:
     from . import canonical
-    model = modelfile.parse_model(args.model)
+    model = modelfile.parse_model(args.model, roots={"canonical_diagrams": [args.diagram]})
     if args.diagram not in model.canonical:
         raise StatedevError(f"diagram {args.diagram!r} is not declared")
     entry = model.canonical[args.diagram]
@@ -451,7 +451,7 @@ def _diagram_summary(d: canonical.CanonicalDiagram) -> dict:
 
 def _cmd_consist(args) -> tuple[dict, int]:
     from . import composition
-    model = modelfile.parse_model(args.model)
+    model = modelfile.parse_model(args.model, roots={"composition_requests": [args.request]})
     if args.request not in model.composition_requests:
         raise StatedevError(f"request {args.request!r} is not declared")
     req = model.composition_requests[args.request]
@@ -553,7 +553,7 @@ def _write_events_csv(path: str, tr: scenario.Trajectory) -> None:
 
 def _cmd_simulate(args) -> tuple[dict, int]:
     from . import scenario
-    model = modelfile.parse_model(args.model)
+    model = modelfile.parse_model(args.model, roots={"scenarios": [args.scenario], "score_tables": [args.scores]})
     if args.scenario not in model.scenarios:
         raise StatedevError(f"scenario {args.scenario!r} is not declared")
     sc = model.scenarios[args.scenario]

@@ -1,9 +1,11 @@
 """Versioned JSON model files and trajectory files.
 
 One model file is a single JSON document with named sections; predicates
-and rule cells are strings in the predicate grammar. Parsing never stops
-at the first problem: every parse, type, and reference issue in the file
-is collected and raised together, so one round trip shows them all.
+and rule cells are strings in the predicate grammar. A parse builds the
+whole model, or with `roots` only the entities a command reads and those
+they name. Parsing never stops at the first problem: every parse, type
+and reference issue of what is built is raised together, in document
+order, so one round trip shows them all.
 
 Each section's JSON format is stated once: `_SECTIONS` pairs the section
 key with its `ModelFile` field and the function that parses one entity,
@@ -11,8 +13,8 @@ and each flat record (arcs, arc references, sequence and time-diagram
 entries) is read and written through one field table. Non-finite numbers
 are rejected wherever a number enters.
 
-Each section's parser imports the modules of its entities, so a model
-pays at start-up only for the sections it holds. Three sections, whose
+An entity's parser imports the modules it needs, so a command pays at
+start-up only for the entities it builds. Three sections, whose
 field tables are built from their modules' classes, live in modules of
 their own: `canonicalfile`, `compositionfile` and `scenariofile`, which
 also holds the trajectory file codec.
@@ -20,6 +22,7 @@ also holds the trajectory file codec.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import operator
@@ -116,22 +119,18 @@ def _declared(ref: Any, table: Mapping[str, Any]) -> bool:
     return isinstance(ref, str) and ref in table
 
 
-def _expect_map(data: Any, where: str, out: _Collector) -> dict:
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        out.invalid(where, f"expected an object, got {type(data).__name__}")
-        return {}
-    return data
+def _expect_map(data: Any, where: str, out: _Collector, kind: type = dict) -> Any:
+    """data if it is an object (a list with kind list), else an empty one,
+    after an issue unless data is null."""
+    if isinstance(data, kind):
+        return data
+    if data is not None:
+        out.invalid(where, f"expected {'an object' if kind is dict else 'a list'}, got {type(data).__name__}")
+    return kind()
 
 
 def _expect_list(data: Any, where: str, out: _Collector) -> list:
-    if data is None:
-        return []
-    if not isinstance(data, list):
-        out.invalid(where, f"expected a list, got {type(data).__name__}")
-        return []
-    return data
+    return data if isinstance(data, list) else _expect_map(data, where, out, list)
 
 
 def _strs(data: Any, where: str, out: _Collector) -> tuple[str, ...]:
@@ -183,22 +182,16 @@ class _Flat:
         return data
 
 
-def _entities(data: Any, section: str, out: _Collector, parse_one: Callable, done=None) -> dict:
-    """Each entity of one section through parse_one(id, raw, where, out,
-    done). parse_one returns None after reporting its own issues; a
-    ValueError, TypeError or OverflowError it raises (a constructor
-    refusing the entity) becomes an invalid-value issue at the entity."""
-    result = {}
-    for eid, raw in _expect_map(data, section, out).items():
-        where = f"{section}.{eid}"
-        try:
-            entity = parse_one(eid, _expect_map(raw, where, out), where, out, done)
-        except (ValueError, TypeError, OverflowError) as exc:
-            out.invalid(where, str(exc))
-            continue
-        if entity is not None:
-            result[eid] = entity
-    return result
+def _entity(parse_one: Callable, eid: str, raw: Any, where: str, out: _Collector, done=None) -> Any:
+    """parse_one(id, raw, where, out, done), which returns None after
+    reporting its own issues; a ValueError, TypeError or OverflowError it
+    raises (a constructor refusing the entity) becomes an invalid-value
+    issue at the entity, and None."""
+    try:
+        return parse_one(eid, _expect_map(raw, where, out), where, out, done)
+    except (ValueError, TypeError, OverflowError) as exc:
+        out.invalid(where, str(exc))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -331,44 +324,61 @@ def _parse_score_table(raw: Any, where: str, out: _Collector) -> Union[dict, Non
     return table if ok else None
 
 
-def _each(parse_one: Callable) -> Callable:
-    """The parser of a section that reads each entity through parse_one."""
-    return lambda data, key, out, done: _entities(data, key, out, parse_one, done)
-
-
-def _canonical_diagrams(data, key, out, done) -> dict[str, CanonicalEntry]:
-    from .canonicalfile import parse_canonical
-    return _entities(data, key, out, parse_canonical, done)
-
-
-def _composition_requests(data, key, out, done) -> dict[str, CompositionRequest]:
-    from .compositionfile import parse_request
-    return _entities(data, key, out, parse_request, done)
-
-
-def _scenarios(data, key, out, done) -> dict[str, Scenario]:
-    from .scenariofile import parse_scenario
-    return _entities(data, key, out, parse_scenario, done)
-
-
 class _Section(NamedTuple):
     key: str  # the JSON section
     field: str  # the ModelFile attribute
-    parse: Callable  # the section: (raw value, key, collector, done) -> {id: entity}
+    parse: Union[Callable, str]  # one entity: (id, raw, where, collector, done) -> entity; or "module.function"
 
 
 # In parse order: a section may refer only to the sections above it.
 _SECTIONS = (
-    _Section("parameters", "parameters", _each(_parse_parameter)),
-    _Section("scales", "scales", _each(_parse_scale)),
-    _Section("classificators", "classificators", _each(_parse_classificator)),
-    _Section("rule_matrices", "rule_matrices", _each(_parse_rule_matrix)),
-    _Section("series", "series", _each(_parse_series)),
-    _Section("canonical_diagrams", "canonical", _canonical_diagrams),
-    _Section("composition_requests", "composition_requests", _composition_requests),
-    _Section("scenarios", "scenarios", _scenarios),
-    _Section("score_tables", "score_tables", _each(lambda tid, raw, where, out, _: _parse_score_table(raw, where, out))),
+    _Section("parameters", "parameters", _parse_parameter),
+    _Section("scales", "scales", _parse_scale),
+    _Section("classificators", "classificators", _parse_classificator),
+    _Section("rule_matrices", "rule_matrices", _parse_rule_matrix),
+    _Section("series", "series", _parse_series),
+    _Section("canonical_diagrams", "canonical", "canonicalfile.parse_canonical"),
+    _Section("composition_requests", "composition_requests", "compositionfile.parse_request"),
+    _Section("scenarios", "scenarios", "scenariofile.parse_scenario"),
+    _Section("score_tables", "score_tables", lambda tid, raw, where, out, _: _parse_score_table(raw, where, out)),
 )
+
+
+class _Lookup:
+    """One section's entities, each parsed the first time a parser or a
+    command asks for it through `in`, `[]` or `get`, and memoized; an
+    entity that failed is absent. Each entity keeps its own issues, so that
+    they are reported in document order whatever asked for it first."""
+
+    def __init__(self, section: _Section, data: dict, done: dict):
+        self.section, self.done, self.shape = section, done, _Collector()
+        self.parse = section.parse  # a "module.function" name until the first entity is parsed
+        self.raw = _expect_map(data.get(section.key), section.key, self.shape)
+        self.built: dict[str, Any] = {}  # id -> entity, in the order built
+        self.logs: dict[str, _Collector] = {}  # id -> the issues of each entity parsed
+
+    def get(self, eid: str, default=None) -> Any:
+        if eid not in self.logs and eid in self.raw:
+            if isinstance(self.parse, str):
+                module, name = self.parse.split(".")
+                self.parse = getattr(importlib.import_module(f".{module}", __package__), name)
+            log = self.logs[eid] = _Collector()
+            entity = _entity(self.parse, eid, self.raw[eid], f"{self.section.key}.{eid}", log, self.done)
+            if entity is not None:
+                self.built[eid] = entity
+        return self.built.get(eid, default)
+
+    def __contains__(self, eid: str) -> bool:
+        return self.get(eid) is not None
+
+    def __getitem__(self, eid: str) -> Any:
+        if (entity := self.get(eid)) is None:
+            raise KeyError(eid)
+        return entity
+
+    def issues(self) -> list[Issue]:
+        """The section's issues and those of each entity built, in document order."""
+        return self.shape.issues + [issue for eid in self.raw if eid in self.logs for issue in self.logs[eid].issues]
 
 
 class _NonFiniteNumber(Exception):
@@ -397,8 +407,10 @@ def _json_object(text: str, source: str) -> dict:
     return data
 
 
-def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
-    """Parse one JSON model document, collecting every issue."""
+def _read(text: str, source: str, roots: Union[Mapping, None]) -> tuple[dict[str, dict], list[Issue]]:
+    """The entities built, by ModelFile field, and their issues and the
+    document's, in document order. roots maps a section key to the ids to
+    build, or to None for all of them; roots None builds the whole model."""
     data = _json_object(text, source)
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -419,16 +431,30 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         str(level) for raw in raw_params.values()
         if isinstance(raw, dict) and isinstance(raw.get("levels"), list) for level in raw["levels"]
     }
-    for section in _SECTIONS:  # an absent section is parsed by none, so it imports no module
-        done[section.field] = section.parse(data[section.key], section.key, out, done) if section.key in data else {}
-    if out.issues:
-        raise ModelFileError(out.issues)
-    return ModelFile(FORMAT_VERSION, **{section.field: done[section.field] for section in _SECTIONS})
+    lookups = [_Lookup(section, data, done) for section in _SECTIONS]
+    done.update((section.field, lookup) for section, lookup in zip(_SECTIONS, lookups))
+    for section, lookup in zip(_SECTIONS, lookups):
+        ids = None if roots is None else roots.get(section.key, ())
+        for eid in lookup.raw if ids is None else ids:
+            lookup.get(eid)
+        if ids is None:  # every entity is built: the sections below read a plain dict
+            done[section.field] = lookup.built
+    return ({section.field: lookup.built for section, lookup in zip(_SECTIONS, lookups)},
+            out.issues + [issue for lookup in lookups for issue in lookup.issues()])
 
 
-def parse_model(path: str) -> ModelFile:
+def parse_model_text(text: str, source: str = "<string>", roots: Union[Mapping[str, Any], None] = None) -> ModelFile:
+    """Parse one JSON model document, or only the entities of roots and
+    those they name (see `_read`), collecting every issue of what is built."""
+    sections, issues = _read(text, source, roots)
+    if issues:
+        raise ModelFileError(issues)
+    return ModelFile(FORMAT_VERSION, **sections)
+
+
+def parse_model(path: str, roots: Union[Mapping[str, Any], None] = None) -> ModelFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read(), source=path)
+        return parse_model_text(fh.read(), source=path, roots=roots)
 
 
 def trajectory_file_to_dict(tr: Trajectory, sc: Scenario, scores: Union[ScoreTable, None] = None) -> dict:

@@ -731,8 +731,9 @@ def analyze_trajectory(
     )
 
 
-def compare_scenarios(reports: Sequence[ScenarioReport]) -> tuple[tuple[str, ...], ...]:
-    """Group scenario ids best first; ids sharing a group are declared ties.
+def compare_scenarios(reports: Sequence[ScenarioReport]) -> tuple[tuple[int, ...], ...]:
+    """Group the reports' positions best first, each group in input order;
+    positions sharing a group are declared ties.
     Rank lexicographically: completeness, then final aggregate efficiency
     (missing series counts as 0), then fewer backsteps, then fewer
     redundancy incidents."""
@@ -745,12 +746,12 @@ def compare_scenarios(reports: Sequence[ScenarioReport]) -> tuple[tuple[str, ...
                 f"{r.scenario_id!r} covers different subsystems than {reports[0].scenario_id!r}"
             )
 
-    def key(r: ScenarioReport) -> tuple:
+    def key(i: int) -> tuple:
+        r = reports[i]
         final_eff = 0.0
         if r.efficiency is not None and r.efficiency.aggregate:
             final_eff = r.efficiency.aggregate[-1]
         return (0 if r.complete else 1, -final_eff, r.backstep_total,
                 len(r.redundancy_incidents))
 
-    ordered = sorted(reports, key=key)
-    return tuple(tuple(r.scenario_id for r in tied) for _, tied in groupby(ordered, key))
+    return tuple(tuple(tied) for _, tied in groupby(sorted(range(len(reports)), key=key), key))

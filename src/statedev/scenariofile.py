@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Union
 
 from .modelfile import (
-    Issue, ModelFileError, _Collector, _declared, _entities, _expect_list, _expect_map, _Flat, _json_object,
+    Issue, ModelFileError, _Collector, _declared, _entity, _expect_list, _expect_map, _Flat, _json_object,
     _parse_score_table, _strs,
 )
 from .reports import Encoded
@@ -309,7 +309,7 @@ def load_trajectory_text(text: str, source: str = "<string>"):
     out = _Collector()
     sid = _typed(data, "scenario_id", str, "scenario_id", out)
     raw_sc = _typed(data, "scenario", dict, "scenario", out)
-    scenarios = _entities({sid: raw_sc}, "scenarios", out, parse_scenario) if sid is not None and raw_sc is not None else {}
+    sc = _entity(parse_scenario, sid, raw_sc, f"scenarios.{sid}", out) if sid is not None and raw_sc is not None else None
     traw = _typed(data, "trajectory", dict, "trajectory", out)
     if traw is not None:
         horizon = _typed(traw, "horizon", int, "trajectory.horizon", out)
@@ -332,4 +332,4 @@ def load_trajectory_text(text: str, source: str = "<string>"):
         scores = _parse_score_table(scores, "scores", out)
     if out.issues:
         raise ModelFileError(out.issues)
-    return scenarios[sid], Trajectory(sid, horizon, states, tuple(events)), scores
+    return sc, Trajectory(sid, horizon, states, tuple(events)), scores

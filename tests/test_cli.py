@@ -395,7 +395,25 @@ def test_compare_ranks_complete_run_first(tmp_path, capsys):
         reports.append(str(path))
     code, report, _ = run_json(capsys, "compare", *reports)
     assert code == 0
-    assert report["body"]["ranking"] == [["coordinated"], ["neglected"]]
+    assert report["body"]["compared"] == ["coordinated", "neglected"]
+    assert report["body"]["ranking"] == [[0], [1]]
+
+
+def test_compare_tells_two_reports_of_one_scenario_apart(tmp_path, capsys):
+    """Each ranking group lists positions into `compared`, so two runs of one
+    scenario over different horizons rank apart by position."""
+    reports = []
+    for name, horizon in (("long", "12"), ("neglected", None), ("short", "3")):
+        scenario = "neglected" if name == "neglected" else "coordinated"
+        extra = ["--horizon", horizon] if horizon else []
+        code, out, _ = run(capsys, "simulate", TWO_LEVEL_S, "--scenario", scenario, "--scores", "default", *extra)
+        assert code == 0
+        (tmp_path / f"{name}.json").write_text(out)
+        reports.append(str(tmp_path / f"{name}.json"))
+    code, report, _ = run_json(capsys, "compare", *reports)
+    assert code == 0
+    assert report["body"]["compared"] == ["coordinated", "neglected", "coordinated"]
+    assert report["body"]["ranking"] == [[2], [0], [1]]
 
 
 def test_compare_single_file_is_usage_error(tmp_path, capsys):

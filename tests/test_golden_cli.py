@@ -31,6 +31,7 @@ _BASIC = "fixtures/basic.json"
 _TWO_LEVEL = "fixtures/two_level.json"
 _FLAWED = "fixtures/flawed.json"
 _UNSOUND = "fixtures/unsound.json"
+_STRAY = "fixtures/stray.json"
 
 
 def _simulate(name, *extra, scenario=None):
@@ -110,6 +111,9 @@ CASES = [
     {"name": "analyze-text", "argv": ["analyze", f"{TMP}/coordinated.json", "--format", "text"]},
     {"name": "compare-text", "argv": ["compare", f"{TMP}/coordinated.report.json",
                                       f"{TMP}/neglected.report.json", f"{TMP}/long.report.json", "--format", "text"]},
+    # A broken scale and series that only validate reads.
+    {"name": "validate-stray", "argv": ["validate", _STRAY]},
+    {"name": "consist-stray", "argv": ["consist", _STRAY, "--request", "dev_then_boost"]},
 ]
 
 

@@ -502,17 +502,16 @@ def test_compare_prefers_completeness_then_efficiency():
     complete = analyze_trajectory(run_scenario(done_scenario()), done_scenario())
     idle_sc = scenario([], horizon=3)
     idle = analyze_trajectory(run_scenario(idle_sc), idle_sc)
-    result = compare_scenarios([idle, complete])
-    assert result[0] == ("s",) or result[0][0] == complete.scenario_id
     # the complete run wins regardless of listing order
-    assert complete.scenario_id in result[0]
+    assert compare_scenarios([idle, complete]) == ((1,), (0,))
+    assert compare_scenarios([complete, idle]) == ((0,), (1,))
 
 
 def test_compare_groups_exact_ties():
     a = analyze_trajectory(run_scenario(done_scenario()), done_scenario())
     b = dataclasses.replace(a, scenario_id="twin")
-    result = compare_scenarios([a, b])
-    assert result == ((a.scenario_id, "twin"),)
+    assert compare_scenarios([a, b]) == ((0, 1),)
+    assert compare_scenarios([b, a]) == ((0, 1),)
 
 
 def test_compare_needs_matching_subsystems():
@@ -528,8 +527,7 @@ def test_compare_breaks_ties_on_backsteps():
     clean = analyze_trajectory(run_scenario(sc_clean), sc_clean)
     noisy = analyze_trajectory(run_scenario(sc_noisy), sc_noisy)
     assert noisy.backstep_total > 0
-    result = compare_scenarios([noisy, clean])
-    assert result[0] == ("clean",)
+    assert compare_scenarios([noisy, clean]) == ((1,), (0,))
 
 
 def random_scenario(seed: int) -> Scenario:

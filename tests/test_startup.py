@@ -62,6 +62,14 @@ def test_a_model_of_diagrams_and_requests_loads_no_scale_or_scenario_module(mode
         assert not found & {"scenario", "scenariofile", "statespace", "predicates", "dynamics"}, step
 
 
+def test_consist_on_a_whole_model_loads_no_series_or_scenario_module():
+    """consist builds only its request, the diagrams it names and their
+    scale, so the series and rule matrices of basic.json load no module."""
+    found = loaded(f"assert cli.main(['consist', {str(BASIC)!r}, '--request', 'dev_then_boost']) == 0")
+    assert {"canonical", "canonicalfile", "composition", "compositionfile"} <= found
+    assert not found & {"dynamics", "scenario", "scenariofile"}
+
+
 def test_simulate_and_analyze_load_no_scale_or_diagram_module(models):
     out = models["trajectory"]
     found = loaded(
